@@ -7,16 +7,21 @@ neighborhoods and deduplicating by canonical form yields every isomorphism
 class.  Canonical forms are brute force: the minimum relabeled edge list
 over all permutations compatible with iterated degree refinement.
 
-For a fixed underlying graph, switching classes are enumerated by pinning
-a spanning forest to all-positive and ranging the cotree edges over all
-sign patterns: a connected graph with m edges and n vertices has exactly
-2^(m-n+1) switching classes, one per pattern.
+For a fixed underlying graph, switching classes are indexed by pinning the
+canonical BFS spanning forest to all-positive: a class is then a sign
+pattern over the cotree edges, an integer whose bit i negates cotree edge
+i (cotree edges in sorted order), and a graph with m edges, n vertices and
+c components has exactly 2^(m-n+c) classes, one per pattern.
 
-``verify_max_index`` runs the full census for one order: every switching
-class of every underlying graph is filtered to the unbalanced ones with no
-negative 4-cycle, the maximum index over the survivors is recorded, and
-the report's verdict states whether that maximum is attained exactly by
-the extremal family (up to switching isomorphism).
+``verify_max_index`` runs the full census for one order as linear algebra
+over GF(2).  With the forest positive, a class x is balanced iff x = 0,
+and a 4-cycle C is negative iff the parity of x on C's cotree edges is 1
+(Zaslavsky, "Signed graphs", 1982).  The unbalanced classes with no
+negative 4-cycle are therefore exactly the nonzero vectors in the kernel
+of the 4-cycle rows, so class and eligible counts are powers of two and
+only the kernel vectors are eigensolved.  The maximum index over them is
+recorded, and the report's verdict states whether that maximum is
+attained exactly by the extremal family (up to switching isomorphism).
 """
 
 from __future__ import annotations
@@ -24,17 +29,19 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
+
 from .core import SignedGraph
-from .cycles import is_ck_negative_free
 from .families import extremal_graph
 from .polynomial import largest_real_root_interval
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import forest_normal_form, is_balanced, switching_isomorphic
+from .switching import forest_normal_form, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -50,6 +57,8 @@ __all__ = [
 ]
 
 MAX_BUILTIN_ORDER = 7
+# checkpoint layout; records carry (lam, pattern) pairs since format 2
+CHECKPOINT_FORMAT = 2
 _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 
 
@@ -140,26 +149,89 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
 # -- switching classes ---------------------------------------------------------
 
 
+def _cotree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """Edges outside the canonical BFS forest, in sorted edge order.
+
+    Bit i of a sign pattern negates ``cotree[i]``; this fixes the pattern
+    numbering shared by :func:`switching_classes` and the census.
+    """
+    forest = set(forest_normal_form(SignedGraph(n, {e: 1 for e in edges})).forest)
+    return [e for e in sorted(edges) if e not in forest]
+
+
+def _signed_by_pattern(
+    n: int, edges: tuple[tuple[int, int], ...], cotree: list[tuple[int, int]], bits: int
+) -> SignedGraph:
+    table = {e: 1 for e in edges}
+    for i, e in enumerate(cotree):
+        if (bits >> i) & 1:
+            table[e] = -1
+    return SignedGraph(n, table)
+
+
 def switching_classes(g: SignedGraph) -> list[SignedGraph]:
     """One representative per switching class of the underlying graph of g.
 
     The canonical spanning forest is pinned all-positive and the cotree
     edges range over every sign pattern, in binary counting order (pattern
-    0 is the all-positive, balanced class).
+    0 is the all-positive, balanced class).  The census never builds this
+    list; it numbers classes by the same patterns.
     """
-    underlying = SignedGraph(g.n, {e: 1 for e in g.edge_set()})
-    forest = set(forest_normal_form(underlying).forest)
-    all_edges = sorted(underlying.edge_set())
-    cotree = [e for e in all_edges if e not in forest]
-    base = {e: 1 for e in all_edges}
-    out = []
-    for bits in range(1 << len(cotree)):
-        table = dict(base)
-        for i, e in enumerate(cotree):
-            if (bits >> i) & 1:
-                table[e] = -1
-        out.append(SignedGraph(g.n, table))
-    return out
+    edges = tuple(sorted(g.edge_set()))
+    cotree = _cotree(g.n, edges)
+    return [_signed_by_pattern(g.n, edges, cotree, bits) for bits in range(1 << len(cotree))]
+
+
+def _c4_rows(n: int, edges: tuple[tuple[int, int], ...], cotree: list[tuple[int, int]]) -> list[int]:
+    """One bitset per 4-cycle of the underlying graph: its cotree edges.
+
+    With the forest positive, pattern x makes the cycle negative iff
+    ``r & x`` has odd popcount.  Each 4-cycle a-b-c-d is listed once, from
+    its least vertex a with neighbors b < d on the cycle.
+    """
+    col = {e: 1 << i for i, e in enumerate(cotree)}
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def bit(u: int, v: int) -> int:
+        return col.get((u, v) if u < v else (v, u), 0)
+
+    rows = []
+    for a in range(n):
+        up = sorted(w for w in adj[a] if w > a)
+        for j, b in enumerate(up):
+            for d in up[j + 1 :]:
+                for c in adj[b] & adj[d]:
+                    if c > a:
+                        rows.append(bit(a, b) ^ bit(b, c) ^ bit(c, d) ^ bit(d, a))
+    return rows
+
+
+def _kernel_basis(rows: list[int], k: int) -> list[int]:
+    """Basis of {x in GF(2)^k : r & x has even popcount for every row r}.
+
+    Columns are eliminated one at a time, each tracking the set of
+    original columns it sums; a column that reduces to zero yields that
+    set as a kernel vector.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    basis = []
+    for i in range(k):
+        col = sum(1 << j for j, r in enumerate(rows) if (r >> i) & 1)
+        combo = 1 << i
+        while col:
+            top = col.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (col, combo)
+                break
+            pcol, pcombo = pivots[top]
+            col ^= pcol
+            combo ^= pcombo
+        else:
+            basis.append(combo)
+    return basis
 
 
 # -- the census ----------------------------------------------------------------
@@ -209,27 +281,35 @@ class CensusReport:
 
 
 def _census_one_graph(args: tuple[int, tuple[tuple[int, int], ...], float]):
-    """Census of a single underlying graph; used by the worker pool."""
+    """Census of a single underlying graph; used by the worker pool.
+
+    Returns ``(classes, eligible, best, keep)``: the class count
+    2^|cotree|, the eligible count 2^dim(kernel) - 1, the largest index
+    over the eligible classes (-inf if none) and every ``(lam, pattern)``
+    within ``tol`` of it, in ascending pattern order.
+    """
     n, edges, tol = args
-    g = SignedGraph(n, {e: 1 for e in edges})
-    classes = 0
-    eligible = 0
+    cotree = _cotree(n, edges)
+    span = [0]
+    for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
+        span += [x ^ b for x in span]
+    base = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        base[u, v] = base[v, u] = 1
     best = -math.inf
-    keep: list[tuple[float, str]] = []
-    for h in switching_classes(g):
-        classes += 1
-        if is_balanced(h).balanced:
-            continue
-        if not is_ck_negative_free(h, 4):
-            continue
-        eligible += 1
-        lam = eigenvalues_sym(h.adjacency_matrix()).lambda1
+    keep: list[tuple[float, int]] = []
+    for bits in sorted(span)[1:]:
+        A = base.copy()
+        for i, (u, v) in enumerate(cotree):
+            if (bits >> i) & 1:
+                A[u, v] = A[v, u] = -1
+        lam = eigenvalues_sym(A).lambda1
         if lam > best:
             best = lam
-            keep = [(l, s) for (l, s) in keep if l >= best - tol]
+            keep = [(l, p) for (l, p) in keep if l >= best - tol]
         if lam >= best - tol:
-            keep.append((lam, h.to_sg()))
-    return classes, eligible, best, keep
+            keep.append((lam, bits))
+    return 1 << len(cotree), len(span) - 1, best, keep
 
 
 def _exact_tiebreak(witnesses: list[tuple[float, SignedGraph]]):
@@ -262,14 +342,24 @@ def verify_max_index(
 ) -> CensusReport:
     """Census all switching classes of order n and locate the maximum index.
 
-    Filters each class to unbalanced with no negative 4-cycle, maximizes
-    the index over the survivors, re-tests numerical ties with exact
-    characteristic polynomials, and checks every maximizer against the
-    extremal graph.  ``graphs`` overrides the built-in underlying-graph
-    enumeration (required beyond n = 7); ``jobs`` > 1 fans the per-graph
-    work over a process pool with a deterministic merge; ``checkpoint``
-    names a JSON-lines file used to resume interrupted runs.  Orders past
-    6 iterate very many classes and must opt in with ``long_run``.
+    For each underlying graph, counts its classes and eligible classes
+    (unbalanced, no negative 4-cycle) from the GF(2) kernel of its 4-cycle
+    rows and eigensolves only the kernel vectors; then maximizes the index
+    over all graphs, re-tests numerical ties with exact characteristic
+    polynomials, and checks every maximizer against the extremal graph.
+    ``graphs`` overrides the built-in underlying-graph enumeration
+    (required beyond n = 7); ``jobs`` > 1 fans the per-graph work over a
+    process pool with a deterministic merge; ``progress`` writes JSON lines
+    to stderr every 100000 classes.  Orders past 6 must opt in with
+    ``long_run``.
+
+    ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
+    Its first line is the header ``{census_n, tasks, tol, format,
+    catalog}``, where ``catalog`` is the SHA-256 of the task edge lists; a
+    file whose header differs raises ValueError.  Each further line
+    records one finished task ``{i, classes, eligible, best, keep}`` with
+    ``keep`` a list of ``[lam, pattern]`` pairs.  A final record torn by a
+    crash is dropped and its task recomputed.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
@@ -285,36 +375,16 @@ def verify_max_index(
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
     tasks = [(n, tuple(sorted(g.edge_set())), tol) for g in underlying]
 
-    header = {"census_n": n, "tasks": len(tasks), "tol": tol}
-    done: dict[int, tuple] = {}
-    fresh_checkpoint = True
-    if checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint):
-        fresh_checkpoint = False
-        with open(checkpoint, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if lineno == 0:
-                    if rec != header:
-                        raise ValueError(
-                            f"checkpoint {checkpoint} belongs to a different census: "
-                            f"{rec} != {header}"
-                        )
-                    continue
-                done[rec["i"]] = (
-                    rec["classes"],
-                    rec["eligible"],
-                    rec["best"],
-                    [(l, s) for l, s in rec["keep"]],
-                )
+    header = _checkpoint_header(n, tasks, tol) if checkpoint else {}
+    resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
+    done = _resume_checkpoint(checkpoint, header) if resuming else {}
 
     pending = [i for i in range(len(tasks)) if i not in done]
     results: dict[int, tuple] = dict(done)
     processed = sum(r[0] for r in done.values())
     next_mark = (processed // 100000 + 1) * 100000
     ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
-    if ckpt_fh and fresh_checkpoint:
+    if ckpt_fh and not resuming:
         ckpt_fh.write(json.dumps(header) + "\n")
         ckpt_fh.flush()
 
@@ -325,8 +395,15 @@ def verify_max_index(
         processed += res[0]
         if progress and processed >= next_mark:
             print(
-                f"census n={n}: {processed} classes processed "
-                f"({len(results)}/{len(tasks)} graphs)",
+                json.dumps(
+                    {
+                        "census_n": n,
+                        "classes": processed,
+                        "graphs_done": len(results),
+                        "graphs": len(tasks),
+                    }
+                ),
+                file=sys.stderr,
                 flush=True,
             )
             while next_mark <= processed:
@@ -352,20 +429,22 @@ def verify_max_index(
     class_count = 0
     eligible_count = 0
     best = -math.inf
-    keep: list[tuple[float, SignedGraph]] = []
+    keep: list[tuple[float, int, int]] = []  # (lam, task index, pattern)
     for i in range(len(tasks)):
         classes, eligible, g_best, g_keep = results[i]
         class_count += classes
         eligible_count += eligible
         if g_best > best:
             best = g_best
-            keep = [(l, h) for (l, h) in keep if l >= best - tol]
-        for lam, sg_text in g_keep:
-            if lam >= best - tol:
-                keep.append((lam, SignedGraph.from_sg(sg_text)))
+            keep = [w for w in keep if w[0] >= best - tol]
+        keep += [(lam, i, bits) for lam, bits in g_keep if lam >= best - tol]
 
+    decoded = []
+    for lam, i, bits in keep:
+        edges = tasks[i][1]
+        decoded.append((lam, _signed_by_pattern(n, edges, _cotree(n, edges), bits)))
     reference = index(extremal_graph(n))
-    survivors = _exact_tiebreak(keep) if keep else []
+    survivors = _exact_tiebreak(decoded) if decoded else []
     witnesses = tuple(g for _, g in survivors)
     verdict = (
         bool(witnesses)
@@ -384,6 +463,53 @@ def verify_max_index(
         seconds=time.perf_counter() - t0,
         tol=tol,
     )
+
+
+def _checkpoint_header(n: int, tasks: list, tol: float) -> dict:
+    """Identity of a census: order, tolerance, record format and catalog.
+
+    hashlib is imported here rather than at module level because it loads
+    OpenSSL, which would add about 3 MB of resident memory to every
+    process importing the package.
+    """
+    import hashlib
+
+    catalog = hashlib.sha256(json.dumps([t[1] for t in tasks]).encode()).hexdigest()
+    return {
+        "census_n": n,
+        "tasks": len(tasks),
+        "tol": tol,
+        "format": CHECKPOINT_FORMAT,
+        "catalog": catalog,
+    }
+
+
+def _resume_checkpoint(path: str, header: dict) -> dict[int, tuple]:
+    """Finished tasks recorded in a checkpoint whose header matches ours.
+
+    Records are appended one line at a time, so a last line without its
+    newline was torn by a crash.  Once the header is accepted, the file is
+    truncated back to its last complete line: that task is recomputed, and
+    the next record starts on a line of its own.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data[: data.rfind(b"\n") + 1]
+    recs = []
+    for lineno, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            recs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint {path} line {lineno}: {exc}") from None
+    if not recs or recs[0] != header:
+        found = recs[0] if recs else "no complete header line"
+        raise ValueError(f"checkpoint {path} belongs to a different census: {found} != {header}")
+    if len(complete) < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(len(complete))
+    return {rec["i"]: (rec["classes"], rec["eligible"], rec["best"], rec["keep"]) for rec in recs[1:]}
 
 
 def _record(fh, i: int, res: tuple) -> None:

@@ -3,16 +3,23 @@
 Oracles here deliberately avoid the library's production algorithms: cycle
 enumeration is plain path DFS (the library's shortest-cycle search goes
 through the double cover), switching orbits are flood-filled over bit-packed
-signings (the library counts classes via cotree patterns), and reference
-eigenvalues come from numpy's eigh (the library uses its own Jacobi).
+signings (the library counts classes via cotree patterns), reference
+eigenvalues come from numpy's eigh (the library uses its own Jacobi), and
+the census worker (GF(2) kernel of the 4-cycle rows) is checked against a
+per-class filter.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 
 from signedspectra import SignedGraph
+from signedspectra.cycles import is_ck_negative_free
+from signedspectra.enumeration import switching_classes
+from signedspectra.spectra import eigenvalues_sym
+from signedspectra.switching import is_balanced
 
 
 def random_signed_graph(
@@ -184,3 +191,27 @@ def random_fundamental_cycle(rng: random.Random, g: SignedGraph):
             path = anc_u[: pos[x]] + anc_v[: j + 1][::-1]
             return tuple(path) if len(path) >= 3 else None
     return None
+
+
+def brute_census_one_graph(n: int, edges, tol: float):
+    """Per-class census of one underlying graph, in the census worker's shape.
+
+    Builds every switching class, keeps the unbalanced ones with no negative
+    4-cycle, and returns (classes, eligible, best, [(lam, pattern), ...])
+    with the same tie rule as the census.
+    """
+    best = -math.inf
+    eligible = 0
+    keep = []
+    classes = switching_classes(SignedGraph(n, {e: 1 for e in edges}))
+    for bits, h in enumerate(classes):
+        if is_balanced(h).balanced or not is_ck_negative_free(h, 4):
+            continue
+        eligible += 1
+        lam = eigenvalues_sym(h.adjacency_matrix()).lambda1
+        if lam > best:
+            best = lam
+            keep = [(l, p) for (l, p) in keep if l >= best - tol]
+        if lam >= best - tol:
+            keep.append((lam, bits))
+    return len(classes), eligible, best, keep

@@ -108,6 +108,16 @@ def test_verify_subcommand(tmp_path, capsys):
     assert json.loads(out) == record
 
 
+def test_verify_progress_goes_to_stderr_as_json(capsys):
+    code, out, err = run(capsys, "verify", "--n", "7", "--long-run", "--progress")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["verdict"] is True
+    progress = [json.loads(line) for line in err.splitlines()]
+    assert progress and all(p["census_n"] == 7 for p in progress)
+
+
 def test_verify_exit_code_on_failed_verdict(tmp_path, capsys):
     # a catalog holding only the 5-cycle cannot reach the extremal index,
     # so the verdict fails and the exit code signals it

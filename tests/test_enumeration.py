@@ -22,7 +22,7 @@ from signedspectra.families import extremal_graph
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import is_balanced, switching_equivalent, switching_isomorphic
 
-from conftest import brute_switching_orbit_count
+from conftest import brute_census_one_graph, brute_switching_orbit_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -219,6 +219,64 @@ def test_verify_census_partial_checkpoint_resume(tmp_path):
     full.pop("seconds")
     resumed.pop("seconds")
     assert full == resumed
+
+
+def test_kernel_census_matches_brute_filter_oracle():
+    from signedspectra.enumeration import _census_one_graph
+
+    for n in (4, 5, 6):
+        for g in enumerate_underlying(n):
+            task = (n, tuple(sorted(g.edge_set())), 1e-9)
+            assert _census_one_graph(task) == brute_census_one_graph(*task), task
+
+
+def test_verify_census_order7():
+    # independent root oracle: plain float bisection on x^3 - 2x^2 - 9x + 2
+    lo, hi = 4.0, 5.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid**3 - 2 * mid**2 - 9 * mid + 2 < 0:
+            lo = mid
+        else:
+            hi = mid
+    report = verify_max_index(7, long_run=True)
+    assert report.underlying_count == 1044
+    assert report.class_count == 197629
+    assert report.eligible_count == 1347
+    assert abs(report.max_lambda1 - 0.5 * (lo + hi)) <= 1e-9
+    assert report.verdict
+
+
+def test_verify_census_torn_checkpoint_record(tmp_path):
+    # a crash mid-write leaves a torn last line: it is dropped and recomputed
+    ck = tmp_path / "census5.jsonl"
+    full = verify_max_index(5, checkpoint=str(ck)).to_dict()
+    ck.write_bytes(ck.read_bytes()[:-25])
+    resumed = verify_max_index(5, checkpoint=str(ck)).to_dict()
+    full.pop("seconds")
+    resumed.pop("seconds")
+    assert full == resumed
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert sorted(r["i"] for r in records[1:]) == list(range(34))
+
+
+def test_verify_census_checkpoint_fingerprint(tmp_path):
+    # same order and catalog length, one graph different: no shared checkpoint
+    gs = enumerate_underlying(5)
+    ck = tmp_path / "census.jsonl"
+    verify_max_index(5, graphs=gs, checkpoint=str(ck))
+    with pytest.raises(ValueError):
+        verify_max_index(5, graphs=gs[:-1] + gs[:1], checkpoint=str(ck))
+    # a file in the old format (witnesses as .sg text) is not resumed either
+    old = tmp_path / "old.jsonl"
+    old.write_text(
+        json.dumps({"census_n": 5, "tasks": 34, "tol": 1e-9})
+        + "\n"
+        + json.dumps({"i": 0, "classes": 1, "eligible": 0, "best": -math.inf, "keep": []})
+        + "\n"
+    )
+    with pytest.raises(ValueError):
+        verify_max_index(5, checkpoint=str(old))
 
 
 def test_verify_census_checkpoint_mismatch_rejected(tmp_path):
