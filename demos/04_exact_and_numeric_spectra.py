@@ -1,4 +1,4 @@
-"""The Jacobi eigensolver cross-checked by exact integer char polys."""
+"""The LAPACK eigensolver (eigh) cross-checked by exact integer char polys."""
 
 import numpy as np
 

@@ -1,11 +1,11 @@
 """Spectral analysis of signed graphs.
 
 Core object: :class:`SignedGraph`, a simple graph with +1/-1 edge signs.
-On top of it: switching and balance, negative-cycle detection, a Jacobi
-eigensolver paired with exact integer characteristic polynomials,
-generators for the extremal families, index-increasing perturbation moves,
-and an exhaustive census that verifies the extremal characterization at
-small orders.
+On top of it: switching and balance, negative-cycle detection, LAPACK's
+symmetric eigensolver checked against exact integer characteristic
+polynomials, generators for the extremal families, index-increasing
+perturbation moves, and an exhaustive census that verifies the extremal
+characterization at small orders.
 """
 
 from .core import Sign, SignedEdge, SignedGraph, SgFormatError, complete_signed, new_graph

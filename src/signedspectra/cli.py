@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .core import SgFormatError, SignedGraph, complete_signed
+from .core import SgFormatError, SignedGraph
 from .cycles import is_ck_negative_free, shortest_negative_cycle
 from .enumeration import (
     GraphListError,
@@ -21,7 +21,7 @@ from .enumeration import (
     verify_c4free_bounds,
     verify_max_index,
 )
-from .families import extremal_graph, near_extremal_graph
+from .families import FAMILY_ALIASES, FAMILY_TAGS, FamilySpec
 from .proofmoves import greedy_ascent
 from .spectra import (
     VertexPartition,
@@ -40,17 +40,6 @@ except Exception:  # pragma: no cover - not installed
     VERSION = "0.1.0"
 
 JOBS_ENV = "SIGNEDSPECTRA_JOBS"
-
-FAMILY_BUILDERS = {
-    "extremal": extremal_graph,
-    "near-extremal": near_extremal_graph,
-    "kn+": lambda n: complete_signed(n, 1),
-    "kn-": lambda n: complete_signed(n, -1),
-    # alternate labels commonly used for the two families
-    "gamma1": extremal_graph,
-    "gamma2": near_extremal_graph,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -105,7 +94,7 @@ def _cycle_json(w) -> dict | None:
 
 
 def cmd_gen(args) -> int:
-    g = FAMILY_BUILDERS[args.family](args.n)
+    g = FamilySpec(FAMILY_ALIASES.get(args.family, args.family), args.n).build()
     _emit_graph(g, args.output)
     return 0
 
@@ -213,7 +202,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a named family member as .sg")
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_BUILDERS))
+    p.add_argument("--family", required=True, choices=sorted([*FAMILY_TAGS, *FAMILY_ALIASES]))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)

@@ -41,7 +41,7 @@ from .core import SignedGraph
 from .families import extremal_graph
 from .polynomial import largest_real_root_interval
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import forest_normal_form, switching_isomorphic
+from .switching import _refine_colors, forest_normal_form, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -65,25 +65,13 @@ _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 # -- canonical forms -----------------------------------------------------------
 
 
-def _refined_colors(n: int, adj: list[list[int]]) -> list[int]:
-    colors = [len(adj[v]) for v in range(n)]
-    for _ in range(n):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
 def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Minimum relabeled edge list over refinement-compatible permutations."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    colors = _refined_colors(n, adj)
+    colors = _refine_colors(n, adj)
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(colors[v], []).append(v)

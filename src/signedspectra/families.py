@@ -39,6 +39,7 @@ __all__ = [
     "near_extremal_partition",
     "FamilySpec",
     "FAMILY_TAGS",
+    "FAMILY_ALIASES",
 ]
 
 
@@ -155,6 +156,8 @@ def near_extremal_quotient_matrix(n: int) -> np.ndarray:
 
 
 FAMILY_TAGS = ("extremal", "near-extremal", "kn+", "kn-")
+# alternate labels commonly used for the two extremal families
+FAMILY_ALIASES = {"gamma1": "extremal", "gamma2": "near-extremal"}
 
 
 @dataclass(frozen=True)

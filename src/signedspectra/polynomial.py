@@ -138,13 +138,12 @@ class IntPolynomial:
 
     def divides(self, other: "IntPolynomial") -> bool:
         """True iff self divides other exactly over the rationals."""
-        q, r = _divmod_rational(other, self)
-        del q
+        _, r = _divmod_frac(_fractions(other), _fractions(self))
         return all(c == 0 for c in r)
 
     def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
         """self / other, which must be exact with integer quotient."""
-        q, r = _divmod_rational(self, other)
+        q, r = _divmod_frac(_fractions(self), _fractions(other))
         if any(c != 0 for c in r):
             raise ValueError("division is not exact")
         if any(c.denominator != 1 for c in q):
@@ -152,25 +151,8 @@ class IntPolynomial:
         return IntPolynomial([int(c) for c in q])
 
 
-def _divmod_rational(
-    a: IntPolynomial, b: IntPolynomial
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Polynomial long division over Q; returns (quotient, remainder) coeffs."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    div = [Fraction(c) for c in b.coeffs]
-    dq = len(rem) - len(div)
-    if dq < 0:
-        return [Fraction(0)], rem
-    quot = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(div) - 1] / div[-1]
-        quot[k] = c
-        if c:
-            for i, d in enumerate(div):
-                rem[k + i] -= c * d
-    return quot, rem[: len(div) - 1] or [Fraction(0)]
+def _fractions(p: IntPolynomial) -> list[Fraction]:
+    return [Fraction(c) for c in p.coeffs]
 
 
 def _synthetic_division(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
@@ -204,9 +186,8 @@ def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
 
 def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
     """Coefficients of p / gcd(p, p') over Q (monic-scaled square-free part)."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in p.derivative().coeffs]
-    g = _poly_gcd(a, b)
+    a = _fractions(p)
+    g = _poly_gcd(a, _fractions(p.derivative()))
     q, r = _divmod_frac(a, g)
     assert all(c == 0 for c in r)
     lead = q[-1]
@@ -231,6 +212,9 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def _divmod_frac(
     a: list[Fraction], b: list[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division over Q of trimmed coefficient lists: (quotient, remainder)."""
+    if b[-1] == 0:
+        raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     dq = len(rem) - len(b)
     if dq < 0:

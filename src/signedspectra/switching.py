@@ -169,14 +169,11 @@ def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
     return forest_normal_form(a).cotree_signs == forest_normal_form(b).cotree_signs
 
 
-def _refine_colors(g: SignedGraph) -> list[int]:
-    """Iterated neighbor-degree refinement of the underlying graph."""
-    adj = g.adjacency_lists()
-    colors = [len(adj[v]) for v in range(g.n)]
-    for _ in range(g.n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(g.n)
-        ]
+def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
+    """Iterated neighbor-degree refinement of an adjacency-list graph."""
+    colors = [len(adj[v]) for v in range(n)]
+    for _ in range(n):
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [palette[sig] for sig in sigs]
         if new == colors:
@@ -189,10 +186,10 @@ def _underlying_isomorphisms(a: SignedGraph, b: SignedGraph):
     """Yield permutations pi with pi(underlying a) == underlying b."""
     if a.m != b.m:
         return
-    ca, cb = _refine_colors(a), _refine_colors(b)
+    adj_a = a.adjacency_lists()
+    ca, cb = _refine_colors(a.n, adj_a), _refine_colors(b.n, b.adjacency_lists())
     if sorted(ca) != sorted(cb):
         return
-    adj_a = a.adjacency_lists()
     targets: dict[int, list[int]] = {}
     for v in range(b.n):
         targets.setdefault(cb[v], []).append(v)

@@ -49,6 +49,10 @@ def test_divides_and_divexact():
     assert p.divexact(poly(1, 1)) == poly(1, -1, -2)
     with pytest.raises(ValueError):
         p.divexact(poly(1, -1))
+    with pytest.raises(ZeroDivisionError):
+        poly(0).divides(p)
+    with pytest.raises(ZeroDivisionError):
+        p.divexact(poly(0))
 
 
 def test_real_roots_simple():

@@ -12,7 +12,7 @@ from signedspectra.families import (
     near_extremal_graph,
     near_extremal_partition,
 )
-from signedspectra.polynomial import IntPolynomial
+from signedspectra.polynomial import IntPolynomial, real_roots
 from signedspectra.spectra import (
     VertexPartition,
     c4free_bound_check,
@@ -52,15 +52,18 @@ def test_extremal5_spectrum():
     assert rep.eigenvalues == pytest.approx([s5, 1.0, 0.0, -1.0, -s5], abs=1e-10)
 
 
-def test_jacobi_matches_independent_dense_solver():
+def test_eigensolver_matches_exact_char_poly_roots():
+    # the oracle is exact: Sturm-isolated roots of the integer char poly
     rng = random.Random(41)
     for _ in range(40):
         g = random_signed_graph(rng, rng.randint(1, 12))
-        A = g.adjacency_matrix().astype(float)
-        rep = eigenvalues_sym(A)
-        ref = np.linalg.eigvalsh(A)[::-1]
-        assert rep.eigenvalues == pytest.approx(ref, abs=1e-9)
-        assert rep.residual <= 10 * rep.tol + 1e-12
+        rep = eigenvalues_sym(g.adjacency_matrix())
+        roots = np.array(real_roots(char_poly_exact(g)))
+        for lam in rep.eigenvalues:
+            assert np.abs(roots - lam).min() <= 1e-9
+        for r in roots:
+            assert np.abs(rep.eigenvalues - r).min() <= 1e-9
+        assert rep.residual <= 1.1e-11
 
 
 def test_eigenvalues_sym_rejects_bad_input():
@@ -68,8 +71,6 @@ def test_eigenvalues_sym_rejects_bad_input():
         eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalues_sym(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigenvalues_sym(np.zeros((2, 2)), tol=0.0)
 
 
 def test_spectrum_report_invariants():
