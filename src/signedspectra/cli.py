@@ -179,8 +179,23 @@ def cmd_verify(args) -> int:
     return 0 if report.verdict else 3
 
 
+def _one_based(operands) -> list:
+    return [_one_based(op) if isinstance(op, tuple) else op + 1 for op in operands]
+
+
 def cmd_search(args) -> int:
     result = greedy_ascent(args.n, args.seed, args.max_steps)
+    if args.progress:
+        traj = result.trajectory
+        for step, (mv, delta) in enumerate(zip(result.applied, result.deltas), start=1):
+            record = {
+                "step": step,
+                "move": mv.kind.value,
+                "operands": _one_based(mv.operands),
+                "rayleigh_delta": delta,
+                "gain": traj[step] - traj[step - 1],
+            }
+            print(json.dumps(record), file=sys.stderr)
     for step, lam in enumerate(result.trajectory):
         print(f"# step {step} lambda1 {lam!r}")
     sys.stdout.write(result.graph.to_sg())
@@ -240,6 +255,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=500)
+    p.add_argument(
+        "--progress", action="store_true", help="JSON line per applied move on stderr"
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="C4-free spectral bounds on all graphs of order n")

@@ -5,6 +5,13 @@ exactly when it carries an odd number of negative edges.  Fixed-length
 negative cycles are found by exhaustive path extension; the shortest
 negative cycle is found through the parity double cover, where a negative
 closed walk through v corresponds to a path between the two lifts of v.
+
+Freeness from negative 4-cycles has an exact shortcut: a graph has a
+negative 4-cycle iff some vertex pair u != w is joined by both a positive
+and a negative 2-path (the two middle vertices then differ, and the two
+paths close into a cycle of sign -1).  With positive and negative
+neighbour bitsets P, N this is one test per pair,
+``((Pu & Pw) | (Nu & Nw)) and ((Pu & Nw) | (Nu & Pw))``.
 """
 
 from __future__ import annotations
@@ -93,23 +100,28 @@ def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > n:
         return None
-    adj = g.adjacency_lists()
+    # nbr[v] maps each neighbour of v to the edge sign, in ascending
+    # neighbour order (edges() is sorted), which fixes the visit order
+    nbr: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, s in g.edges():
+        nbr[u][v] = s
+        nbr[v][u] = s
 
     path = [0] * k
     in_path = [False] * n
 
     def extend(depth: int, last: int, start: int, sgn: int) -> tuple[int, ...] | None:
         if depth == k:
-            if g.has_edge(last, start):
-                if path[1] < last and sgn * g.sign(last, start) < 0:
-                    return tuple(path)
+            s = nbr[last].get(start, 0)
+            if s and path[1] < last and sgn * s < 0:
+                return tuple(path)
             return None
-        for w in adj[last]:
+        for w, s in nbr[last].items():
             if w <= start or in_path[w]:
                 continue
             path[depth] = w
             in_path[w] = True
-            hit = extend(depth + 1, w, start, sgn * g.sign(last, w))
+            hit = extend(depth + 1, w, start, sgn * s)
             in_path[w] = False
             if hit is not None:
                 return hit
@@ -125,9 +137,40 @@ def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
     return None
 
 
+def _c4_negative_free_bits(pos: Sequence[int], neg: Sequence[int]) -> bool:
+    """True iff no vertex pair is joined by both a positive and a negative 2-path.
+
+    ``pos[v]`` and ``neg[v]`` are the bitsets (bit w set) of the positive
+    and negative neighbours of v.  The answer is exactly "no negative
+    4-cycle" (see the module docstring).
+    """
+    n = len(pos)
+    for u in range(n):
+        pu, nu = pos[u], neg[u]
+        for w in range(u + 1, n):
+            pw, nw = pos[w], neg[w]
+            if ((pu & pw) | (nu & nw)) and ((pu & nw) | (nu & pw)):
+                return False
+    return True
+
+
 def is_ck_negative_free(g: SignedGraph, k: int) -> bool:
-    """True iff g has no negative cycle of length exactly k."""
-    return find_negative_ck(g, k) is None
+    """True iff g has no negative cycle of length exactly k.
+
+    For k = 4 this is decided without a path search: g has a negative
+    4-cycle iff some vertex pair is joined by both a positive and a
+    negative 2-path, tested on neighbour bitsets.  Other lengths run
+    :func:`find_negative_ck`.
+    """
+    if k != 4:
+        return find_negative_ck(g, k) is None
+    pos = [0] * g.n
+    neg = [0] * g.n
+    for u, v, s in g.edges():
+        bits = pos if s > 0 else neg
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return _c4_negative_free_bits(pos, neg)
 
 
 def double_cover(g: SignedGraph) -> SignedGraph:

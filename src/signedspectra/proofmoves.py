@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph
-from .cycles import is_ck_negative_free, shortest_negative_cycle
+from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from .spectra import SpectrumReport, eigenvalues_sym, nonneg_eigenvector_form
 from .switching import is_balanced
 
@@ -184,24 +184,30 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     """
     out: list[Move] = []
     n = g.n
+    present = g.edge_set()
     for u in range(n):
         for v in range(u + 1, n):
-            if not g.has_edge(u, v):
+            if (u, v) not in present:
                 out.append(Move.add_positive_edge(u, v))
     snc = shortest_negative_cycle(g)
     protected = set(snc.edges()) if snc is not None else set()
-    negatives = [(u, v) for u, v, s in g.edges() if s < 0]
+    edges = g.edges()
+    negatives = [(u, v) for u, v, s in edges if s < 0]
     for (u, v) in negatives:
         if (u, v) not in protected:
             out.append(Move.delete_edge(u, v))
     for i in range(len(negatives)):
         for j in range(i + 1, len(negatives)):
             out.append(Move.negate_edge_pair(negatives[i], negatives[j]))
-    for u, v, s in g.edges():
+    for u, v, s in edges:
         if s > 0:
             for pivot, old in ((u, v), (v, u)):
                 for new in range(n):
-                    if new != pivot and new != old and not g.has_edge(pivot, new):
+                    if (
+                        new != pivot
+                        and new != old
+                        and (min(pivot, new), max(pivot, new)) not in present
+                    ):
                         out.append(Move.rotate_edge(pivot, old, new))
     return out
 
@@ -209,26 +215,47 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
 def random_unbalanced_c4free(
     n: int, rng: random.Random, edge_prob: float = 0.35, neg_prob: float = 0.3
 ) -> SignedGraph:
-    """Rejection-sample an unbalanced signed graph with no negative C4."""
+    """Rejection-sample an unbalanced signed graph with no negative C4.
+
+    Each trial draws every pair in (u, v) order: one ``rng.random()`` for
+    presence and, for a present edge, one for its sign.  Negative-C4
+    freeness is tested first, on neighbour bitsets filled while drawing;
+    only a trial that passes becomes a SignedGraph and has its balance
+    checked.  Both tests are pure, so their order changes neither the
+    draws nor the returned graph.
+    """
     if n < 3:
         raise ValueError("need n >= 3 for an unbalanced graph")
+    rand = rng.random
+    pairs = [(u, v, 1 << u, 1 << v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(100000):
-        table = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < edge_prob:
-                    table[(u, v)] = -1 if rng.random() < neg_prob else 1
+        pos = [0] * n
+        neg = [0] * n
+        for u, v, bu, bv in pairs:
+            if rand() < edge_prob:
+                bits = neg if rand() < neg_prob else pos
+                bits[u] |= bv
+                bits[v] |= bu
+        if not _c4_negative_free_bits(pos, neg):
+            continue
+        table = {
+            (u, v): 1 if pos[u] & bv else -1 for u, v, _, bv in pairs if (pos[u] | neg[u]) & bv
+        }
         g = SignedGraph(n, table)
-        if not is_balanced(g).balanced and is_ck_negative_free(g, 4):
+        if not is_balanced(g).balanced:
             return g
     raise RuntimeError("rejection sampling failed; lower edge_prob")
 
 
 @dataclass(frozen=True)
 class AscentResult:
+    """Final graph, index after each step (start first), applied moves and
+    each applied move's closed-form Rayleigh delta at its host."""
+
     graph: SignedGraph
     trajectory: tuple[float, ...]
     applied: tuple[Move, ...]
+    deltas: tuple[float, ...] = ()
 
     @property
     def steps(self) -> int:
@@ -252,24 +279,28 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     g, report = nonneg_eigenvector_form(g)
     trajectory = [report.lambda1]
     applied: list[Move] = []
+    deltas: list[float] = []
     for _ in range(max_steps):
         moves = candidate_moves(g)
         scored = sorted(
             ((-_closed_form_delta(g, mv, report.x), mv.kind.value, mv.operands, mv) for mv in moves)
         )
         accepted = None
-        for _, _, _, mv in scored:
+        for neg_delta, _, _, mv in scored:
             result = _edited_graph(g, mv)
             if is_balanced(result).balanced or not is_ck_negative_free(result, 4):
                 continue
             lam = eigenvalues_sym(result.adjacency_matrix()).lambda1
             if lam > report.lambda1 + STRICT_GAIN:
-                accepted = (result, lam, mv)
+                accepted = (result, lam, mv, -neg_delta)
                 break
         if accepted is None:
             break
-        g, lam, mv = accepted
+        g, lam, mv, delta = accepted
         applied.append(mv)
+        deltas.append(delta)
         trajectory.append(lam)
         g, report = nonneg_eigenvector_form(g)
-    return AscentResult(graph=g, trajectory=tuple(trajectory), applied=tuple(applied))
+    return AscentResult(
+        graph=g, trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas)
+    )

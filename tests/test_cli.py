@@ -6,6 +6,7 @@ import pytest
 from signedspectra import SignedGraph
 from signedspectra.cli import main, parse_partition
 from signedspectra.families import extremal_graph
+from signedspectra.proofmoves import greedy_ascent
 from signedspectra.spectra import char_poly_exact
 from signedspectra.switching import switching_equivalent
 
@@ -139,6 +140,31 @@ def test_search_subcommand(capsys):
     body = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
     final = SignedGraph.from_sg(body)
     assert final.n == 5
+
+
+def flat_ints(operands):
+    return [v for op in operands for v in (op if isinstance(op, (list, tuple)) else [op])]
+
+
+def test_search_progress_goes_to_stderr_as_json(capsys):
+    argv = ("search", "--n", "8", "--seed", "0")
+    code, plain, plain_err = run(capsys, *argv)
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, *argv, "--progress")
+    assert code == 0
+    assert out == plain
+    trajectory = [float(line.split()[-1]) for line in out.splitlines() if line.startswith("#")]
+    progress = [json.loads(line) for line in err.splitlines()]
+    applied = greedy_ascent(8, 0).applied
+    assert [p["step"] for p in progress] == list(range(1, len(trajectory)))
+    assert len(progress) == len(applied)
+    for p, mv, before, after in zip(progress, applied, trajectory, trajectory[1:]):
+        assert set(p) == {"step", "move", "operands", "rayleigh_delta", "gain"}
+        assert p["move"] == mv.kind.value
+        assert [v - 1 for v in flat_ints(p["operands"])] == flat_ints(mv.operands)
+        assert p["gain"] == after - before
+        # Rayleigh: the realized gain is at least the certified delta
+        assert p["gain"] >= p["rayleigh_delta"] - 1e-9
 
 
 def test_bounds_subcommand(capsys):

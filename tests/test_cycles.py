@@ -73,6 +73,30 @@ def test_find_negative_ck_matches_permutation_oracle():
                 assert got.length == k and cycle_sign(g, got.vertices) == -1
 
 
+def test_c4_two_path_criterion_matches_path_dfs():
+    # is_ck_negative_free(g, 4) decides by 2-path signs on neighbour
+    # bitsets; find_negative_ck runs the independent path DFS
+    rng = random.Random(38)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        g = random_signed_graph(
+            rng, n, edge_prob=rng.choice((0.2, 0.4, 0.7)), neg_prob=rng.choice((0.1, 0.3, 0.5))
+        )
+        free = is_ck_negative_free(g, 4)
+        assert free == (find_negative_ck(g, 4) is None)
+        seen.add(free)
+    assert seen == {True, False}
+
+
+def test_c4_two_path_criterion_matches_permutation_oracle():
+    rng = random.Random(39)
+    for _ in range(400):
+        g = random_signed_graph(rng, rng.randint(0, 6), edge_prob=rng.choice((0.3, 0.6, 0.9)))
+        expected = not any(s < 0 for _, s in brute_cycles_permutations(g, 4))
+        assert is_ck_negative_free(g, 4) == expected
+
+
 def test_is_ck_negative_free():
     for n in (5, 7, 10):
         assert is_ck_negative_free(near_extremal_graph(n), 4)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -182,3 +183,27 @@ def test_greedy_ascent_often_reaches_the_extremal_graph():
         hits += ok
     # convergence frequency is empirical; require only that it happens
     assert hits >= 1
+
+
+# (n, seed) -> (start .sg digest, steps, final .sg digest), recorded from the
+# sampler that tested balance before negative C4s.  Any change to the
+# sampler's random draws moves the start graph and fails this test.
+PINNED_ASCENTS = {
+    (8, 0): ("e886b62de0205462", 11, "f0d6b869d165cc97"),
+    (9, 1): ("12909c9b51d0dd75", 19, "41b489f0fd3a6758"),
+    (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d"),
+    (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a"),
+}
+
+
+def sg_digest(g):
+    return hashlib.sha256(g.to_sg().encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_ASCENTS))
+def test_sampler_and_ascent_are_pinned(n, seed):
+    start_digest, steps, final_digest = PINNED_ASCENTS[(n, seed)]
+    assert sg_digest(random_unbalanced_c4free(n, random.Random(seed))) == start_digest
+    result = greedy_ascent(n, seed)
+    assert result.steps == steps == len(result.deltas)
+    assert sg_digest(result.graph) == final_digest
