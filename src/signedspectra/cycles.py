@@ -1,6 +1,6 @@
 """Cycle signs and negative-cycle detection.
 
-The sign of a cycle is the product of its edge signs; a cycle is negative
+The sign of a cycle is its edge signs multiplied together; a cycle is negative
 exactly when it carries an odd number of negative edges.  Fixed-length
 negative cycles are found by exhaustive path extension; the shortest
 negative cycle is found through the parity double cover, where a negative

@@ -4,8 +4,9 @@ Underlying simple graphs are enumerated one vertex at a time: every graph
 on k vertices extends a graph on k-1 vertices by one new vertex with an
 arbitrary neighborhood, so extending all representatives by all 2^(k-1)
 neighborhoods and deduplicating by canonical form yields every isomorphism
-class.  Canonical forms are brute force: the minimum relabeled edge list
-over all permutations compatible with iterated degree refinement.
+class.  The canonical form is the minimum relabeled edge list over the
+leaves of the refine-and-individualize search tree in
+:mod:`signedspectra.switching`, which also decides switching isomorphism.
 
 For a fixed underlying graph, switching classes are indexed by pinning the
 canonical BFS spanning forest to all-positive: a class is then a sign
@@ -33,7 +34,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .core import SignedGraph
 from .families import extremal_graph
 from .polynomial import largest_real_root_interval
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import _refine_colors, forest_normal_form, switching_isomorphic
+from .switching import _bfs_forest, _labelings, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -66,37 +66,8 @@ _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 
 
 def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Minimum relabeled edge list over refinement-compatible permutations."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    colors = _refine_colors(n, adj)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    # vertices of class i may only take the positions reserved for class i
-    offsets = []
-    pos = 0
-    for cls in ordered:
-        offsets.append(range(pos, pos + len(cls)))
-        pos += len(cls)
-    best: tuple[tuple[int, int], ...] | None = None
-    perm = [0] * n
-    for assignment in product(*(permutations(off) for off in offsets)):
-        for cls, places in zip(ordered, assignment):
-            for v, p in zip(cls, places):
-                perm[v] = p
-        relabeled = tuple(
-            sorted(
-                (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                for u, v in edges
-            )
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return best if best is not None else ()
+    """Minimum relabeled edge list over the leaves of the labeller's search tree."""
+    return min(key for _, key in _labelings(n, edges))
 
 
 def enumerate_underlying(n: int) -> list[SignedGraph]:
@@ -143,7 +114,7 @@ def _cotree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]
     Bit i of a sign pattern negates ``cotree[i]``; this fixes the pattern
     numbering shared by :func:`switching_classes` and the census.
     """
-    forest = set(forest_normal_form(SignedGraph(n, {e: 1 for e in edges})).forest)
+    forest = set(_bfs_forest(SignedGraph(n, {e: 1 for e in edges}))[2])
     return [e for e in sorted(edges) if e not in forest]
 
 

@@ -108,7 +108,7 @@ def rayleigh(M, y) -> float:
 def _charpoly_recurrence(rows_apply, n: int) -> IntPolynomial:
     """Faddeev-LeVerrier over Python ints.
 
-    rows_apply(M) must return the exact integer product A @ M for the fixed
+    rows_apply(M) must return the exact integer matrix A @ M for the fixed
     matrix A.  Trace divisions in the recurrence are exact for integer
     matrices; this is asserted.
     """

@@ -83,6 +83,16 @@ def _bfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[int, i
     return parent, order, forest
 
 
+def _forest_signs(g: SignedGraph) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child)."""
+    parent, order, forest = _bfs_forest(g)
+    s = [1] * g.n
+    for v in order:
+        if parent[v] >= 0:
+            s[v] = s[parent[v]] * g.sign(parent[v], v)
+    return parent, forest, s
+
+
 def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
     """Path from u to v inside the BFS forest (both in one tree)."""
     au = [u]
@@ -106,11 +116,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     sigma(uv) = s(u) * s(v).  A violated edge closes a negative cycle with
     the tree path between its endpoints.
     """
-    parent, order, _ = _bfs_forest(g)
-    s = [1] * g.n
-    for v in order:
-        if parent[v] >= 0:
-            s[v] = s[parent[v]] * g.sign(parent[v], v)
+    parent, _, s = _forest_signs(g)
     for u, v, sgn in g.edges():
         if s[u] * s[v] != sgn:
             path = _tree_path(parent, u, v)
@@ -140,11 +146,7 @@ class NormalForm:
 
 def forest_normal_form(g: SignedGraph) -> NormalForm:
     """Normalize the canonical BFS forest to all-positive by one switching."""
-    parent, order, forest = _bfs_forest(g)
-    s = [1] * g.n
-    for v in order:
-        if parent[v] >= 0:
-            s[v] = s[parent[v]] * g.sign(parent[v], v)
+    _, forest, s = _forest_signs(g)
     U = frozenset(v for v in range(g.n) if s[v] < 0)
     normalized = switch(g, U)
     forest_set = set(forest)
@@ -169,61 +171,73 @@ def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
     return forest_normal_form(a).cotree_signs == forest_normal_form(b).cotree_signs
 
 
-def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
-    """Iterated neighbor-degree refinement of an adjacency-list graph."""
-    colors = [len(adj[v]) for v in range(n)]
-    for _ in range(n):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [palette[sig] for sig in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
+    """Coarsest equitable refinement of the ordered partition ``cells``.
 
-
-def _underlying_isomorphisms(a: SignedGraph, b: SignedGraph):
-    """Yield permutations pi with pi(underlying a) == underlying b."""
-    if a.m != b.m:
-        return
-    adj_a = a.adjacency_lists()
-    ca, cb = _refine_colors(a.n, adj_a), _refine_colors(b.n, b.adjacency_lists())
-    if sorted(ca) != sorted(cb):
-        return
-    targets: dict[int, list[int]] = {}
-    for v in range(b.n):
-        targets.setdefault(cb[v], []).append(v)
-    # map vertices of a in ascending order; candidates share the refined color
-    perm = [-1] * a.n
-    used = [False] * b.n
-
-    def backtrack(v: int):
-        if v == a.n:
-            yield tuple(perm)
-            return
-        for w in targets.get(ca[v], []):
-            if used[w]:
-                continue
-            ok = True
-            for x in adj_a[v]:
-                if x < v and not b.has_edge(perm[x], w):
-                    ok = False
-                    break
-            if ok:
-                # also forbid images of earlier non-neighbors being adjacent
-                deg_needed = sum(1 for x in adj_a[v] if x < v)
-                mapped_adj = sum(
-                    1 for x in range(v) if b.has_edge(perm[x], w)
-                )
-                if mapped_adj != deg_needed:
+    ``adj[v]`` is the neighbour bitset of v.  Each queued splitter W splits
+    every cell in place into fragments by neighbour count in W, ascending,
+    and queues them.  No decision reads a vertex label, so relabelling the
+    graph relabels the result.  Cells left out of ``splitters`` must
+    already be equitable splitters, as all but [v] are after v is
+    individualized in an equitable partition.
+    """
+    queue = deque(splitters)
+    while queue and len(cells) < len(adj):
+        bits = 0
+        for v in queue.popleft():
+            bits |= 1 << v
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                counts = [(adj[v] & bits).bit_count() for v in cell]
+                if len(set(counts)) > 1:
+                    parts: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        parts.setdefault(c, []).append(v)
+                    for c in sorted(parts):
+                        out.append(parts[c])
+                        queue.append(parts[c])
                     continue
-                perm[v] = w
-                used[w] = True
-                yield from backtrack(v + 1)
-                used[w] = False
-                perm[v] = -1
+            out.append(cell)
+        cells = out
+    return cells
 
-    yield from backtrack(0)
+
+def _labelings(n: int, edges: frozenset[tuple[int, int]]):
+    """Leaves of the refine-and-individualize search tree of a simple graph.
+
+    The root refines the unit partition; a node's children individualize
+    each vertex of its first non-singleton cell in turn and refine again
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014), each only
+    when the search reaches it.  Yields ``(order, key)`` per leaf: vertex
+    ``order[k]`` goes to position k, and ``key`` is the sorted relabelled
+    edge list.  The tree ignores labels, so the set of keys is invariant.
+    """
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    pos = [0] * n
+    unit = [list(range(n))] if n else []
+    cells = _refine(adj, unit, unit)
+    stack: list[tuple[list[list[int]], int, int]] = []
+    while True:
+        if len(cells) == n:
+            order = [cell[0] for cell in cells]
+            for k, v in enumerate(order):
+                pos[v] = k
+            yield order, tuple(
+                sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges)
+            )
+        else:
+            i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+            # reversed, so children are searched in cell order
+            stack.extend((cells, i, v) for v in reversed(cells[i]))
+        if not stack:
+            return
+        parent, i, v = stack.pop()
+        rest = [w for w in parent[i] if w != v]
+        cells = _refine(adj, parent[:i] + [[v], rest] + parent[i + 1 :], [[v]])
 
 
 def switching_isomorphic(
@@ -231,13 +245,22 @@ def switching_isomorphic(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Search for a relabeling pi of a with pi(a) switching equivalent to b.
 
-    Brute-force permutation backtracking over underlying-graph isomorphisms,
-    pruned by refined degree colors; intended for small orders (n <= 10).
+    Each leaf lam of a whose relabelled edge list equals that of b's first
+    leaf mu gives an underlying isomorphism pi[lam[k]] = mu[k]; as the
+    search tree ignores labels, these are all of them, so the answer is
+    exact.  Cost grows with the automorphisms of the underlying graph.
     Returns (found, pi) where pi maps vertices of a to vertices of b.
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
-    for perm in _underlying_isomorphisms(a, b):
-        if switching_equivalent(a.relabel(perm), b):
-            return True, perm
+    if a.m != b.m:
+        return False, None
+    mu, target = next(_labelings(b.n, b.edge_set()))
+    signs = forest_normal_form(b).cotree_signs
+    for lam, key in _labelings(a.n, a.edge_set()):
+        if key != target:
+            continue
+        pi = tuple(w for _, w in sorted(zip(lam, mu)))
+        if forest_normal_form(a.relabel(pi)).cotree_signs == signs:
+            return True, pi
     return False, None

@@ -7,7 +7,8 @@ signings (the library counts classes via cotree patterns), and the census
 worker (GF(2) kernel of the 4-cycle rows) is checked against a per-class
 filter.  The eigensolver (LAPACK eigh) is checked in test_spectra against
 exact roots of integer characteristic polynomials, not against a second
-float solver.
+float solver.  Switching isomorphism is checked against every relabeling,
+not against the library's canonical labeller.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
 from signedspectra.enumeration import switching_classes
 from signedspectra.spectra import eigenvalues_sym
-from signedspectra.switching import is_balanced
+from signedspectra.switching import is_balanced, switching_equivalent
 
 
 def random_signed_graph(
@@ -82,6 +83,15 @@ def brute_cycles_permutations(g: SignedGraph, k: int):
             if ok:
                 out.append((cyc, sgn))
     return out
+
+
+def brute_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> bool:
+    """Switching isomorphism by trying all n! relabelings; tiny n only."""
+    for p in permutations(range(a.n)):
+        h = a.relabel(p)
+        if h.edge_set() == b.edge_set() and switching_equivalent(h, b):
+            return True
+    return False
 
 
 def brute_shortest_negative_length(g: SignedGraph):

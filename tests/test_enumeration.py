@@ -114,6 +114,21 @@ def test_canonical_form_separates_nonisomorphic():
         assert same_key == nx.is_isomorphic(to_nx(a), to_nx(b))
 
 
+def test_canonical_keys_match_the_graph_atlas():
+    from signedspectra.enumeration import _canonical_edges
+
+    atlas: dict[int, list[nx.Graph]] = {}
+    for G in nx.graph_atlas_g():
+        atlas.setdefault(G.number_of_nodes(), []).append(G)
+    for n in range(1, 8):
+        keys = [
+            _canonical_edges(n, frozenset((min(e), max(e)) for e in G.edges()))
+            for G in atlas[n]
+        ]
+        assert len(set(keys)) == len(keys) == KNOWN_COUNTS[n]
+        assert set(keys) == {tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)}
+
+
 def test_enumeration_is_deterministic():
     a = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(6)]
     b = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(6)]

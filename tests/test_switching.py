@@ -15,6 +15,7 @@ from signedspectra.switching import (
 )
 
 from conftest import (
+    brute_switching_isomorphic,
     brute_switching_orbit_count,
     brute_switching_orbit_of,
     random_signed_graph,
@@ -197,3 +198,57 @@ def test_switching_isomorphic_negative_cases():
     assert not ok
     with pytest.raises(ValueError):
         switching_isomorphic(g5, extremal_graph(6))
+
+
+def _degree_preserving_swap(rng: random.Random, g: SignedGraph) -> SignedGraph:
+    """Replace edges uv, xy by uy, xv (fresh random signs) where that is simple."""
+    table = {e: g.sign(*e) for e in g.edge_set()}
+    edges = sorted(table)
+    if len(edges) < 2:
+        return g
+    for _ in range(20):
+        (u, v), (x, y) = rng.sample(edges, 2)
+        if len({u, v, x, y}) == 4 and not g.has_edge(u, y) and not g.has_edge(x, v):
+            del table[(u, v)], table[(x, y)]
+            table[(min(u, y), max(u, y))] = rng.choice((1, -1))
+            table[(min(x, v), max(x, v))] = rng.choice((1, -1))
+            break
+    return SignedGraph(g.n, table)
+
+
+def test_switching_isomorphic_matches_permutation_oracle():
+    rng = random.Random(64)
+    pairs = []
+    for n in range(3, 7):
+        for _ in range(8):
+            a = random_signed_graph(rng, n, edge_prob=rng.choice((0.4, 0.6, 0.8)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            switched = {v for v in range(n) if rng.random() < 0.5}
+            resigned = SignedGraph(n, {e: rng.choice((1, -1)) for e in a.edge_set()})
+            pairs.append(("copy", a, switch(a.relabel(perm), switched)))
+            pairs.append(("same underlying", a, resigned.relabel(perm)))
+            pairs.append(("same degrees", a, _degree_preserving_swap(rng, a).relabel(perm)))
+    # a 6-cycle and two triangles: equal degree sequences, different underlying graphs
+    hexagon = SignedGraph(6, {(0, 1): -1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 5): 1, (0, 5): 1})
+    triangles = SignedGraph(6, {(0, 1): -1, (0, 2): 1, (1, 2): 1, (3, 4): 1, (3, 5): 1, (4, 5): 1})
+    pairs.append(("same degrees", hexagon, triangles))
+    # two trees with degrees 3,2,2,1,1,1 (branches 2,2,1 and 3,1,1): no cotree at all
+    spider = SignedGraph(6, {(0, 1): 1, (1, 2): -1, (0, 3): 1, (3, 4): 1, (0, 5): 1})
+    broom = SignedGraph(6, {(0, 1): 1, (1, 2): 1, (2, 3): -1, (0, 4): 1, (0, 5): 1})
+    pairs.append(("same degrees", spider, broom))
+    answers: dict[str, set[bool]] = {}
+    for kind, a, b in pairs:
+        ok, pi = switching_isomorphic(a, b)
+        assert ok == brute_switching_isomorphic(a, b), (kind, a, b)
+        if ok:
+            assert switching_equivalent(a.relabel(pi), b)
+        else:
+            assert pi is None
+        if sorted(map(a.degree, range(a.n))) == sorted(map(b.degree, range(b.n))):
+            answers.setdefault(kind, set()).add(ok)
+    assert answers == {
+        "copy": {True},
+        "same underlying": {True, False},
+        "same degrees": {True, False},
+    }
