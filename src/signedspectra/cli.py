@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import SgFormatError, SignedGraph
 from .cycles import is_ck_negative_free, shortest_negative_cycle
 from .enumeration import (
+    MAX_BUILTIN_ORDER,
     GraphListError,
     ingest_graph_list,
     verify_c4free_bounds,
@@ -39,7 +39,6 @@ try:  # version string for --version
 except Exception:  # pragma: no cover - not installed
     VERSION = "0.1.0"
 
-JOBS_ENV = "SIGNEDSPECTRA_JOBS"
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -165,7 +164,6 @@ def cmd_verify(args) -> int:
     report = verify_max_index(
         args.n,
         tol=args.tol,
-        jobs=args.jobs,
         graphs=graphs,
         checkpoint=args.checkpoint,
         progress=args.progress,
@@ -242,13 +240,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="census of order n; exit 3 when the verdict fails")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get(JOBS_ENV, "1")))
+    p.add_argument(
+        "--jobs",
+        type=int,
+        choices=[1],
+        default=1,
+        help="the census runs in one process; kept so existing scripts still parse",
+    )
     p.add_argument("--graphs", default=None, help="graph6 or sign-less .sg catalog")
     p.add_argument("--out", default=None, help="write the JSON report here as well")
     p.add_argument("--checkpoint", default=None, help="JSON-lines resume file")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--long-run", action="store_true", help="opt in to censuses past n = 6")
+    p.add_argument(
+        "--long-run",
+        action="store_true",
+        help=f"opt in to censuses past the built-in orders (n > {MAX_BUILTIN_ORDER})",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="greedy index ascent from a random start")

@@ -239,15 +239,14 @@ class CensusReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _census_one_graph(args: tuple[int, tuple[tuple[int, int], ...], float]):
-    """Census of a single underlying graph; used by the worker pool.
+def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...], tol: float):
+    """Census of the switching classes of one underlying graph.
 
     Returns ``(classes, eligible, best, keep)``: the class count
     2^|cotree|, the eligible count 2^dim(kernel) - 1, the largest index
     over the eligible classes (-inf if none) and every ``(lam, pattern)``
     within ``tol`` of it, in ascending pattern order.
     """
-    n, edges, tol = args
     cotree = _cotree(n, edges)
     span = [0]
     for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
@@ -293,7 +292,6 @@ def _exact_tiebreak(witnesses: list[tuple[float, SignedGraph]]):
 def verify_max_index(
     n: int,
     tol: float = 1e-9,
-    jobs: int = 1,
     graphs: list[SignedGraph] | None = None,
     checkpoint: str | None = None,
     progress: bool = False,
@@ -301,106 +299,82 @@ def verify_max_index(
 ) -> CensusReport:
     """Census all switching classes of order n and locate the maximum index.
 
-    For each underlying graph, counts its classes and eligible classes
-    (unbalanced, no negative 4-cycle) from the GF(2) kernel of its 4-cycle
-    rows and eigensolves only the kernel vectors; then maximizes the index
-    over all graphs, re-tests numerical ties with exact characteristic
-    polynomials, and checks every maximizer against the extremal graph.
-    ``graphs`` overrides the built-in underlying-graph enumeration
-    (required beyond n = 7); ``jobs`` > 1 fans the per-graph work over a
-    process pool with a deterministic merge; ``progress`` writes JSON lines
-    to stderr every 100000 classes.  Orders past 6 must opt in with
-    ``long_run``.
+    For each underlying graph in catalog order, counts its classes and
+    eligible classes (unbalanced, no negative 4-cycle) from the GF(2)
+    kernel of its 4-cycle rows and eigensolves only the kernel vectors,
+    folding the result into the running maximum; then re-tests numerical
+    ties with exact characteristic polynomials and checks every maximizer
+    against the extremal graph.  ``graphs`` overrides the built-in
+    underlying-graph enumeration (required past ``MAX_BUILTIN_ORDER``);
+    ``progress`` writes JSON lines to stderr every 100000 classes.  Orders
+    past ``MAX_BUILTIN_ORDER`` must opt in with ``long_run``.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
     Its first line is the header ``{census_n, tasks, tol, format,
     catalog}``, where ``catalog`` is the SHA-256 of the task edge lists; a
     file whose header differs raises ValueError.  Each further line
     records one finished task ``{i, classes, eligible, best, keep}`` with
-    ``keep`` a list of ``[lam, pattern]`` pairs.  A final record torn by a
-    crash is dropped and its task recomputed.
+    ``keep`` a list of ``[lam, pattern]`` pairs; a recorded task is taken
+    from the file instead of recomputed.  A final record torn by a crash
+    is dropped and its task recomputed.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
-    if n > 6 and not long_run:
+    if n > MAX_BUILTIN_ORDER and not long_run:
         raise ValueError(
-            f"the census at n = {n} is long-running; pass long_run=True "
-            "(checkpointing recommended)"
+            f"the census at n = {n} is past the built-in orders (n <= {MAX_BUILTIN_ORDER}) "
+            "and long-running; pass long_run=True (checkpointing recommended)"
         )
     t0 = time.perf_counter()
     underlying = graphs if graphs is not None else enumerate_underlying(n)
     for g in underlying:
         if g.n != n:
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
-    tasks = [(n, tuple(sorted(g.edge_set())), tol) for g in underlying]
+    tasks = [tuple(sorted(g.edge_set())) for g in underlying]
 
     header = _checkpoint_header(n, tasks, tol) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
     done = _resume_checkpoint(checkpoint, header) if resuming else {}
-
-    pending = [i for i in range(len(tasks)) if i not in done]
-    results: dict[int, tuple] = dict(done)
-    processed = sum(r[0] for r in done.values())
-    next_mark = (processed // 100000 + 1) * 100000
     ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     if ckpt_fh and not resuming:
         ckpt_fh.write(json.dumps(header) + "\n")
         ckpt_fh.flush()
 
-    def note(i: int, res: tuple) -> None:
-        nonlocal processed, next_mark
-        results[i] = res
-        _record(ckpt_fh, i, res)
-        processed += res[0]
-        if progress and processed >= next_mark:
-            print(
-                json.dumps(
-                    {
-                        "census_n": n,
-                        "classes": processed,
-                        "graphs_done": len(results),
-                        "graphs": len(tasks),
-                    }
-                ),
-                file=sys.stderr,
-                flush=True,
-            )
-            while next_mark <= processed:
-                next_mark += 100000
-
+    class_count = 0
+    eligible_count = 0
+    next_mark = 100000
+    best = -math.inf
+    keep: list[tuple[float, int, int]] = []  # (lam, task index, pattern)
     try:
-        if jobs > 1 and pending:
-            import multiprocessing as mp
-
-            with mp.Pool(jobs) as pool:
-                for i, res in zip(
-                    pending,
-                    pool.imap(_census_one_graph, [tasks[i] for i in pending], chunksize=8),
-                ):
-                    note(i, res)
-        else:
-            for i in pending:
-                note(i, _census_one_graph(tasks[i]))
+        for i, edges in enumerate(tasks):
+            if i in done:
+                res = done[i]
+            else:
+                res = _census_one_graph(n, edges, tol)
+                _record(ckpt_fh, i, res)
+            classes, eligible, g_best, g_keep = res
+            class_count += classes
+            eligible_count += eligible
+            if g_best > best:
+                best = g_best
+                keep = [w for w in keep if w[0] >= best - tol]
+            keep += [(lam, i, bits) for lam, bits in g_keep if lam >= best - tol]
+            if progress and i not in done and class_count >= next_mark:
+                record = {
+                    "census_n": n,
+                    "classes": class_count,
+                    "graphs_done": i + 1,
+                    "graphs": len(tasks),
+                }
+                print(json.dumps(record), file=sys.stderr, flush=True)
+                next_mark = (class_count // 100000 + 1) * 100000
     finally:
         if ckpt_fh:
             ckpt_fh.close()
 
-    class_count = 0
-    eligible_count = 0
-    best = -math.inf
-    keep: list[tuple[float, int, int]] = []  # (lam, task index, pattern)
-    for i in range(len(tasks)):
-        classes, eligible, g_best, g_keep = results[i]
-        class_count += classes
-        eligible_count += eligible
-        if g_best > best:
-            best = g_best
-            keep = [w for w in keep if w[0] >= best - tol]
-        keep += [(lam, i, bits) for lam, bits in g_keep if lam >= best - tol]
-
     decoded = []
     for lam, i, bits in keep:
-        edges = tasks[i][1]
+        edges = tasks[i]
         decoded.append((lam, _signed_by_pattern(n, edges, _cotree(n, edges), bits)))
     reference = index(extremal_graph(n))
     survivors = _exact_tiebreak(decoded) if decoded else []
@@ -433,7 +407,7 @@ def _checkpoint_header(n: int, tasks: list, tol: float) -> dict:
     """
     import hashlib
 
-    catalog = hashlib.sha256(json.dumps([t[1] for t in tasks]).encode()).hexdigest()
+    catalog = hashlib.sha256(json.dumps(tasks).encode()).hexdigest()
     return {
         "census_n": n,
         "tasks": len(tasks),

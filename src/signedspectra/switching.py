@@ -245,22 +245,36 @@ def switching_isomorphic(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Search for a relabeling pi of a with pi(a) switching equivalent to b.
 
-    Each leaf lam of a whose relabelled edge list equals that of b's first
-    leaf mu gives an underlying isomorphism pi[lam[k]] = mu[k]; as the
-    search tree ignores labels, these are all of them, so the answer is
-    exact.  Cost grows with the automorphisms of the underlying graph.
-    Returns (found, pi) where pi maps vertices of a to vertices of b.
+    Relabelling and switching preserve balance, so graphs that differ in it
+    are answered at once.  Otherwise each leaf lam of a whose relabelled
+    edge list equals that of b's first leaf mu gives an underlying
+    isomorphism pi[lam[k]] = mu[k]; as the search tree ignores labels,
+    these are all of them, so the answer is exact.  pi works iff the
+    product signing tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's
+    edges is balanced (Zaslavsky, "Signed graphs", 1982): tau is propagated
+    along a's BFS forest and checked on every cotree edge.  Cost grows with
+    the automorphisms of the underlying graph.  Returns (found, pi) where
+    pi maps vertices of a to vertices of b.
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
-    if a.m != b.m:
+    if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
         return False, None
     mu, target = next(_labelings(b.n, b.edge_set()))
-    signs = forest_normal_form(b).cotree_signs
+    sign_b = {}
+    for u, v, s in b.edges():
+        sign_b[u, v] = sign_b[v, u] = s
+    parent, order, forest = _bfs_forest(a)
+    tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
+    forest_set = set(forest)
+    cotree = [(u, v, s) for u, v, s in a.edges() if (u, v) not in forest_set]
     for lam, key in _labelings(a.n, a.edge_set()):
         if key != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))
-        if forest_normal_form(a.relabel(pi)).cotree_signs == signs:
+        tau = [1] * a.n
+        for v, p, s in tree:
+            tau[v] = tau[p] * s * sign_b[pi[p], pi[v]]
+        if all(tau[u] * tau[v] == s * sign_b[pi[u], pi[v]] for u, v, s in cotree):
             return True, pi
     return False, None

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from signedspectra import SignedGraph
-from signedspectra.cli import main, parse_partition
+from signedspectra.cli import build_parser, main, parse_partition
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import greedy_ascent
 from signedspectra.spectra import char_poly_exact
@@ -119,6 +119,25 @@ def test_verify_progress_goes_to_stderr_as_json(capsys):
     assert progress and all(p["census_n"] == 7 for p in progress)
 
 
+def test_verify_jobs_accepts_only_one(capsys):
+    assert run(capsys, "verify", "--n", "5", "--jobs", "2")[0] == 1
+    assert run(capsys, "verify", "--n", "5", "--jobs", "1")[0] == 0
+
+
+def test_benchmark_census_command_lines_parse(tmp_path, capsys):
+    # the exact argv of perfbench's census steps
+    checkpoint = str(tmp_path / "census-7.ckpt")
+    n6 = ["verify", "--n", "6", "--jobs", "1"]
+    n7 = ["verify", "--n", "7", "--jobs", "1", "--long-run", "--checkpoint", checkpoint]
+    args = build_parser().parse_args(n6)
+    assert (args.n, args.jobs, args.long_run, args.checkpoint) == (6, 1, False, None)
+    args = build_parser().parse_args(n7)
+    assert (args.n, args.jobs, args.long_run, args.checkpoint) == (7, 1, True, checkpoint)
+    code, out, _ = run(capsys, *n6)
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
 def test_verify_exit_code_on_failed_verdict(tmp_path, capsys):
     # a catalog holding only the 5-cycle cannot reach the extremal index,
     # so the verdict fails and the exit code signals it
@@ -171,6 +190,13 @@ def test_bounds_subcommand(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "5")
     assert code == 0
     assert json.loads(out) == {"n": 5, "all_hold": True}
+
+
+def test_jobs_environment_variable_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("SIGNEDSPECTRA_JOBS", "x")
+    code, out, _ = run(capsys, "gen", "--family", "kn+", "--n", "3")
+    assert code == 0
+    assert out.startswith("3 3\n")
 
 
 def test_usage_errors_exit_1(capsys):

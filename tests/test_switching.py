@@ -198,6 +198,11 @@ def test_switching_isomorphic_negative_cases():
     assert not ok
     with pytest.raises(ValueError):
         switching_isomorphic(g5, extremal_graph(6))
+    # K8 has 8! leaves; a balance mismatch must answer before walking them
+    k8 = complete_signed(8, 1)
+    one_negative = SignedGraph(8, {e: -1 if e == (0, 1) else 1 for e in k8.edge_set()})
+    assert switching_isomorphic(k8, one_negative) == (False, None)
+    assert switching_isomorphic(one_negative, k8) == (False, None)
 
 
 def _degree_preserving_swap(rng: random.Random, g: SignedGraph) -> SignedGraph:
