@@ -83,11 +83,6 @@ def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
-def witness(g: SignedGraph, seq: Sequence[int]) -> CycleWitness:
-    """Build a canonical CycleWitness after validating the sequence."""
-    return CycleWitness(canonical_cycle(seq), cycle_sign(g, seq))
-
-
 def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
     """Some negative cycle of length exactly k, or None.
 

@@ -323,8 +323,11 @@ def verify_max_index(
     if n > MAX_BUILTIN_ORDER and not long_run:
         raise ValueError(
             f"the census at n = {n} is past the built-in orders (n <= {MAX_BUILTIN_ORDER}) "
-            "and long-running; pass long_run=True (checkpointing recommended)"
+            "and long-running; pass long_run=True, or --long-run on the command line "
+            "(checkpointing recommended)"
         )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     t0 = time.perf_counter()
     underlying = graphs if graphs is not None else enumerate_underlying(n)
     for g in underlying:

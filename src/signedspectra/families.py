@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SignedGraph, complete_signed
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, largest_real_root
 from .spectra import VertexPartition
 
 __all__ = [
@@ -83,36 +83,13 @@ def near_extremal_cubic(n: int) -> IntPolynomial:
     return IntPolynomial([2 * n - 12, 9 - 3 * n, 6 - n, 1])
 
 
-def extremal_index_root(n: int, tol: float = 1e-12) -> float:
+def extremal_index_root(n: int) -> float:
     """Root of ``extremal_cubic(n)`` in (n-3, n-2): the extremal index.
 
-    The cubic is negative at n-3 and positive at n-2, so bisection brackets
-    the root; a few Newton steps polish it to full float precision.
+    It is the cubic's largest real root, bracketed exactly by Sturm
+    isolation and bisection in ``largest_real_root``.
     """
-    _require_order(n, 5)
-    p = extremal_cubic(n)
-    dp = p.derivative()
-    lo, hi = float(n - 3), float(n - 2)
-    flo = float(p(lo))
-    if not (flo < 0 < float(p(hi))):
-        raise AssertionError("cubic does not change sign on (n-3, n-2)")
-    while hi - lo > max(tol, 1e-15):
-        mid = 0.5 * (lo + hi)
-        fm = float(p(mid))
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        d = float(dp(x))
-        if d == 0.0:
-            break
-        x -= float(p(x)) / d
-    return x
+    return largest_real_root(extremal_cubic(n))
 
 
 def extremal_partition(n: int) -> VertexPartition:

@@ -52,10 +52,6 @@ class IntPolynomial:
     def x_minus(cls, r: int) -> "IntPolynomial":
         return cls([-r, 1])
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls([c])
-
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction arguments."""
         acc = 0
@@ -155,29 +151,14 @@ def _fractions(p: IntPolynomial) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def _synthetic_division(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
-    """Divide by (x - r): returns (quotient coeffs ascending, remainder)."""
-    d = len(coeffs) - 1
-    q = [0] * d
-    q[d - 1] = coeffs[d]
-    for k in range(d - 2, -1, -1):
-        q[k] = coeffs[k + 1] + r * q[k + 1]
-    rem = coeffs[0] + r * q[0]
-    return q, rem
-
-
 def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
-    """Largest k with (x - r)^k dividing p, by repeated synthetic division."""
+    """Largest k with (x - r)^k dividing p, by repeated exact division."""
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined multiplicity")
     mult = 0
-    coeffs = list(p.coeffs)
-    while len(coeffs) > 1:
-        q, rem = _synthetic_division(coeffs, r)
-        if rem != 0:
-            break
+    while p(r) == 0:
+        p = p.divexact(IntPolynomial.x_minus(r))
         mult += 1
-        coeffs = q
     return mult
 
 
@@ -341,11 +322,12 @@ def real_roots(p: IntPolynomial, tol: float = 1e-12) -> list[float]:
 
 
 def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
-    """Largest real root of p; raises ValueError when p has no real root."""
-    roots = real_roots(p, tol)
-    if not roots:
-        raise ValueError("polynomial has no real roots")
-    return roots[-1]
+    """Largest real root of p, within tol; raises ValueError when p has none.
+
+    Only the top isolating interval is refined, by ``largest_real_root_interval``.
+    """
+    lo, hi = largest_real_root_interval(p, Fraction(tol).limit_denominator(10**18) / 2)
+    return float((lo + hi) / 2)
 
 
 def largest_real_root_interval(

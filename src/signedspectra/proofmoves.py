@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 STRICT_GAIN = 1e-12
+SAMPLE_EDGE_PROB = 0.35
+SAMPLE_NEG_PROB = 0.3
+SAMPLE_TRIALS = 100000
 
 
 class MoveKind(enum.Enum):
@@ -212,13 +215,12 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     return out
 
 
-def random_unbalanced_c4free(
-    n: int, rng: random.Random, edge_prob: float = 0.35, neg_prob: float = 0.3
-) -> SignedGraph:
+def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
     """Rejection-sample an unbalanced signed graph with no negative C4.
 
     Each trial draws every pair in (u, v) order: one ``rng.random()`` for
-    presence and, for a present edge, one for its sign.  Negative-C4
+    presence (below ``SAMPLE_EDGE_PROB``) and, for a present edge, one for
+    its sign (negative below ``SAMPLE_NEG_PROB``).  Negative-C4
     freeness is tested first, on neighbour bitsets filled while drawing;
     only a trial that passes becomes a SignedGraph and has its balance
     checked.  Both tests are pure, so their order changes neither the
@@ -228,12 +230,12 @@ def random_unbalanced_c4free(
         raise ValueError("need n >= 3 for an unbalanced graph")
     rand = rng.random
     pairs = [(u, v, 1 << u, 1 << v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(100000):
+    for _ in range(SAMPLE_TRIALS):
         pos = [0] * n
         neg = [0] * n
         for u, v, bu, bv in pairs:
-            if rand() < edge_prob:
-                bits = neg if rand() < neg_prob else pos
+            if rand() < SAMPLE_EDGE_PROB:
+                bits = neg if rand() < SAMPLE_NEG_PROB else pos
                 bits[u] |= bv
                 bits[v] |= bu
         if not _c4_negative_free_bits(pos, neg):
@@ -244,7 +246,10 @@ def random_unbalanced_c4free(
         g = SignedGraph(n, table)
         if not is_balanced(g).balanced:
             return g
-    raise RuntimeError("rejection sampling failed; lower edge_prob")
+    raise RuntimeError(
+        f"rejection sampling found no unbalanced graph of order {n} without a "
+        f"negative 4-cycle in {SAMPLE_TRIALS} trials"
+    )
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,6 @@ def char_poly_exact(g: SignedGraph) -> IntPolynomial:
     a signed sum of matrix rows; no big-integer multiplications occur.
     """
     n = g.n
-    if n == 0:
-        return IntPolynomial([1])
     A = g.adjacency_matrix()
     pos = [np.flatnonzero(A[i] == 1) for i in range(n)]
     neg = [np.flatnonzero(A[i] == -1) for i in range(n)]
@@ -172,8 +170,6 @@ def char_poly_of_int_matrix(M) -> IntPolynomial:
     if not np.equal(np.asarray(A, dtype=float), np.round(np.asarray(A, dtype=float))).all():
         raise ValueError("matrix entries must be integers")
     n = A.shape[0]
-    if n == 0:
-        return IntPolynomial([1])
     Aobj = np.array([[int(A[i, j]) for j in range(n)] for i in range(n)], dtype=object)
 
     def apply(Mk: np.ndarray) -> np.ndarray:

@@ -151,6 +151,25 @@ def test_verify_exit_code_on_failed_verdict(tmp_path, capsys):
     assert json.loads(out)["verdict"] is False
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "verify", "--n", "5", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tol" in err
+
+
+def test_verify_past_builtin_order_names_the_long_run_flag(tmp_path, capsys):
+    from signedspectra.enumeration import encode_graph6
+
+    catalog = tmp_path / "empty8.g6"
+    catalog.write_text(encode_graph6(SignedGraph(8, {})) + "\n")
+    code, out, err = run(capsys, "verify", "--n", "8", "--graphs", str(catalog))
+    assert code == 1
+    assert out == ""
+    assert "--long-run" in err
+
+
 def test_search_subcommand(capsys):
     code, out, _ = run(capsys, "search", "--n", "5", "--seed", "3", "--max-steps", "40")
     assert code == 0

@@ -311,6 +311,12 @@ def test_verify_requires_long_run_opt_in_past_builtin_order():
         verify_max_index(8, graphs=[k8])
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_verify_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        verify_max_index(5, tol=tol)
+
+
 def test_c4free_bounds_all_small_orders():
     for n in range(4, 8):
         assert verify_c4free_bounds(n)

@@ -40,6 +40,11 @@ def test_root_multiplicity_examples():
     big = poly(1, 1) ** 5 * poly(1, -3)
     assert root_multiplicity_exact(big, -1) == 5
     assert root_multiplicity_exact(big, 3) == 1
+    non_monic = IntPolynomial([6]) * poly(1, 0) ** 3 * poly(1, -2) ** 2  # 6x^3(x-2)^2
+    assert root_multiplicity_exact(non_monic, 0) == 3
+    assert root_multiplicity_exact(non_monic, 2) == 2
+    assert root_multiplicity_exact(non_monic, 1) == 0
+    assert root_multiplicity_exact(IntPolynomial([7]), 0) == 0
 
 
 def test_divides_and_divexact():
