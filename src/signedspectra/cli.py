@@ -163,7 +163,6 @@ def cmd_verify(args) -> int:
         graphs = ingest_graph_list(args.graphs)
     report = verify_max_index(
         args.n,
-        tol=args.tol,
         graphs=graphs,
         checkpoint=args.checkpoint,
         progress=args.progress,
@@ -250,7 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graphs", default=None, help="graph6 or sign-less .sg catalog")
     p.add_argument("--out", default=None, help="write the JSON report here as well")
     p.add_argument("--checkpoint", default=None, help="JSON-lines resume file")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--progress", action="store_true")
     p.add_argument(
         "--long-run",

@@ -20,9 +20,9 @@ and a 4-cycle C is negative iff the parity of x on C's cotree edges is 1
 (Zaslavsky, "Signed graphs", 1982).  The unbalanced classes with no
 negative 4-cycle are therefore exactly the nonzero vectors in the kernel
 of the 4-cycle rows, so class and eligible counts are powers of two and
-only the kernel vectors are eigensolved.  The maximum index over them is
-recorded, and the report's verdict states whether that maximum is
-attained exactly by the extremal family (up to switching isomorphism).
+only the kernel vectors are eigensolved.  The classes that attain the
+maximum index exactly are the witnesses, and the report's verdict states
+whether every witness is switching isomorphic to the extremal graph.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
 from .core import SignedGraph
 from .families import extremal_graph
-from .polynomial import largest_real_root_interval
+from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
 from .switching import _bfs_forest, _labelings, switching_isomorphic
 
@@ -59,6 +59,7 @@ __all__ = [
 MAX_BUILTIN_ORDER = 7
 # checkpoint layout; records carry (lam, pattern) pairs since format 2
 CHECKPOINT_FORMAT = 2
+FLOAT_MARGIN = 1e-9  # exact-maximum candidates: far above LAPACK's ~n^2 eps error on +-1 matrices
 _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 
 
@@ -200,11 +201,11 @@ def _kernel_basis(rows: list[int], k: int) -> list[int]:
 class CensusReport:
     """Outcome of one full-order census.
 
-    ``max_lambda1`` is the maximum index over all unbalanced switching
-    classes with no negative 4-cycle; ``witnesses`` are all classes
-    attaining it within ``tol``; the verdict is True when that maximum
-    agrees with the extremal graph's index and every witness is switching
-    isomorphic to the extremal graph.
+    ``max_lambda1`` is the float maximum index over all unbalanced switching
+    classes with no negative 4-cycle (JSON null if none); ``witnesses`` are
+    all classes attaining the maximum exactly; the verdict is True when
+    there is one and every witness is switching isomorphic to the extremal
+    graph.  JSON ``tol`` is the fixed ``FLOAT_MARGIN``.
     """
 
     n: int
@@ -216,7 +217,6 @@ class CensusReport:
     witnesses: tuple[SignedGraph, ...]
     verdict: bool
     seconds: float
-    tol: float = 1e-9
 
     def witness_sg(self) -> list[str]:
         return [w.to_sg() for w in self.witnesses]
@@ -227,25 +227,25 @@ class CensusReport:
             "underlying_count": self.underlying_count,
             "class_count": self.class_count,
             "eligible_count": self.eligible_count,
-            "max_lambda1": self.max_lambda1,
+            "max_lambda1": self.max_lambda1 if self.eligible_count else None,
             "reference_lambda1": self.reference_lambda1,
             "witness_sg": self.witness_sg(),
             "verdict": self.verdict,
             "seconds": self.seconds,
-            "tol": self.tol,
+            "tol": FLOAT_MARGIN,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
-def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...], tol: float):
+def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...]):
     """Census of the switching classes of one underlying graph.
 
     Returns ``(classes, eligible, best, keep)``: the class count
     2^|cotree|, the eligible count 2^dim(kernel) - 1, the largest index
     over the eligible classes (-inf if none) and every ``(lam, pattern)``
-    within ``tol`` of it, in ascending pattern order.
+    within ``FLOAT_MARGIN`` of it, in ascending pattern order.
     """
     cotree = _cotree(n, edges)
     span = [0]
@@ -254,44 +254,32 @@ def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...], tol: float):
     base = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
         base[u, v] = base[v, u] = 1
-    best = -math.inf
-    keep: list[tuple[float, int]] = []
+    solved: list[tuple[float, int]] = []
     for bits in sorted(span)[1:]:
         A = base.copy()
         for i, (u, v) in enumerate(cotree):
             if (bits >> i) & 1:
                 A[u, v] = A[v, u] = -1
-        lam = eigenvalues_sym(A).lambda1
-        if lam > best:
-            best = lam
-            keep = [(l, p) for (l, p) in keep if l >= best - tol]
-        if lam >= best - tol:
-            keep.append((lam, bits))
+        solved.append((eigenvalues_sym(A).lambda1, bits))
+    best = max((lam for lam, _ in solved), default=-math.inf)
+    keep = [(lam, bits) for lam, bits in solved if lam >= best - FLOAT_MARGIN]
     return 1 << len(cotree), len(span) - 1, best, keep
 
 
-def _exact_tiebreak(witnesses: list[tuple[float, SignedGraph]]):
-    """Drop numerically tied classes whose exact index is strictly smaller.
+def _exact_maximizers(candidates: list[SignedGraph]) -> list[SignedGraph]:
+    """The candidates whose exact index equals the largest among them.
 
-    Each candidate's exact characteristic polynomial has its largest real
-    root bracketed to width 1e-15 by rational bisection; a candidate
-    survives only when its bracket reaches the best lower bound.
+    Indices are compared as largest roots of the exact characteristic
+    polynomials, one comparison per distinct polynomial.
     """
-    width = Fraction(1, 10**15)
-    brackets: dict[tuple, tuple[Fraction, Fraction]] = {}
-    intervals = []
-    for _, g in witnesses:
-        p = char_poly_exact(g)
-        if p.coeffs not in brackets:
-            brackets[p.coeffs] = largest_real_root_interval(p, width)
-        intervals.append(brackets[p.coeffs])
-    best_lo = max(lo for lo, _ in intervals)
-    return [w for w, (_, hi) in zip(witnesses, intervals) if hi >= best_lo]
+    polys = [char_poly_exact(g) for g in candidates]
+    top = max(set(polys), key=cmp_to_key(compare_largest_real_roots), default=None)
+    tied = {p: compare_largest_real_roots(p, top) == 0 for p in set(polys)}
+    return [g for g, p in zip(candidates, polys) if tied[p]]
 
 
 def verify_max_index(
     n: int,
-    tol: float = 1e-9,
     graphs: list[SignedGraph] | None = None,
     checkpoint: str | None = None,
     progress: bool = False,
@@ -302,21 +290,22 @@ def verify_max_index(
     For each underlying graph in catalog order, counts its classes and
     eligible classes (unbalanced, no negative 4-cycle) from the GF(2)
     kernel of its 4-cycle rows and eigensolves only the kernel vectors,
-    folding the result into the running maximum; then re-tests numerical
-    ties with exact characteristic polynomials and checks every maximizer
-    against the extremal graph.  ``graphs`` overrides the built-in
-    underlying-graph enumeration (required past ``MAX_BUILTIN_ORDER``);
-    ``progress`` writes JSON lines to stderr every 100000 classes.  Orders
-    past ``MAX_BUILTIN_ORDER`` must opt in with ``long_run``.
+    folding the result into the running maximum; the classes within
+    ``FLOAT_MARGIN`` of it are compared by exact characteristic polynomials
+    and every exact maximizer is checked against the extremal graph.
+    ``graphs`` overrides the built-in enumeration (required past
+    ``MAX_BUILTIN_ORDER``, with ``long_run``); ``progress`` writes JSON
+    lines to stderr every 100000 classes.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
     Its first line is the header ``{census_n, tasks, tol, format,
     catalog}``, where ``catalog`` is the SHA-256 of the task edge lists; a
     file whose header differs raises ValueError.  Each further line
-    records one finished task ``{i, classes, eligible, best, keep}`` with
-    ``keep`` a list of ``[lam, pattern]`` pairs; a recorded task is taken
-    from the file instead of recomputed.  A final record torn by a crash
-    is dropped and its task recomputed.
+    records one finished task ``{i, classes, eligible, best, keep}``, with
+    ``keep`` a list of ``[lam, pattern]`` pairs, taken instead of
+    recomputed; other keys, i outside ``range(tasks)`` or a repeated i
+    raise ValueError.  A final record torn by a crash is dropped and its
+    task recomputed.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
@@ -326,8 +315,6 @@ def verify_max_index(
             "and long-running; pass long_run=True, or --long-run on the command line "
             "(checkpointing recommended)"
         )
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     t0 = time.perf_counter()
     underlying = graphs if graphs is not None else enumerate_underlying(n)
     for g in underlying:
@@ -335,7 +322,7 @@ def verify_max_index(
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
     tasks = [tuple(sorted(g.edge_set())) for g in underlying]
 
-    header = _checkpoint_header(n, tasks, tol) if checkpoint else {}
+    header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
     done = _resume_checkpoint(checkpoint, header) if resuming else {}
     ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
@@ -353,15 +340,13 @@ def verify_max_index(
             if i in done:
                 res = done[i]
             else:
-                res = _census_one_graph(n, edges, tol)
+                res = _census_one_graph(n, edges)
                 _record(ckpt_fh, i, res)
             classes, eligible, g_best, g_keep = res
             class_count += classes
             eligible_count += eligible
-            if g_best > best:
-                best = g_best
-                keep = [w for w in keep if w[0] >= best - tol]
-            keep += [(lam, i, bits) for lam, bits in g_keep if lam >= best - tol]
+            best = max(best, g_best)
+            keep += [(lam, i, bits) for lam, bits in g_keep]
             if progress and i not in done and class_count >= next_mark:
                 record = {
                     "census_n": n,
@@ -375,17 +360,14 @@ def verify_max_index(
         if ckpt_fh:
             ckpt_fh.close()
 
-    decoded = []
-    for lam, i, bits in keep:
-        edges = tasks[i]
-        decoded.append((lam, _signed_by_pattern(n, edges, _cotree(n, edges), bits)))
-    reference = index(extremal_graph(n))
-    survivors = _exact_tiebreak(decoded) if decoded else []
-    witnesses = tuple(g for _, g in survivors)
-    verdict = (
-        bool(witnesses)
-        and abs(best - reference) <= tol
-        and all(switching_isomorphic(w, extremal_graph(n))[0] for w in witnesses)
+    candidates = [
+        _signed_by_pattern(n, tasks[i], _cotree(n, tasks[i]), bits)
+        for lam, i, bits in keep
+        if lam >= best - FLOAT_MARGIN
+    ]
+    witnesses = tuple(_exact_maximizers(candidates))
+    verdict = bool(witnesses) and all(
+        switching_isomorphic(w, extremal_graph(n))[0] for w in witnesses
     )
     return CensusReport(
         n=n,
@@ -393,16 +375,15 @@ def verify_max_index(
         class_count=class_count,
         eligible_count=eligible_count,
         max_lambda1=best,
-        reference_lambda1=reference,
+        reference_lambda1=index(extremal_graph(n)),
         witnesses=witnesses,
         verdict=verdict,
         seconds=time.perf_counter() - t0,
-        tol=tol,
     )
 
 
-def _checkpoint_header(n: int, tasks: list, tol: float) -> dict:
-    """Identity of a census: order, tolerance, record format and catalog.
+def _checkpoint_header(n: int, tasks: list) -> dict:
+    """Identity of a census: order, float margin, record format and catalog.
 
     hashlib is imported here rather than at module level because it loads
     OpenSSL, which would add about 3 MB of resident memory to every
@@ -414,7 +395,7 @@ def _checkpoint_header(n: int, tasks: list, tol: float) -> dict:
     return {
         "census_n": n,
         "tasks": len(tasks),
-        "tol": tol,
+        "tol": FLOAT_MARGIN,
         "format": CHECKPOINT_FORMAT,
         "catalog": catalog,
     }
@@ -436,16 +417,24 @@ def _resume_checkpoint(path: str, header: dict) -> dict[int, tuple]:
         if not line.strip():
             continue
         try:
-            recs.append(json.loads(line))
+            recs.append((lineno, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"checkpoint {path} line {lineno}: {exc}") from None
-    if not recs or recs[0] != header:
-        found = recs[0] if recs else "no complete header line"
+    if not recs or recs[0][1] != header:
+        found = recs[0][1] if recs else "no complete header line"
         raise ValueError(f"checkpoint {path} belongs to a different census: {found} != {header}")
+    done: dict[int, tuple] = {}
+    for lineno, rec in recs[1:]:
+        ok = isinstance(rec, dict) and rec.keys() == {"i", "classes", "eligible", "best", "keep"}
+        i = rec["i"] if ok else None
+        if type(i) is not int or not 0 <= i < header["tasks"] or i in done:
+            bad = f"not a new task {{i, classes, eligible, best, keep}}, 0 <= i < {header['tasks']}"
+            raise ValueError(f"checkpoint {path} line {lineno}: {bad}: {rec}")
+        done[i] = (rec["classes"], rec["eligible"], rec["best"], rec["keep"])
     if len(complete) < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(len(complete))
-    return {rec["i"]: (rec["classes"], rec["eligible"], rec["best"], rec["keep"]) for rec in recs[1:]}
+    return done
 
 
 def _record(fh, i: int, res: tuple) -> None:

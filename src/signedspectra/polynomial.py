@@ -18,6 +18,7 @@ __all__ = [
     "real_roots",
     "largest_real_root",
     "largest_real_root_interval",
+    "compare_largest_real_roots",
 ]
 
 
@@ -334,9 +335,31 @@ def largest_real_root_interval(
     p: IntPolynomial, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Exact rational interval of given width around the largest real root."""
+    return _refine(*_top_root(p), width)
+
+
+def _top_root(p: IntPolynomial) -> tuple[list[Fraction], Fraction, Fraction]:
+    """Square-free part of p and the isolating interval (a, b] of its largest real root."""
     intervals = isolate_real_roots(p)
     if not intervals:
         raise ValueError("polynomial has no real roots")
-    sf = _squarefree_part(p)
-    a, b = intervals[-1]
-    return _refine(sf, a, b, width)
+    return (_squarefree_part(p), *intervals[-1])
+
+
+def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Sign of (largest real root of p) - (largest real root of q), exactly.
+
+    The top roots are equal iff the square-free gcd of p and q has a root
+    in both top isolating intervals; otherwise both intervals are halved by
+    Sturm counts until they are disjoint.
+    """
+    (sp, a1, b1), (sq, a2, b2) = _top_root(p), _top_root(q)
+    g = _sturm_chain(_poly_gcd(sp, sq))
+    if _sign_changes(g, max(a1, a2)) > _sign_changes(g, min(b1, b2)):
+        return 0
+    cp, cq = _sturm_chain(sp), _sturm_chain(sq)
+    while a2 < b1 and a1 < b2:  # the intervals still overlap
+        m1, m2 = (a1 + b1) / 2, (a2 + b2) / 2
+        a1, b1 = (a1, m1) if _sign_changes(cp, a1) > _sign_changes(cp, m1) else (m1, b1)
+        a2, b2 = (a2, m2) if _sign_changes(cq, a2) > _sign_changes(cq, m2) else (m2, b2)
+    return -1 if b1 <= a2 else 1

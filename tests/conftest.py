@@ -19,7 +19,7 @@ from itertools import permutations
 
 from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
-from signedspectra.enumeration import switching_classes
+from signedspectra.enumeration import FLOAT_MARGIN, switching_classes
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import is_balanced, switching_equivalent
 
@@ -204,12 +204,12 @@ def random_fundamental_cycle(rng: random.Random, g: SignedGraph):
     return None
 
 
-def brute_census_one_graph(n: int, edges, tol: float):
+def brute_census_one_graph(n: int, edges):
     """Per-class census of one underlying graph, in the census worker's shape.
 
     Builds every switching class, keeps the unbalanced ones with no negative
     4-cycle, and returns (classes, eligible, best, [(lam, pattern), ...])
-    with the same tie rule as the census.
+    with the census's candidate rule: every class within FLOAT_MARGIN of the best.
     """
     best = -math.inf
     eligible = 0
@@ -222,7 +222,7 @@ def brute_census_one_graph(n: int, edges, tol: float):
         lam = eigenvalues_sym(h.adjacency_matrix()).lambda1
         if lam > best:
             best = lam
-            keep = [(l, p) for (l, p) in keep if l >= best - tol]
-        if lam >= best - tol:
+            keep = [(l, p) for (l, p) in keep if l >= best - FLOAT_MARGIN]
+        if lam >= best - FLOAT_MARGIN:
             keep.append((lam, bits))
     return len(classes), eligible, best, keep

@@ -101,7 +101,7 @@ def test_criterion_4_quotient_containment():
 
 def test_criterion_5_census_order_5():
     with criterion(5, "exhaustive census at n=5: maximum is sqrt(5), extremal only", 30.0):
-        report = verify_max_index(5, tol=1e-9)
+        report = verify_max_index(5)
         assert report.verdict
         assert abs(report.max_lambda1 - math.sqrt(5)) <= 1e-9
         assert report.witnesses
@@ -125,7 +125,7 @@ def test_criterion_6_census_order_6():
     assert abs(root - 3.1327) < 1e-4
 
     with criterion(6, "exhaustive census at n=6: maximum is the cubic root", 300.0):
-        report = verify_max_index(6, tol=1e-9)
+        report = verify_max_index(6)
         assert report.verdict
         assert abs(report.max_lambda1 - root) <= 1e-9
         for w in report.witnesses:

@@ -151,12 +151,65 @@ def test_verify_exit_code_on_failed_verdict(tmp_path, capsys):
     assert json.loads(out)["verdict"] is False
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["1e-9", "-1", "0", "nan", "inf"])
 def test_verify_bad_tolerance_is_a_usage_error(capsys, tol):
+    # the verdict is exact, so verify has no --tol at all, not even the old default
     code, out, err = run(capsys, "verify", "--n", "5", "--tol", tol)
     assert code == 1
     assert out == ""
     assert "tol" in err
+
+
+@pytest.mark.parametrize("catalog", ["5 4\n1 2\n2 3\n3 4\n4 5\n", ""], ids=["path", "empty"])
+def test_verify_without_eligible_classes_prints_strict_json(tmp_path, capsys, catalog):
+    # a path, or no graph at all: no class is eligible, so there is no maximum
+    path = tmp_path / "trees.sg"
+    path.write_text(catalog)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--graphs", str(path))
+    assert code == 3
+    record = json.loads(out, parse_constant=reject_constant)
+    assert record["max_lambda1"] is None
+    assert record["eligible_count"] == 0 and record["witness_sg"] == []
+    assert record["verdict"] is False
+
+
+def test_verify_bad_checkpoint_record_names_the_line(tmp_path, capsys):
+    ck = tmp_path / "census5.jsonl"
+    assert run(capsys, "verify", "--n", "5", "--checkpoint", str(ck))[0] == 0
+    header = ck.read_text().splitlines()[0]
+    no_index = {"classes": 1, "eligible": 0, "best": 0, "keep": []}
+    ck.write_text(header + "\n" + json.dumps(no_index) + "\n")
+    code, out, err = run(capsys, "verify", "--n", "5", "--checkpoint", str(ck))
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "Traceback" not in err
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def json_commands(tmp_path):
+    g = tmp_path / "g.sg"
+    extremal_graph(6).save(g)
+    return {
+        "spectrum": ["spectrum", str(g), "--exact"],
+        "check": ["check", str(g)],
+        "quotient": ["quotient", str(g), "--partition", "1|2|3|4-6"],
+        "verify": ["verify", "--n", "5"],
+        "bounds": ["bounds", "--n", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["spectrum", "check", "quotient", "verify", "bounds"])
+def test_json_stdout_is_strict(tmp_path, capsys, command):
+    # NaN and Infinity are not JSON; every line a subcommand prints must parse strictly
+    code, out, _ = run(capsys, *json_commands(tmp_path)[command])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=reject_constant)
 
 
 def test_verify_past_builtin_order_names_the_long_run_flag(tmp_path, capsys):

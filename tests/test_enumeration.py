@@ -240,8 +240,30 @@ def test_kernel_census_matches_brute_filter_oracle():
 
     for n in (4, 5, 6):
         for g in enumerate_underlying(n):
-            task = (n, tuple(sorted(g.edge_set())), 1e-9)
+            task = (n, tuple(sorted(g.edge_set())))
             assert _census_one_graph(*task) == brute_census_one_graph(*task), task
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_census_witnesses_match_exact_brute_oracle(n):
+    # float-free second method: every class, filtered per class, compared
+    # exactly with the extremal cubic's largest root
+    from signedspectra.cycles import is_ck_negative_free
+    from signedspectra.families import extremal_cubic
+    from signedspectra.polynomial import compare_largest_real_roots
+    from signedspectra.spectra import char_poly_exact
+
+    brute = [
+        h.to_sg()
+        for g in enumerate_underlying(n)
+        for h in switching_classes(g)
+        if not is_balanced(h).balanced
+        and is_ck_negative_free(h, 4)
+        and compare_largest_real_roots(char_poly_exact(h), extremal_cubic(n)) == 0
+    ]
+    report = verify_max_index(n)
+    assert report.witness_sg() == brute
+    assert report.verdict
 
 
 def test_verify_census_order7():
@@ -293,6 +315,32 @@ def test_verify_census_checkpoint_fingerprint(tmp_path):
         verify_max_index(5, checkpoint=str(old))
 
 
+GOOD_RECORD = {"i": 0, "classes": 1, "eligible": 0, "best": -math.inf, "keep": []}
+BAD_RECORDS = {
+    "missing-i": [{k: v for k, v in GOOD_RECORD.items() if k != "i"}],
+    "i-out-of-range": [dict(GOOD_RECORD, i=34)],
+    "negative-i": [dict(GOOD_RECORD, i=-1)],
+    "i-not-an-integer": [dict(GOOD_RECORD, i="0")],
+    "repeated-i": [GOOD_RECORD, GOOD_RECORD],
+    "extra-key": [dict(GOOD_RECORD, extra=1)],
+    "not-an-object": [[0, 1, 0, None, []]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_verify_census_checkpoint_bad_record_rejected(tmp_path, case):
+    # a record after a good header must be well formed, in range and new
+    ck = tmp_path / "census5.jsonl"
+    verify_max_index(5, checkpoint=str(ck))
+    header = ck.read_text().splitlines()[0]
+    records = BAD_RECORDS[case]
+    ck.write_text(header + "\n" + "".join(json.dumps(r) + "\n" for r in records))
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match=f"line {1 + len(records)}:"):
+        verify_max_index(5, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+
+
 def test_verify_census_checkpoint_mismatch_rejected(tmp_path):
     ck = tmp_path / "census.jsonl"
     verify_max_index(5, checkpoint=str(ck))
@@ -309,12 +357,6 @@ def test_verify_requires_long_run_opt_in_past_builtin_order():
     k8 = complete_signed(8, 1)
     with pytest.raises(ValueError, match="long_run"):
         verify_max_index(8, graphs=[k8])
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
-def test_verify_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tol"):
-        verify_max_index(5, tol=tol)
 
 
 def test_c4free_bounds_all_small_orders():

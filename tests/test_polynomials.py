@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signedspectra.polynomial import (
     IntPolynomial,
+    compare_largest_real_roots,
     isolate_real_roots,
     largest_real_root,
     largest_real_root_interval,
@@ -115,3 +117,68 @@ def test_rational_root_hit_exactly():
         pytest.approx(1.0, abs=1e-12),
         pytest.approx(2.0, abs=1e-12),
     ]
+
+
+def test_compare_equal_top_roots_of_different_polynomials():
+    # x^3 - 5x and (x^2 - 5)(x + 1) share only the top root sqrt(5)
+    p = poly(1, 0, -5, 0)
+    q = poly(1, 0, -5) * poly(1, 1)
+    assert compare_largest_real_roots(p, q) == 0
+    assert compare_largest_real_roots(q, p) == 0
+    assert compare_largest_real_roots(p, p) == 0
+    # a shared lower root does not make the top roots equal
+    assert compare_largest_real_roots(p, poly(1, 0) * poly(1, -1)) == 1
+
+
+def test_compare_rational_roots_on_bisection_midpoints():
+    # dyadic roots land exactly on midpoints of the bisection
+    cases = [
+        (poly(2, -1), poly(4, -1), 1),  # 1/2 vs 1/4
+        (poly(1, 0), poly(4, -1), -1),  # 0 vs 1/4
+        (poly(1, -1), poly(1, -2), -1),
+        (poly(2, -1) * poly(1, 5), poly(2, -1) * poly(1, 0), 0),  # both 1/2
+        (poly(8, -3) * poly(1, 1), poly(4, -1) * poly(2, -1), -1),  # 3/8 vs 1/2
+        (poly(1, -3), poly(1, -3) * poly(1, 0, 1), 0),  # 3 vs 3, and no other real root
+    ]
+    for p, q, want in cases:
+        assert compare_largest_real_roots(p, q) == want, (p, q)
+        assert compare_largest_real_roots(q, p) == -want, (q, p)
+
+
+def test_compare_sqrt2_against_close_rational_brackets():
+    scale = 10**30
+    s = math.isqrt(2 * scale * scale)  # s / scale < sqrt(2) < (s + 1) / scale
+    root2 = poly(1, 0, -2)
+    below, above = poly(scale, -s), poly(scale, -(s + 1))
+    assert compare_largest_real_roots(root2, below) == 1
+    assert compare_largest_real_roots(root2, above) == -1
+    assert compare_largest_real_roots(above, root2) == 1
+
+
+def test_compare_needs_real_roots():
+    with pytest.raises(ValueError):
+        compare_largest_real_roots(poly(1, 0, 1), poly(1, -1))
+
+
+linear_factors = st.lists(
+    st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_factors, linear_factors, st.booleans())
+def test_compare_matches_max_of_rational_roots(fp, fq, with_complex):
+    # p is a product of (b x - a), so its largest real root is max(a / b)
+    def product(factors):
+        out = IntPolynomial([1])
+        for a, b in factors:
+            out = out * IntPolynomial([-a, b])
+        return out
+
+    p, q = product(fp), product(fq)
+    if with_complex:
+        p = p * poly(1, 1, 1)  # x^2 + x + 1 adds no real root
+    top_p = max(Fraction(a, b) for a, b in fp)
+    top_q = max(Fraction(a, b) for a, b in fq)
+    want = (top_p > top_q) - (top_p < top_q)
+    assert compare_largest_real_roots(p, q) == want
