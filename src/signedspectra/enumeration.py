@@ -1,12 +1,23 @@
 """Exhaustive enumeration of small signed graphs up to switching.
 
 Underlying simple graphs are enumerated one vertex at a time: every graph
-on k vertices extends a graph on k-1 vertices by one new vertex with an
-arbitrary neighborhood, so extending all representatives by all 2^(k-1)
-neighborhoods and deduplicating by canonical form yields every isomorphism
-class.  The canonical form is the minimum relabeled edge list over the
-leaves of the refine-and-individualize search tree in
-:mod:`signedspectra.switching`, which also decides switching isomorphism.
+on k vertices extends a graph on k-1 vertices by one new vertex with some
+neighborhood, and deduplicating the extensions by canonical form yields
+every isomorphism class.  Neighborhoods in one orbit of the parent's
+automorphisms give isomorphic extensions, so each parent is extended by one
+neighborhood per orbit of its twin transpositions: twins u, v (N(u) minus v
+equals N(v) minus u) can be swapped by an automorphism, so within a twin
+class only the number of chosen members matters, and the first j members
+are taken for every j.  That is prod(|class| + 1) neighborhoods instead of
+2^(k-1).
+
+The canonical form is the minimum relabeled edge list over the leaves of
+the refine-and-individualize search tree of :mod:`signedspectra.switching`,
+walked with twin pruning: a node individualizes one vertex per twin class
+of its target cell, the first-level automorphism pruning of McKay and
+Piperno ("Practical graph isomorphism, II", 2014) restricted to twin
+transpositions.  K_n then has one leaf instead of n!.  Switching
+isomorphism keeps the unpruned walk, since it needs every isomorphism.
 
 For a fixed underlying graph, switching classes are indexed by pinning the
 canonical BFS spanning forest to all-positive: a class is then a sign
@@ -34,6 +45,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import product
 
 import numpy as np
 
@@ -41,7 +53,7 @@ from .core import SignedGraph
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import _bfs_forest, _labelings, switching_isomorphic
+from .switching import _bfs_forest, _bitsets, _refine, _relabelled, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -56,7 +68,7 @@ __all__ = [
     "has_c4",
 ]
 
-MAX_BUILTIN_ORDER = 7
+MAX_BUILTIN_ORDER = 8
 # checkpoint layout; records carry (lam, pattern) pairs since format 2
 CHECKPOINT_FORMAT = 2
 FLOAT_MARGIN = 1e-9  # exact-maximum candidates: far above LAPACK's ~n^2 eps error on +-1 matrices
@@ -66,16 +78,67 @@ _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 # -- canonical forms -----------------------------------------------------------
 
 
+def _twin_classes(adj: list[int]) -> list[list[int]]:
+    """Twin classes of the graph with neighbour bitsets ``adj``, in vertex order.
+
+    u and v are twins iff N(u) minus v equals N(v) minus u: true twins
+    (adjacent, equal closed neighbourhoods) or false twins (equal open
+    neighbourhoods).  The transposition (u v) is then an automorphism.  No
+    vertex has twins of both kinds, so twinship is an equivalence and each
+    vertex is compared with the first member of every class so far.
+    """
+    classes: list[list[int]] = []
+    for v, row in enumerate(adj):
+        for cls in classes:
+            u = cls[0]
+            if adj[u] & ~(1 << v) == row & ~(1 << u):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _pruned_leaf_keys(n: int, edges: frozenset[tuple[int, int]]):
+    """Leaf keys of the labeller's search tree, pruned by twins.
+
+    The tree is that of :func:`switching._labelings`, but a node
+    individualizes only the first vertex of each twin class in its target
+    cell.  Twins u, v in that cell are both unindividualized, so (u v) fixes
+    the node and maps one child's subtree onto the other's, leaf keys
+    included: the set of keys, and so its minimum, is unchanged.
+    """
+    adj = _bitsets(n, edges)
+    twin = [0] * n
+    for c, cls in enumerate(_twin_classes(adj)):
+        for v in cls:
+            twin[v] = c
+    unit = [list(range(n))] if n else []
+    stack = [_refine(adj, unit, unit)]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            yield _relabelled([cell[0] for cell in cells], edges)
+            continue
+        first: dict[int, int] = {}
+        for v in cells[i]:
+            first.setdefault(twin[v], v)
+        for v in first.values():
+            rest = [w for w in cells[i] if w != v]
+            stack.append(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1 :], [[v]]))
+
+
 def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Minimum relabeled edge list over the leaves of the labeller's search tree."""
-    return min(key for _, key in _labelings(n, edges))
+    return min(_pruned_leaf_keys(n, edges))
 
 
 def enumerate_underlying(n: int) -> list[SignedGraph]:
     """All non-isomorphic simple graphs on n vertices, as all-positive graphs.
 
     Deterministic order: ascending edge count, then canonical edge list.
-    Built-in enumeration is capped at n = 7 (1044 graphs); larger orders
+    Built-in enumeration is capped at n = 8 (12346 graphs); larger orders
     must come from :func:`ingest_graph_list`.
     """
     if n < 1:
@@ -91,12 +154,12 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
     for k in range(2, n + 1):
         nxt: dict[tuple, frozenset] = {}
         for edges in reps.values():
-            for mask in range(1 << (k - 1)):
-                new_edges = set(edges)
-                for u in range(k - 1):
-                    if (mask >> u) & 1:
-                        new_edges.add((u, k - 1))
-                key = _canonical_edges(k, frozenset(new_edges))
+            classes = _twin_classes(_bitsets(k - 1, edges))
+            for counts in product(*(range(len(cls) + 1) for cls in classes)):
+                new_edges = edges | {
+                    (u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j]
+                }
+                key = _canonical_edges(k, new_edges)
                 if key not in nxt:
                     nxt[key] = frozenset(key)
         reps = nxt
@@ -303,9 +366,10 @@ def verify_max_index(
     file whose header differs raises ValueError.  Each further line
     records one finished task ``{i, classes, eligible, best, keep}``, with
     ``keep`` a list of ``[lam, pattern]`` pairs, taken instead of
-    recomputed; other keys, i outside ``range(tasks)`` or a repeated i
-    raise ValueError.  A final record torn by a crash is dropped and its
-    task recomputed.
+    recomputed; other keys, i outside ``range(tasks)``, a repeated i or
+    values that do not fit task i (see :func:`_valid_record`) raise
+    ValueError.  A final record torn by a crash is dropped and its task
+    recomputed.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
@@ -324,7 +388,7 @@ def verify_max_index(
 
     header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
-    done = _resume_checkpoint(checkpoint, header) if resuming else {}
+    done = _resume_checkpoint(checkpoint, header, tasks) if resuming else {}
     ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     if ckpt_fh and not resuming:
         ckpt_fh.write(json.dumps(header) + "\n")
@@ -401,7 +465,7 @@ def _checkpoint_header(n: int, tasks: list) -> dict:
     }
 
 
-def _resume_checkpoint(path: str, header: dict) -> dict[int, tuple]:
+def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]:
     """Finished tasks recorded in a checkpoint whose header matches ours.
 
     Records are appended one line at a time, so a last line without its
@@ -430,11 +494,37 @@ def _resume_checkpoint(path: str, header: dict) -> dict[int, tuple]:
         if type(i) is not int or not 0 <= i < header["tasks"] or i in done:
             bad = f"not a new task {{i, classes, eligible, best, keep}}, 0 <= i < {header['tasks']}"
             raise ValueError(f"checkpoint {path} line {lineno}: {bad}: {rec}")
-        done[i] = (rec["classes"], rec["eligible"], rec["best"], rec["keep"])
+        res = (rec["classes"], rec["eligible"], rec["best"], rec["keep"])
+        if not _valid_record(header["census_n"], tasks[i], *res):
+            raise ValueError(f"checkpoint {path} line {lineno}: values do not fit task {i}: {rec}")
+        done[i] = res
     if len(complete) < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(len(complete))
     return done
+
+
+def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:
+    """Whether a resumed record can be what :func:`_census_one_graph` gave.
+
+    ``classes`` is 2^|cotree| of the task, ``eligible + 1`` a power of two
+    no larger, ``keep`` a list of ``[lam, pattern]`` with a float lam and
+    ``0 < pattern < classes``, and ``best`` the float maximum of the kept
+    lam (-inf when ``keep`` is empty).
+    """
+    if type(classes) is not int or classes != 1 << len(_cotree(n, edges)):
+        return False
+    if type(eligible) is not int or eligible < 0 or eligible & (eligible + 1) or eligible >= classes:
+        return False
+    if type(best) is not float or type(keep) is not list:
+        return False
+    for entry in keep:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            return False
+        lam, pattern = entry
+        if type(lam) is not float or type(pattern) is not int or not 0 < pattern < classes:
+            return False
+    return best == max((lam for lam, _ in keep), default=-math.inf)
 
 
 def _record(fh, i: int, res: tuple) -> None:

@@ -14,6 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .core import SignedGraph
 from .cycles import CycleWitness, canonical_cycle
 
@@ -203,6 +205,23 @@ def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) 
     return cells
 
 
+def _bitsets(n: int, edges) -> list[int]:
+    """Neighbour bitsets: bit v of ``adj[u]`` is set iff uv is an edge."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _relabelled(order: list[int], edges) -> tuple[tuple[int, int], ...]:
+    """Sorted edge list after moving vertex ``order[k]`` to position k."""
+    pos = [0] * len(order)
+    for k, v in enumerate(order):
+        pos[v] = k
+    return tuple(sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges))
+
+
 def _labelings(n: int, edges: frozenset[tuple[int, int]]):
     """Leaves of the refine-and-individualize search tree of a simple graph.
 
@@ -212,23 +231,19 @@ def _labelings(n: int, edges: frozenset[tuple[int, int]]):
     when the search reaches it.  Yields ``(order, key)`` per leaf: vertex
     ``order[k]`` goes to position k, and ``key`` is the sorted relabelled
     edge list.  The tree ignores labels, so the set of keys is invariant.
+
+    This is the unpruned walk, kept for :func:`switching_isomorphic`, which
+    must see every underlying isomorphism; canonical forms alone take the
+    twin-pruned walk in :mod:`signedspectra.enumeration`.
     """
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    pos = [0] * n
+    adj = _bitsets(n, edges)
     unit = [list(range(n))] if n else []
     cells = _refine(adj, unit, unit)
     stack: list[tuple[list[list[int]], int, int]] = []
     while True:
         if len(cells) == n:
             order = [cell[0] for cell in cells]
-            for k, v in enumerate(order):
-                pos[v] = k
-            yield order, tuple(
-                sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges)
-            )
+            yield order, _relabelled(order, edges)
         else:
             i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
             # reversed, so children are searched in cell order
@@ -240,12 +255,24 @@ def _labelings(n: int, edges: frozenset[tuple[int, int]]):
         cells = _refine(adj, parent[:i] + [[v], rest] + parent[i + 1 :], [[v]])
 
 
+def _vertex_invariants(g: SignedGraph) -> list[tuple[int, int]]:
+    """Sorted pairs (degree, (A^3)_vv) over the vertices of g.
+
+    Relabelling permutes them, and switching keeps them: with D the
+    diagonal switching matrix, (DAD)^3 = D A^3 D has the diagonal of A^3.
+    """
+    A = g.adjacency_matrix()
+    closed_walks = ((A @ A) * A).sum(axis=1)
+    return sorted(zip(np.abs(A).sum(axis=1).tolist(), closed_walks.tolist()))
+
+
 def switching_isomorphic(
     a: SignedGraph, b: SignedGraph
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Search for a relabeling pi of a with pi(a) switching equivalent to b.
 
-    Relabelling and switching preserve balance, so graphs that differ in it
+    Relabelling and switching preserve balance and the multiset of
+    per-vertex (degree, (A^3)_vv) pairs, so graphs that differ in either
     are answered at once.  Otherwise each leaf lam of a whose relabelled
     edge list equals that of b's first leaf mu gives an underlying
     isomorphism pi[lam[k]] = mu[k]; as the search tree ignores labels,
@@ -259,6 +286,8 @@ def switching_isomorphic(
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
     if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
+        return False, None
+    if _vertex_invariants(a) != _vertex_invariants(b):
         return False, None
     mu, target = next(_labelings(b.n, b.edge_set()))
     sign_b = {}

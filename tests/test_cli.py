@@ -185,6 +185,26 @@ def test_verify_bad_checkpoint_record_names_the_line(tmp_path, capsys):
     assert "line 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"i": 0, "classes": "x", "eligible": 0, "best": 0, "keep": []},
+        {"i": 0, "classes": 1, "eligible": 0, "best": 99, "keep": [[99, 5]]},
+    ],
+)
+def test_verify_checkpoint_record_values_are_checked(tmp_path, capsys, record):
+    # a record whose values cannot belong to its task is refused, not summed
+    ck = tmp_path / "census5.jsonl"
+    assert run(capsys, "verify", "--n", "5", "--checkpoint", str(ck))[0] == 0
+    ck.write_text(ck.read_text().splitlines()[0] + "\n" + json.dumps(record) + "\n")
+    before = ck.read_bytes()
+    code, out, err = run(capsys, "verify", "--n", "5", "--checkpoint", str(ck))
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "Traceback" not in err
+    assert ck.read_bytes() == before
+
+
 def reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -215,9 +235,9 @@ def test_json_stdout_is_strict(tmp_path, capsys, command):
 def test_verify_past_builtin_order_names_the_long_run_flag(tmp_path, capsys):
     from signedspectra.enumeration import encode_graph6
 
-    catalog = tmp_path / "empty8.g6"
-    catalog.write_text(encode_graph6(SignedGraph(8, {})) + "\n")
-    code, out, err = run(capsys, "verify", "--n", "8", "--graphs", str(catalog))
+    catalog = tmp_path / "empty9.g6"
+    catalog.write_text(encode_graph6(SignedGraph(9, {})) + "\n")
+    code, out, err = run(capsys, "verify", "--n", "9", "--graphs", str(catalog))
     assert code == 1
     assert out == ""
     assert "--long-run" in err

@@ -24,7 +24,7 @@ from signedspectra.switching import is_balanced, switching_equivalent, switching
 
 from conftest import brute_census_one_graph, brute_switching_orbit_count
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
 
 def to_nx(g: SignedGraph) -> nx.Graph:
@@ -38,7 +38,7 @@ def test_counts_match_the_classical_sequence():
     for n, count in KNOWN_COUNTS.items():
         assert len(enumerate_underlying(n)) == count
     with pytest.raises(ValueError):
-        enumerate_underlying(8)
+        enumerate_underlying(9)
     with pytest.raises(ValueError):
         enumerate_underlying(0)
 
@@ -127,6 +127,94 @@ def test_canonical_keys_match_the_graph_atlas():
         ]
         assert len(set(keys)) == len(keys) == KNOWN_COUNTS[n]
         assert set(keys) == {tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)}
+
+
+def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:
+    """Complete multipartite, threshold and K_n-minus-matching graphs and their complements."""
+    parts, start = [], 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        parts.append(range(start, start + size))
+        start += size
+    part = {v: i for i, p in enumerate(parts) for v in p}
+    multipartite = {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
+    threshold = set()
+    for v in range(1, n):
+        if rng.random() < 0.5:  # v dominates all earlier vertices, else it stays isolated
+            threshold |= {(u, v) for u in range(v)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    matching = {tuple(sorted(perm[2 * i : 2 * i + 2])) for i in range(rng.randint(1, n // 2))}
+    minus_matching = set(combinations(range(n), 2)) - matching
+    out = []
+    for edges in (multipartite, threshold, minus_matching):
+        for e in (edges, set(combinations(range(n), 2)) - edges):
+            g = SignedGraph(n, {pair: 1 for pair in e}).relabel(perm)
+            out.append(g.edge_set())
+    return out
+
+
+def test_twin_pruned_walk_matches_the_unpruned_oracle():
+    # the pruned walk's minimum key equals the unpruned walk's on every graph
+    from itertools import islice
+
+    from signedspectra.enumeration import _canonical_edges, _twin_classes
+    from signedspectra.switching import _bitsets, _labelings
+
+    cases = [
+        (G.number_of_nodes(), frozenset((min(e), max(e)) for e in G.edges()))
+        for G in nx.graph_atlas_g()
+        if G.number_of_nodes() <= 7
+    ]
+    keys = [[key for _, key in _labelings(n, edges)] for n, edges in cases]
+    atlas = len(cases)
+    rng = random.Random(65)
+    while len(cases) < atlas + 200:
+        n = rng.randint(8, 10)
+        for edges in twin_rich_graphs(rng, n):
+            # the oracle walks at least |Aut| >= prod |class|! leaves; bound its cost
+            if math.prod(math.factorial(len(c)) for c in _twin_classes(_bitsets(n, edges))) > 1000:
+                continue
+            leaves = [key for _, key in islice(_labelings(n, edges), 1001)]
+            if len(leaves) <= 1000:
+                cases.append((n, edges))
+                keys.append(leaves)
+    pruned_some = 0
+    for (n, edges), leaves in zip(cases, keys):
+        adj = _bitsets(n, edges)
+        classes = _twin_classes(adj)
+        assert sorted(v for c in classes for v in c) == list(range(n))
+        for u, v in combinations(range(n), 2):
+            same = any(u in c and v in c for c in classes)
+            assert same == (adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), (n, edges, u, v)
+        assert _canonical_edges(n, edges) == min(leaves), (n, edges)
+        pruned_some += len(classes) < n
+    assert pruned_some > 500
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_twin_pruned_walk_has_one_leaf_on_complete_graphs(n):
+    # a count, not a timing: the unpruned walk has n! leaves
+    from itertools import islice
+
+    from signedspectra.enumeration import _pruned_leaf_keys
+
+    edges = frozenset(combinations(range(n), 2))
+    assert list(islice(_pruned_leaf_keys(n, edges), 2)) == [tuple(sorted(edges))]
+
+
+def test_catalog_hashes_are_pinned():
+    # the catalog (and so every checkpoint header) is the same as before twin pruning
+    from signedspectra.enumeration import _checkpoint_header
+
+    pinned = {
+        5: "e7e1fe09230452bdeb2f50c658b0dbf5ba6b73dae4a584795d09251bbea6c4cd",
+        6: "ec80cd21f88b91ed07a90807374df0a1e0a97009c31f36355c4ee0851fddd162",
+        7: "20cef58bf53f62fea2446517f7e68a4b101cd95fc5379ab57982bc97af548f35",
+    }
+    for n, digest in pinned.items():
+        tasks = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)]
+        assert _checkpoint_header(n, tasks)["catalog"] == digest
 
 
 def test_enumeration_is_deterministic():
@@ -324,6 +412,15 @@ BAD_RECORDS = {
     "repeated-i": [GOOD_RECORD, GOOD_RECORD],
     "extra-key": [dict(GOOD_RECORD, extra=1)],
     "not-an-object": [[0, 1, 0, None, []]],
+    "classes-not-an-integer": [dict(GOOD_RECORD, classes="x", best=0)],
+    "classes-not-the-task-count": [dict(GOOD_RECORD, classes=2)],
+    "eligible-plus-one-not-a-power-of-two": [dict(GOOD_RECORD, i=33, classes=64, eligible=2)],
+    "eligible-not-below-classes": [dict(GOOD_RECORD, eligible=1)],
+    "best-not-a-float": [dict(GOOD_RECORD, best=0)],
+    "pattern-out-of-range": [dict(GOOD_RECORD, best=99.0, keep=[[99.0, 5]])],
+    "pattern-zero": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0, 0]])],
+    "keep-above-best": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[3.0, 1]])],
+    "keep-entry-not-a-pair": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0]])],
 }
 
 
@@ -354,9 +451,9 @@ def test_verify_rejects_small_orders():
 
 
 def test_verify_requires_long_run_opt_in_past_builtin_order():
-    k8 = complete_signed(8, 1)
+    k9 = complete_signed(9, 1)
     with pytest.raises(ValueError, match="long_run"):
-        verify_max_index(8, graphs=[k8])
+        verify_max_index(9, graphs=[k9])
 
 
 def test_c4free_bounds_all_small_orders():

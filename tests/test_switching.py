@@ -203,6 +203,12 @@ def test_switching_isomorphic_negative_cases():
     one_negative = SignedGraph(8, {e: -1 if e == (0, 1) else 1 for e in k8.edge_set()})
     assert switching_isomorphic(k8, one_negative) == (False, None)
     assert switching_isomorphic(one_negative, k8) == (False, None)
+    # equal balance, not switching isomorphic: vertex invariants answer, not 8! leaves
+    two_negative = SignedGraph(
+        8, {e: -1 if e in ((0, 1), (2, 3)) else 1 for e in k8.edge_set()}
+    )
+    assert switching_isomorphic(one_negative, two_negative) == (False, None)
+    assert switching_isomorphic(two_negative, one_negative) == (False, None)
 
 
 def _degree_preserving_swap(rng: random.Random, g: SignedGraph) -> SignedGraph:
