@@ -1,16 +1,20 @@
 """Exact integer-coefficient polynomials and real-root machinery.
 
 Coefficients are arbitrary-precision Python ints stored in ascending order
-(c_0 + c_1 x + ... + c_d x^d).  Root finding is exact: Sturm chains over
-rationals isolate every real root, then bisection refines each isolating
-interval to a requested width.  Nothing here touches floating point until
+(c_0 + c_1 x + ... + c_d x^d).  Root finding is exact: a Sturm chain of the
+square-free part, built once over the rationals and scaled to integer
+polynomials, isolates every real root, then bisection refines each isolating
+interval to a requested width.  Every point isolation and bisection visit is
+dyadic (they start at the integers -B and B and only halve), so each sign is
+one integer Horner evaluation.  Nothing here touches floating point until
 the final conversion, so results can be compared at any precision.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "IntPolynomial",
@@ -164,6 +168,10 @@ def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
 
 
 # -- Sturm-chain real root isolation -----------------------------------------
+#
+# An interval is (lo, hi, e), the half-open (lo / 2^e, hi / 2^e]; halving it
+# gives (2 lo, lo + hi, e + 1) and (lo + hi, 2 hi, e + 1).  Chain members are
+# integer coefficient lists.
 
 
 def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
@@ -211,14 +219,12 @@ def _divmod_frac(
     return quot, _trim(rem[: len(b) - 1] or [Fraction(0)])
 
 
-def _eval_frac(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _sturm_chain(sf: list[Fraction]) -> list[list[int]]:
+    """Sturm chain of a square-free polynomial, each member scaled to integers.
 
-
-def _sturm_chain(sf: list[Fraction]) -> list[list[Fraction]]:
+    A member is multiplied by the positive lcm of its denominators, which
+    leaves its sign at every point unchanged.
+    """
     chain = [list(sf)]
     d = _trim([k * c for k, c in enumerate(sf)][1:] or [Fraction(0)])
     chain.append(d)
@@ -226,16 +232,37 @@ def _sturm_chain(sf: list[Fraction]) -> list[list[Fraction]]:
         _, r = _divmod_frac(chain[-2], chain[-1])
         chain.append([-c for c in r])
     chain.pop()
-    return chain
+    scaled = []
+    for f in chain:
+        den = math.lcm(*(c.denominator for c in f))
+        scaled.append([c.numerator * (den // c.denominator) for c in f])
+    return scaled
 
 
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _eval_frac(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(f: list[int], m: int, e: int) -> int:
+    """Sign of f(m / 2^e), from the integer 2^(e deg f) f(m / 2^e)."""
+    if m:  # drop common factors of 2
+        z = min(e, (m & -m).bit_length() - 1)
+        m, e = m >> z, e - z
+    else:
+        e = 0
+    acc = 0
+    shift = 0
+    for c in reversed(f):
+        acc = acc * m + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(chain: list[list[int]], m: int, e: int) -> int:
+    """Sign changes of the chain at m / 2^e, zeros skipped."""
+    changes = last = 0
+    for f in chain:
+        s = _sign_at(f, m, e)
+        if s:
+            changes += last == -s
+            last = s
+    return changes
 
 
 def _root_bound(p: IntPolynomial) -> int:
@@ -247,103 +274,147 @@ def _root_bound(p: IntPolynomial) -> int:
     return 1 + (m + lead - 1) // lead + 1
 
 
+def _isolate(p: IntPolynomial) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Integer Sturm chain of p's square-free part, and ascending isolating intervals.
+
+    The chain's first member is the square-free part itself.  The search
+    halves the left half first, so intervals come out in ascending order.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    chain = _sturm_chain(_squarefree_part(p))
+    B = _root_bound(p)
+    out = []
+    stack = [(-B, B, 0, _sign_changes(chain, -B, 0), _sign_changes(chain, B, 0))]
+    while stack:
+        lo, hi, e, vlo, vhi = stack.pop()
+        k = vlo - vhi
+        if k == 0:
+            continue
+        if k == 1:
+            out.append((lo, hi, e))
+            continue
+        mid = lo + hi
+        vm = _sign_changes(chain, mid, e + 1)
+        stack.append((mid, 2 * hi, e + 1, vm, vhi))
+        stack.append((2 * lo, mid, e + 1, vlo, vm))
+    return chain, out
+
+
+def _fraction_pair(lo: int, hi: int, e: int) -> tuple[Fraction, Fraction]:
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+
+
 def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals (a, b], one simple root of p in each.
 
     Intervals are returned in ascending order and cover every distinct real
     root (multiplicity collapsed via the square-free part).
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    sf = _squarefree_part(p)
-    if len(sf) == 1:
-        return []
-    chain = _sturm_chain(sf)
-    B = Fraction(_root_bound(p))
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-B, B, _sign_changes(chain, -B), _sign_changes(chain, B))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        k = va - vb
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        vm = _sign_changes(chain, mid)
-        stack.append((mid, b, vm, vb))
-        stack.append((a, mid, va, vm))
-    out.sort()
-    return out
+    return [_fraction_pair(*iv) for iv in _isolate(p)[1]]
 
 
-def _refine(
-    sf: list[Fraction], a: Fraction, b: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bisect (a, b], which contains exactly one simple root, to given width."""
-    fb = _eval_frac(sf, b)
+def _checked_width(width) -> Fraction:
+    """width as an exact Fraction; ValueError unless it is finite and positive.
+
+    Bisection stops only once an interval is no wider than width, so a
+    zero, negative or NaN width would never return.
+    """
+    try:
+        w = Fraction(width)
+    except (ValueError, OverflowError) as exc:  # NaN, infinity
+        raise ValueError(f"tol/width must be finite and positive, got {width!r}") from exc
+    if w <= 0:
+        raise ValueError(f"tol/width must be finite and positive, got {width!r}")
+    return w
+
+
+def _half_tol(tol: float) -> Fraction:
+    """Half of tol at denominator at most 10^18: the bisection width for tol.
+
+    A tol too small to survive that rounding (below about 5e-19) is refused
+    like a nonpositive one.
+    """
+    return _checked_width(_checked_width(tol).limit_denominator(10**18) / 2)
+
+
+def _refine(sf: list[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
+    """Bisect the interval iv, which holds exactly one simple root of sf, to given width."""
+    lo, hi, e = iv
+    fb = _sign_at(sf, hi, e)
     if fb == 0:
-        return b, b
-    fa = _eval_frac(sf, a)
+        return hi, hi, e
+    fa = _sign_at(sf, lo, e)
     while fa == 0:
-        # a itself is a root outside (a, b]; shrink until the endpoint sign shows
-        mid = (a + b) / 2
-        fm = _eval_frac(sf, mid)
+        # lo itself is a root outside (lo, hi]; shrink until its sign shows
+        mid, e = lo + hi, e + 1
+        fm = _sign_at(sf, mid, e)
         if fm == 0:
-            return mid, mid
-        if (fm > 0) != (fb > 0):
-            a, fa = mid, fm
+            return mid, mid, e
+        if fm != fb:
+            lo, hi, fa = mid, 2 * hi, fm
         else:
-            b, fb = mid, fm
-    while b - a > width:
-        mid = (a + b) / 2
-        fm = _eval_frac(sf, mid)
+            lo, hi, fb = 2 * lo, mid, fm
+    while (hi - lo) * width.denominator > width.numerator << e:
+        mid, e = lo + hi, e + 1
+        fm = _sign_at(sf, mid, e)
         if fm == 0:
-            return mid, mid
-        if (fa > 0) != (fm > 0):
-            b, fb = mid, fm
+            return mid, mid, e
+        if fa != fm:
+            lo, hi = 2 * lo, mid
         else:
-            a, fa = mid, fm
-    return a, b
+            lo, hi, fa = mid, 2 * hi, fm
+    return lo, hi, e
 
 
 def real_roots(p: IntPolynomial, tol: float = 1e-12) -> list[float]:
-    """All distinct real roots of p, ascending, each within tol."""
-    intervals = isolate_real_roots(p)
-    sf = _squarefree_part(p)
-    width = Fraction(tol).limit_denominator(10**18) / 2
+    """All distinct real roots of p, ascending, each within tol.
+
+    Raises ValueError when tol is not finite and positive.
+    """
+    return _real_roots(p, tol)[0]
+
+
+def _real_roots(p: IntPolynomial, tol: float) -> tuple[list[float], int]:
+    """``real_roots(p, tol)`` and the degree of p's square-free part, from one chain."""
+    width = _half_tol(tol)
+    chain, intervals = _isolate(p)
+    sf = chain[0]
     out = []
-    for a, b in intervals:
-        lo, hi = _refine(sf, a, b, width)
-        out.append(float((lo + hi) / 2))
-    return out
+    for iv in intervals:
+        lo, hi, e = _refine(sf, iv, width)
+        out.append(float(Fraction(lo + hi, 2 << e)))
+    return out, len(sf) - 1
 
 
 def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
     """Largest real root of p, within tol; raises ValueError when p has none.
 
     Only the top isolating interval is refined, by ``largest_real_root_interval``.
+    Raises ValueError when tol is not finite and positive.
     """
-    lo, hi = largest_real_root_interval(p, Fraction(tol).limit_denominator(10**18) / 2)
+    lo, hi = largest_real_root_interval(p, _half_tol(tol))
     return float((lo + hi) / 2)
 
 
 def largest_real_root_interval(
     p: IntPolynomial, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Exact rational interval of given width around the largest real root."""
-    return _refine(*_top_root(p), width)
+    """Exact rational interval of given width around the largest real root.
+
+    Raises ValueError when width is not finite and positive.
+    """
+    width = _checked_width(width)
+    chain, iv = _top_root(p)
+    return _fraction_pair(*_refine(chain[0], iv, width))
 
 
-def _top_root(p: IntPolynomial) -> tuple[list[Fraction], Fraction, Fraction]:
-    """Square-free part of p and the isolating interval (a, b] of its largest real root."""
-    intervals = isolate_real_roots(p)
+def _top_root(p: IntPolynomial) -> tuple[list[list[int]], tuple[int, int, int]]:
+    """Integer Sturm chain of p's square-free part and the interval of its largest real root."""
+    chain, intervals = _isolate(p)
     if not intervals:
         raise ValueError("polynomial has no real roots")
-    return (_squarefree_part(p), *intervals[-1])
+    return chain, intervals[-1]
 
 
 def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -353,13 +424,17 @@ def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     in both top isolating intervals; otherwise both intervals are halved by
     Sturm counts until they are disjoint.
     """
-    (sp, a1, b1), (sq, a2, b2) = _top_root(p), _top_root(q)
-    g = _sturm_chain(_poly_gcd(sp, sq))
-    if _sign_changes(g, max(a1, a2)) > _sign_changes(g, min(b1, b2)):
+    (cp, (lo1, hi1, e1)), (cq, (lo2, hi2, e2)) = _top_root(p), _top_root(q)
+    # both intervals at one exponent, which they keep since they halve in step
+    e = max(e1, e2)
+    lo1, hi1, lo2, hi2 = lo1 << e - e1, hi1 << e - e1, lo2 << e - e2, hi2 << e - e2
+    g = _sturm_chain(_poly_gcd(list(map(Fraction, cp[0])), list(map(Fraction, cq[0]))))
+    if _sign_changes(g, max(lo1, lo2), e) > _sign_changes(g, min(hi1, hi2), e):
         return 0
-    cp, cq = _sturm_chain(sp), _sturm_chain(sq)
-    while a2 < b1 and a1 < b2:  # the intervals still overlap
-        m1, m2 = (a1 + b1) / 2, (a2 + b2) / 2
-        a1, b1 = (a1, m1) if _sign_changes(cp, a1) > _sign_changes(cp, m1) else (m1, b1)
-        a2, b2 = (a2, m2) if _sign_changes(cq, a2) > _sign_changes(cq, m2) else (m2, b2)
-    return -1 if b1 <= a2 else 1
+    v1, v2 = _sign_changes(cp, lo1, e), _sign_changes(cq, lo2, e)
+    while lo2 < hi1 and lo1 < hi2:  # the intervals still overlap
+        m1, m2, e = lo1 + hi1, lo2 + hi2, e + 1
+        w1, w2 = _sign_changes(cp, m1, e), _sign_changes(cq, m2, e)
+        lo1, hi1, v1 = (2 * lo1, m1, v1) if v1 > w1 else (m1, 2 * hi1, w1)
+        lo2, hi2, v2 = (2 * lo2, m2, v2) if v2 > w2 else (m2, 2 * hi2, w2)
+    return -1 if hi1 <= lo2 else 1

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import SignedGraph
-from .polynomial import IntPolynomial, largest_real_root, real_roots, root_multiplicity_exact
+from .polynomial import IntPolynomial, _real_roots, largest_real_root, root_multiplicity_exact
 from .switching import switch
 
 __all__ = [
@@ -103,79 +103,125 @@ def rayleigh(M, y) -> float:
 
 
 # -- exact characteristic polynomials ----------------------------------------
+#
+# Faddeev-LeVerrier, M_1 = I, c_{n-k} = -tr(A M_k) / k, M_{k+1} = A M_k + c_{n-k} I,
+# kept as B_k = A M_k: B_1 = A and B_{k+1} = A B_k + c_{n-k} A.  The recurrence
+# runs modulo a few primes p just below 2^20 at once, one (primes, n, n)
+# float64 product per step.  Residues lie in [0, p], so every partial sum is
+# an integer below (n + 1) p^2 < 2^52 and float64 arithmetic (BLAS included)
+# is exact; p > n makes every k invertible mod p.  The coefficients are
+# rebuilt by CRT with symmetric residues.
+
+_PRIME_CEILING = 1 << 20
 
 
-def _charpoly_recurrence(rows_apply, n: int) -> IntPolynomial:
-    """Faddeev-LeVerrier over Python ints.
+@lru_cache(maxsize=None)
+def _primes(count: int) -> tuple[int, ...]:
+    """The ``count`` largest primes below 2^20, descending."""
+    out: list[int] = []
+    c = _PRIME_CEILING - 1
+    while len(out) < count:
+        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+            out.append(c)
+        c -= 2
+    return tuple(out)
 
-    rows_apply(M) must return the exact integer matrix A @ M for the fixed
-    matrix A.  Trace divisions in the recurrence are exact for integer
-    matrices; this is asserted.
+
+def _coefficient_bound(A: np.ndarray) -> int:
+    """Hadamard bound on every coefficient of det(xI - A).
+
+    c_{n-k} is a signed sum of the C(n, k) principal k x k minors, and each
+    minor is at most R^k in absolute value, where R^2 is the largest squared
+    row norm of A; this holds for any integer matrix.
     """
-    M = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        M[i, i] = 1
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    n = A.shape[0]
+    r2 = int((A * A).sum(axis=1).max())
+    R = math.isqrt(r2)
+    R += R * R < r2
+    return max(math.comb(n, k) * R**k for k in range(n + 1))
+
+
+def _mod(X: np.ndarray, P: np.ndarray, P_inv: np.ndarray) -> np.ndarray:
+    """X mod P in [0, P] for float integers 0 <= X < 2^52.
+
+    X * (1/P) is within X * 2^-52 / P < 1 / P of X / P, so its floor is the
+    true quotient, or one less when P divides X (the result is then P, a
+    valid residue).  np.fmod gives [0, P) but is many times slower.
+    """
+    return X - np.floor(X * P_inv) * P
+
+
+def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
+    """det(xI - A) for a square int64 or Python-int object array A.
+
+    Enough primes for the Hadamard bound, plus one spare prime whose
+    residues must agree with the CRT reconstruction.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return IntPolynomial([1])
+    if (n + 1) * (_PRIME_CEILING - 1) ** 2 >= 1 << 52:
+        raise ValueError(f"order {n} is too large for exact float64 products modulo primes below 2^20")
+    need = 2 * _coefficient_bound(A)  # symmetric residues need a modulus above it
+    primes = _primes(need.bit_length() // 19 + 2)
+    if primes[-1] < 1 << 19:  # the count assumes primes above 2^19, hence above n
+        raise ValueError("matrix entries too large for the primes between 2^19 and 2^20")
+    modulus, used = 1, 0
+    while modulus <= need:
+        modulus *= primes[used]
+        used += 1
+    primes = primes[: used + 1]
+
+    P = np.array(primes, dtype=float)
+    P_inv = 1.0 / P
+    P3, P3_inv = P[:, None, None], P_inv[:, None, None]
+    inverses = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=float)
+    Ap = (A % np.array(primes, dtype=A.dtype)[:, None, None]).astype(float)
+    B = Ap
+    residues = np.zeros((len(primes), n + 1))
+    residues[:, n] = 1
     for k in range(1, n + 1):
-        AM = rows_apply(M)
-        tr = 0
-        for i in range(n):
-            tr += AM[i, i]
-        c, r = divmod(-tr, k)
-        if r != 0:
-            raise AssertionError("non-integral trace step in exact recurrence")
-        coeffs[n - k] = c
-        M = AM
-        for i in range(n):
-            M[i, i] += c
+        # tr(B_k) <= n p, so n p - tr(B_k) is a nonnegative residue of -tr(B_k)
+        c = _mod((n * P - B.trace(axis1=1, axis2=2)) * inverses[k - 1], P, P_inv)
+        residues[:, n - k] = c
+        if k < n:
+            B = _mod(Ap @ B + c[:, None, None] * Ap, P3, P3_inv)
+
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes[:-1]]
+    coeffs = []
+    for *rs, spare in residues.astype(np.int64).T.tolist():
+        x = sum(w * r for w, r in zip(weights, rs)) % modulus
+        if x > modulus // 2:
+            x -= modulus
+        if (x - spare) % primes[-1]:
+            raise ArithmeticError("multimodular char poly disagrees with its check prime")
+        coeffs.append(x)
     return IntPolynomial(coeffs)
 
 
 def char_poly_exact(g: SignedGraph) -> IntPolynomial:
     """Exact monic characteristic polynomial det(xI - A(g)).
 
-    Adjacency entries are in {-1, 0, +1}, so each step of the recurrence is
-    a signed sum of matrix rows; no big-integer multiplications occur.
+    Faddeev-LeVerrier modulo a few primes below 2^20 in float64, rebuilt by
+    CRT (see ``char_poly_of_int_matrix``, which shares the kernel).
     """
-    n = g.n
-    A = g.adjacency_matrix()
-    pos = [np.flatnonzero(A[i] == 1) for i in range(n)]
-    neg = [np.flatnonzero(A[i] == -1) for i in range(n)]
-    zero_row = np.zeros(n, dtype=object)
-
-    def apply(M: np.ndarray) -> np.ndarray:
-        AM = np.empty((n, n), dtype=object)
-        for i in range(n):
-            p, q = pos[i], neg[i]
-            if len(p):
-                row = M[p].sum(axis=0)
-                if len(q):
-                    row = row - M[q].sum(axis=0)
-            elif len(q):
-                row = -M[q].sum(axis=0)
-            else:
-                row = zero_row
-            AM[i] = row
-        return AM
-
-    return _charpoly_recurrence(apply, n)
+    return _char_poly_multimodular(g.adjacency_matrix())
 
 
 def char_poly_of_int_matrix(M) -> IntPolynomial:
-    """Exact char poly of a (possibly non-symmetric) integer matrix."""
+    """Exact char poly det(xI - M) of a (possibly non-symmetric) integer matrix.
+
+    Entries may be arbitrary-size integers; the number of primes grows with
+    the Hadamard bound on the coefficients.
+    """
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.equal(np.asarray(A, dtype=float), np.round(np.asarray(A, dtype=float))).all():
         raise ValueError("matrix entries must be integers")
-    n = A.shape[0]
-    Aobj = np.array([[int(A[i, j]) for j in range(n)] for i in range(n)], dtype=object)
-
-    def apply(Mk: np.ndarray) -> np.ndarray:
-        return Aobj @ Mk
-
-    return _charpoly_recurrence(apply, n)
+    rows = np.empty(A.shape, dtype=object)
+    rows[...] = [[int(x) for x in row] for row in A.tolist()]
+    return _char_poly_multimodular(rows)
 
 
 # -- leading-eigenvector sign normalization -----------------------------------
@@ -280,13 +326,13 @@ def check_quotient_containment(M, Q, tol: float = 1e-8) -> bool:
     Q is in general not symmetric, so its eigenvalues come from exact real
     roots of its integer characteristic polynomial; an equitable quotient
     of a symmetric matrix is similar to a symmetric matrix, hence all of
-    its eigenvalues are real (this is asserted).
+    its eigenvalues are real (this is checked).  Raises ValueError when tol
+    is not finite and positive.
     """
-    from .polynomial import _squarefree_part  # internal helper
-
-    p = char_poly_of_int_matrix(Q)
-    roots = real_roots(p, tol=min(tol, 1e-12))
-    if len(roots) != len(_squarefree_part(p)) - 1:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    roots, distinct = _real_roots(char_poly_of_int_matrix(Q), min(tol, 1e-12))
+    if len(roots) != distinct:
         raise ValueError("quotient matrix has non-real eigenvalues")
     ev = eigenvalues_sym(M).eigenvalues
     return all(float(np.min(np.abs(ev - r))) <= tol for r in roots)

@@ -7,7 +7,9 @@ signings (the library counts classes via cotree patterns), and the census
 worker (GF(2) kernel of the 4-cycle rows) is checked against a per-class
 filter.  The eigensolver (LAPACK eigh) is checked in test_spectra against
 exact roots of integer characteristic polynomials, not against a second
-float solver.  Switching isomorphism is checked against every relabeling,
+float solver.  Exact characteristic polynomials (multimodular
+Faddeev-LeVerrier) are checked against determinants by fraction-free
+elimination.  Switching isomorphism is checked against every relabeling,
 not against the library's canonical labeller.
 """
 
@@ -226,3 +228,31 @@ def brute_census_one_graph(n: int, edges):
         if lam >= best - FLOAT_MARGIN:
             keep.append((lam, bits))
     return len(classes), eligible, best, keep
+
+
+def brute_det(rows) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def brute_char_poly_values(rows) -> list[int]:
+    """det(kI - A) for k = 0..n: n + 1 values that fix a monic degree-n polynomial."""
+    n = len(rows)
+    return [
+        brute_det([[(k if i == j else 0) - int(rows[i][j]) for j in range(n)] for i in range(n)])
+        for k in range(n + 1)
+    ]

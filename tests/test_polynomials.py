@@ -1,6 +1,9 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,7 @@ from signedspectra.polynomial import (
     real_roots,
     root_multiplicity_exact,
 )
+from signedspectra.spectra import check_quotient_containment
 
 
 def poly(*descending):
@@ -182,3 +186,124 @@ def test_compare_matches_max_of_rational_roots(fp, fq, with_complex):
     top_q = max(Fraction(a, b) for a, b in fq)
     want = (top_p > top_q) - (top_p < top_q)
     assert compare_largest_real_roots(p, q) == want
+
+
+@contextmanager
+def fails_after(seconds: int):
+    """Turn a hang into a failure: SIGALRM raises TimeoutError in the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -1e-9, math.nan, math.inf, -math.inf, 1e-20])
+def test_root_refinement_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # bisection to a width <= 0 never ends; 1e-20 rounds to 0 at denominator 10^18
+    p = poly(1, 0, -2)
+    with fails_after(10):
+        with pytest.raises(ValueError):
+            real_roots(p, tol=tol)
+        with pytest.raises(ValueError):
+            largest_real_root(p, tol=tol)
+
+
+@pytest.mark.parametrize("width", [0, Fraction(0), Fraction(-1, 10**9), -1e-9, math.nan, math.inf])
+def test_root_interval_refuses_a_width_that_is_not_finite_and_positive(width):
+    with fails_after(10), pytest.raises(ValueError):
+        largest_real_root_interval(poly(1, 0, -2), width)
+
+
+@pytest.mark.parametrize("tol", [0, -1e-9, math.nan, math.inf])
+def test_quotient_containment_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    M = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    with fails_after(10), pytest.raises(ValueError):
+        check_quotient_containment(M, np.array([[2]]), tol=tol)
+
+
+def exceeds_sqrt2(x: Fraction) -> bool:
+    return x > 0 and x * x > 2
+
+
+def test_isolation_with_negative_leading_coefficient_and_non_monic_factors():
+    # -(3x - 1)(x + 2)(x^2 - 2): roots -2, -sqrt 2, 1/3, sqrt 2
+    p = -(poly(3, -1) * poly(1, 2) * poly(1, 0, -2))
+    assert p.coeffs[-1] == -3
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = isolate_real_roots(p)
+    assert a1 < -2 <= b1 <= a2 and a3 < Fraction(1, 3) <= b3 <= a4
+    assert exceeds_sqrt2(-a2) and not exceeds_sqrt2(-b2) and b2 <= a3  # a2 < -sqrt 2 <= b2
+    assert not exceeds_sqrt2(a4) and exceeds_sqrt2(b4)  # a4 < sqrt 2 <= b4
+    assert real_roots(p) == [
+        pytest.approx(-2.0, abs=1e-12),
+        pytest.approx(-math.sqrt(2), abs=1e-12),
+        pytest.approx(1 / 3, abs=1e-12),
+        pytest.approx(math.sqrt(2), abs=1e-12),
+    ]
+    width = Fraction(1, 10**15)
+    lo, hi = largest_real_root_interval(p, width)
+    assert not exceeds_sqrt2(lo) and exceeds_sqrt2(hi) and hi - lo <= width
+
+
+@pytest.mark.parametrize(
+    "p, root",
+    [
+        (poly(1, 0), Fraction(0)),  # B = 2: the first midpoint
+        (poly(1, -2), Fraction(2)),  # B = 4: B / 2
+        (poly(1, 2), Fraction(-2)),  # B = 4: -B / 2
+        (poly(8, -3), Fraction(3, 8)),  # B = 3: the midpoints 0, 3/2, 3/4, 3/8
+    ],
+)
+def test_roots_on_bisection_midpoints_are_hit_exactly(p, root):
+    from signedspectra.polynomial import _root_bound
+
+    assert root * 2 ** 3 % _root_bound(p) == 0  # a dyadic fraction of the bound
+    ((a, b),) = isolate_real_roots(p)
+    assert a < root <= b
+    assert largest_real_root_interval(p, Fraction(1, 10**15)) == (root, root)
+    assert real_roots(p) == [float(root)]
+
+
+def test_a_root_on_the_lower_end_of_an_isolating_interval():
+    # x(x - 1): (-3, 3] splits at its midpoint 0, a root, so (0, 3] starts at a
+    # root of the square-free part and refinement first moves that end
+    p = poly(1, 0) * poly(1, -1)
+    assert isolate_real_roots(p) == [(-3, 0), (0, 3)]
+    lo, hi = largest_real_root_interval(p, Fraction(1, 10**15))
+    assert lo <= 1 <= hi and hi - lo <= Fraction(1, 10**15)
+    assert real_roots(p) == [0.0, pytest.approx(1.0, abs=1e-12)]
+
+
+signed_linear_factors = st.lists(
+    st.tuples(st.integers(-12, 12), st.integers(-6, 6).filter(bool)), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signed_linear_factors,
+    st.booleans(),
+    st.sampled_from([Fraction(1, 10**15), Fraction(1, 3), Fraction(2)]),
+)
+def test_isolation_and_top_bracket_of_rational_roots(factors, with_complex, width):
+    # (b x - a) with b of either sign has the root a / b
+    p = IntPolynomial([1])
+    for a, b in factors:
+        p = p * IntPolynomial([-a, b])
+    if with_complex:
+        p = p * poly(1, 1, 1)
+    roots = sorted({Fraction(a, b) for a, b in factors})
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == len(roots)
+    for (a, b), r in zip(intervals, roots):
+        assert a < r <= b
+    for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
+        assert b1 <= a2
+    lo, hi = largest_real_root_interval(p, width)
+    assert lo <= roots[-1] <= hi and hi - lo <= width

@@ -29,7 +29,7 @@ from signedspectra.spectra import (
 )
 from signedspectra.switching import switching_equivalent
 
-from conftest import random_signed_graph
+from conftest import brute_char_poly_values, random_signed_graph
 
 # largest root of x^3 - x^2 - 7x + 1, frozen from 200-step rational bisection
 INDEX_EXTREMAL_6 = 3.132637493579839
@@ -106,6 +106,47 @@ def test_char_poly_exact_matches_general_matrix_path():
     for _ in range(30):
         g = random_signed_graph(rng, rng.randint(0, 8))
         assert char_poly_exact(g) == char_poly_of_int_matrix(g.adjacency_matrix())
+
+
+def _assert_matches_det_oracle(p, rows):
+    n = len(rows)
+    assert p.degree == n and p.is_monic
+    assert [p(k) for k in range(n + 1)] == brute_char_poly_values(rows)
+
+
+def test_char_poly_exact_matches_determinant_oracle():
+    rng = random.Random(47)
+    for n in range(10):
+        for _ in range(4):
+            g = random_signed_graph(rng, n, edge_prob=rng.random())
+            _assert_matches_det_oracle(char_poly_exact(g), g.adjacency_matrix().tolist())
+
+
+def test_char_poly_of_int_matrix_matches_determinant_oracle_on_large_entries():
+    # entries up to 10^6 (and one of 10^30) need more primes than a graph does
+    rng = random.Random(48)
+    for n in range(1, 9):
+        for _ in range(3):
+            rows = [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)]
+            _assert_matches_det_oracle(char_poly_of_int_matrix(rows), rows)
+    rows = [[10**30, -3, 7], [2, -(10**29), 0], [5, 1, 11]]
+    _assert_matches_det_oracle(char_poly_of_int_matrix(rows), rows)
+
+
+def test_char_poly_edge_cases():
+    assert char_poly_exact(SignedGraph(0, {})) == IntPolynomial([1])
+    assert char_poly_of_int_matrix(np.zeros((0, 0), dtype=int)) == IntPolynomial([1])
+    assert char_poly_of_int_matrix([[5]]) == IntPolynomial([-5, 1])
+    assert char_poly_exact(SignedGraph(1, {})) == IntPolynomial([0, 1])
+
+
+def test_char_poly_refuses_orders_past_exact_float_products():
+    # at n = 4096, (n + 1) p^2 reaches 2^52 for primes near 2^20; the order is
+    # refused before any entry is read, so a broadcast view costs no memory
+    from signedspectra.spectra import _char_poly_multimodular
+
+    with pytest.raises(ValueError, match="too large"):
+        _char_poly_multimodular(np.broadcast_to(np.int64(0), (4096, 4096)))
 
 
 def test_char_poly_monic_zero_trace():
