@@ -17,7 +17,7 @@ walked with twin pruning: a node individualizes one vertex per twin class
 of its target cell, the first-level automorphism pruning of McKay and
 Piperno ("Practical graph isomorphism, II", 2014) restricted to twin
 transpositions.  K_n then has one leaf instead of n!.  Switching
-isomorphism keeps the unpruned walk, since it needs every isomorphism.
+isomorphism walks the same tree, pruned by signed twins.
 
 For a fixed underlying graph, switching classes are indexed by pinning the
 canonical BFS spanning forest to all-positive: a class is then a sign
@@ -53,7 +53,7 @@ from .core import SignedGraph
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import _bfs_forest, _bitsets, _refine, _relabelled, switching_isomorphic
+from .switching import _bfs_forest, _bitsets, _leaves, _twin_classes, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -69,8 +69,9 @@ __all__ = [
 ]
 
 MAX_BUILTIN_ORDER = 8
-# checkpoint layout; records carry (lam, pattern) pairs since format 2
-CHECKPOINT_FORMAT = 2
+# checkpoint layout; records carry (lam, pattern) pairs since format 2 and
+# are strict JSON (best is null, not -Infinity, when nothing is kept) since 3
+CHECKPOINT_FORMAT = 3
 FLOAT_MARGIN = 1e-9  # exact-maximum candidates: far above LAPACK's ~n^2 eps error on +-1 matrices
 _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 
@@ -78,60 +79,10 @@ _UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
 # -- canonical forms -----------------------------------------------------------
 
 
-def _twin_classes(adj: list[int]) -> list[list[int]]:
-    """Twin classes of the graph with neighbour bitsets ``adj``, in vertex order.
-
-    u and v are twins iff N(u) minus v equals N(v) minus u: true twins
-    (adjacent, equal closed neighbourhoods) or false twins (equal open
-    neighbourhoods).  The transposition (u v) is then an automorphism.  No
-    vertex has twins of both kinds, so twinship is an equivalence and each
-    vertex is compared with the first member of every class so far.
-    """
-    classes: list[list[int]] = []
-    for v, row in enumerate(adj):
-        for cls in classes:
-            u = cls[0]
-            if adj[u] & ~(1 << v) == row & ~(1 << u):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
-
-
-def _pruned_leaf_keys(n: int, edges: frozenset[tuple[int, int]]):
-    """Leaf keys of the labeller's search tree, pruned by twins.
-
-    The tree is that of :func:`switching._labelings`, but a node
-    individualizes only the first vertex of each twin class in its target
-    cell.  Twins u, v in that cell are both unindividualized, so (u v) fixes
-    the node and maps one child's subtree onto the other's, leaf keys
-    included: the set of keys, and so its minimum, is unchanged.
-    """
-    adj = _bitsets(n, edges)
-    twin = [0] * n
-    for c, cls in enumerate(_twin_classes(adj)):
-        for v in cls:
-            twin[v] = c
-    unit = [list(range(n))] if n else []
-    stack = [_refine(adj, unit, unit)]
-    while stack:
-        cells = stack.pop()
-        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if i is None:
-            yield _relabelled([cell[0] for cell in cells], edges)
-            continue
-        first: dict[int, int] = {}
-        for v in cells[i]:
-            first.setdefault(twin[v], v)
-        for v in first.values():
-            rest = [w for w in cells[i] if w != v]
-            stack.append(_refine(adj, cells[:i] + [[v], rest] + cells[i + 1 :], [[v]]))
-
-
 def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Minimum relabeled edge list over the leaves of the labeller's search tree."""
-    return min(_pruned_leaf_keys(n, edges))
+    """Minimum relabeled edge list over the twin-pruned leaves of the labeller's tree."""
+    adj = _bitsets(n, edges)
+    return min(key for _, key in _leaves(adj, edges, _twin_classes(adj)))
 
 
 def enumerate_underlying(n: int) -> list[SignedGraph]:
@@ -366,10 +317,10 @@ def verify_max_index(
     file whose header differs raises ValueError.  Each further line
     records one finished task ``{i, classes, eligible, best, keep}``, with
     ``keep`` a list of ``[lam, pattern]`` pairs, taken instead of
-    recomputed; other keys, i outside ``range(tasks)``, a repeated i or
-    values that do not fit task i (see :func:`_valid_record`) raise
-    ValueError.  A final record torn by a crash is dropped and its task
-    recomputed.
+    recomputed; ``best`` is null when ``keep`` is empty.  Other keys, i
+    outside ``range(tasks)``, a repeated i or values that do not fit task i
+    (see :func:`_valid_record`) raise ValueError.  A final record torn by a
+    crash is dropped and its task recomputed.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
@@ -494,10 +445,10 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
         if type(i) is not int or not 0 <= i < header["tasks"] or i in done:
             bad = f"not a new task {{i, classes, eligible, best, keep}}, 0 <= i < {header['tasks']}"
             raise ValueError(f"checkpoint {path} line {lineno}: {bad}: {rec}")
-        res = (rec["classes"], rec["eligible"], rec["best"], rec["keep"])
-        if not _valid_record(header["census_n"], tasks[i], *res):
+        classes, eligible, best, keep = rec["classes"], rec["eligible"], rec["best"], rec["keep"]
+        if not _valid_record(header["census_n"], tasks[i], classes, eligible, best, keep):
             raise ValueError(f"checkpoint {path} line {lineno}: values do not fit task {i}: {rec}")
-        done[i] = res
+        done[i] = (classes, eligible, -math.inf if best is None else best, keep)
     if len(complete) < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(len(complete))
@@ -510,13 +461,13 @@ def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:
     ``classes`` is 2^|cotree| of the task, ``eligible + 1`` a power of two
     no larger, ``keep`` a list of ``[lam, pattern]`` with a float lam and
     ``0 < pattern < classes``, and ``best`` the float maximum of the kept
-    lam (-inf when ``keep`` is empty).
+    lam (None when ``keep`` is empty).
     """
     if type(classes) is not int or classes != 1 << len(_cotree(n, edges)):
         return False
     if type(eligible) is not int or eligible < 0 or eligible & (eligible + 1) or eligible >= classes:
         return False
-    if type(best) is not float or type(keep) is not list:
+    if type(keep) is not list:
         return False
     for entry in keep:
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -524,19 +475,18 @@ def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:
         lam, pattern = entry
         if type(lam) is not float or type(pattern) is not int or not 0 < pattern < classes:
             return False
-    return best == max((lam for lam, _ in keep), default=-math.inf)
+    if not keep:
+        return best is None
+    return type(best) is float and best == max(lam for lam, _ in keep)
 
 
 def _record(fh, i: int, res: tuple) -> None:
     if fh is None:
         return
     classes, eligible, best, keep = res
-    fh.write(
-        json.dumps(
-            {"i": i, "classes": classes, "eligible": eligible, "best": best, "keep": keep}
-        )
-        + "\n"
-    )
+    best = best if keep else None
+    record = {"i": i, "classes": classes, "eligible": eligible, "best": best, "keep": keep}
+    fh.write(json.dumps(record, allow_nan=False) + "\n")
     fh.flush()
 
 

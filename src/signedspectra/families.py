@@ -132,7 +132,14 @@ def near_extremal_quotient_matrix(n: int) -> np.ndarray:
     )
 
 
-FAMILY_TAGS = ("extremal", "near-extremal", "kn+", "kn-")
+# tag -> (graph constructor, minimum order), in the order the tags are listed
+_FAMILIES = {
+    "extremal": (extremal_graph, 5),
+    "near-extremal": (near_extremal_graph, 5),
+    "kn+": (lambda n: complete_signed(n, 1), 1),
+    "kn-": (lambda n: complete_signed(n, -1), 1),
+}
+FAMILY_TAGS = tuple(_FAMILIES)
 # alternate labels commonly used for the two extremal families
 FAMILY_ALIASES = {"gamma1": "extremal", "gamma2": "near-extremal"}
 
@@ -145,17 +152,11 @@ class FamilySpec:
     n: int
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
+        if self.tag not in _FAMILIES:
             raise ValueError(f"unknown family {self.tag!r}, expected one of {FAMILY_TAGS}")
-        minimum = 5 if self.tag in ("extremal", "near-extremal") else 1
+        minimum = _FAMILIES[self.tag][1]
         if self.n < minimum:
             raise ValueError(f"family {self.tag!r} requires n >= {minimum}, got {self.n}")
 
     def build(self) -> SignedGraph:
-        if self.tag == "extremal":
-            return extremal_graph(self.n)
-        if self.tag == "near-extremal":
-            return near_extremal_graph(self.n)
-        if self.tag == "kn+":
-            return complete_signed(self.n, 1)
-        return complete_signed(self.n, -1)
+        return _FAMILIES[self.tag][0](self.n)

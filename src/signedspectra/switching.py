@@ -222,21 +222,52 @@ def _relabelled(order: list[int], edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges))
 
 
-def _labelings(n: int, edges: frozenset[tuple[int, int]]):
-    """Leaves of the refine-and-individualize search tree of a simple graph.
+def _twin_classes(adj: list[int], neg: list[int] | None = None) -> list[list[int]]:
+    """Signed twin classes of the graph with neighbour bitsets ``adj``, in vertex order.
+
+    ``neg[v]`` is the bitset of v's negative neighbours (default: none).
+    u and v are twins iff N(u) minus v equals N(v) minus u (true or false
+    twins) and sigma(uw) * sigma(vw) is the same for every common neighbour
+    w.  Then (u v), followed by switching at {u, v} when that product is
+    -1, is a switching automorphism.  The relation is an equivalence, so
+    each vertex is compared with the first member of every class so far.
+    """
+    classes: list[list[int]] = []
+    for v, row in enumerate(adj):
+        for cls in classes:
+            u = cls[0]
+            common = adj[u] & ~(1 << v)
+            if common == row & ~(1 << u) and (
+                neg is None or ((neg[u] ^ neg[v]) & common) in (0, common)
+            ):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _leaves(adj: list[int], edges, classes: list[list[int]]):
+    """Leaves of the labeller's search tree, pruned by ``classes``.
 
     The root refines the unit partition; a node's children individualize
-    each vertex of its first non-singleton cell in turn and refine again
-    (McKay and Piperno, "Practical graph isomorphism, II", 2014), each only
-    when the search reaches it.  Yields ``(order, key)`` per leaf: vertex
-    ``order[k]`` goes to position k, and ``key`` is the sorted relabelled
-    edge list.  The tree ignores labels, so the set of keys is invariant.
+    the first vertex of each class in its first non-singleton cell and
+    refine again (McKay and Piperno, "Practical graph isomorphism, II",
+    2014), each only when the search reaches it, in cell order.  Yields
+    ``(order, key)`` per leaf: vertex ``order[k]`` goes to position k, and
+    ``key`` is the sorted relabelled ``edges``.  The tree ignores labels.
 
-    This is the unpruned walk, kept for :func:`switching_isomorphic`, which
-    must see every underlying isomorphism; canonical forms alone take the
-    twin-pruned walk in :mod:`signedspectra.enumeration`.
+    With singleton classes this is the whole tree.  With twin classes, two
+    members u, v of a target cell are both unindividualized, so (u v) fixes
+    the node and maps one child's subtree onto the other's: the set of keys
+    is unchanged, and every leaf is a kept leaf composed with transpositions
+    of twins.
     """
-    adj = _bitsets(n, edges)
+    n = len(adj)
+    member = [0] * n
+    for c, cls in enumerate(classes):
+        for v in cls:
+            member[v] = c
     unit = [list(range(n))] if n else []
     cells = _refine(adj, unit, unit)
     stack: list[tuple[list[list[int]], int, int]] = []
@@ -246,8 +277,11 @@ def _labelings(n: int, edges: frozenset[tuple[int, int]]):
             yield order, _relabelled(order, edges)
         else:
             i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-            # reversed, so children are searched in cell order
-            stack.extend((cells, i, v) for v in reversed(cells[i]))
+            first: dict[int, int] = {}
+            for v in cells[i]:
+                first.setdefault(member[v], v)
+            for v in reversed(first.values()):  # so children are searched in cell order
+                stack.append((cells, i, v))
         if not stack:
             return
         parent, i, v = stack.pop()
@@ -275,13 +309,18 @@ def switching_isomorphic(
     per-vertex (degree, (A^3)_vv) pairs, so graphs that differ in either
     are answered at once.  Otherwise each leaf lam of a whose relabelled
     edge list equals that of b's first leaf mu gives an underlying
-    isomorphism pi[lam[k]] = mu[k]; as the search tree ignores labels,
-    these are all of them, so the answer is exact.  pi works iff the
-    product signing tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's
-    edges is balanced (Zaslavsky, "Signed graphs", 1982): tau is propagated
-    along a's BFS forest and checked on every cotree edge.  Cost grows with
-    the automorphisms of the underlying graph.  Returns (found, pi) where
-    pi maps vertices of a to vertices of b.
+    isomorphism pi[lam[k]] = mu[k].  pi works iff the product signing
+    tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's edges is balanced
+    (Zaslavsky, "Signed graphs", 1982): tau is propagated along a's BFS
+    forest and checked on every cotree edge.
+
+    As the tree ignores labels, its unpruned leaves give every isomorphism.
+    a's tree is pruned by its signed twin classes.  Every unpruned leaf is
+    a kept leaf composed with signed-twin transpositions, each a switching
+    automorphism of a, so a kept leaf's pi works iff each of its images
+    does and the answer stays exact.  Cost grows with the automorphisms of
+    the underlying graph that signed-twin transpositions do not generate.
+    Returns (found, pi) where pi maps vertices of a to vertices of b.
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
@@ -289,15 +328,21 @@ def switching_isomorphic(
         return False, None
     if _vertex_invariants(a) != _vertex_invariants(b):
         return False, None
-    mu, target = next(_labelings(b.n, b.edge_set()))
+    # the first leaf does not depend on the classes; one class keeps only the first child
+    b_edges = b.edge_set()
+    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))]))
     sign_b = {}
     for u, v, s in b.edges():
         sign_b[u, v] = sign_b[v, u] = s
     parent, order, forest = _bfs_forest(a)
     tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
     forest_set = set(forest)
-    cotree = [(u, v, s) for u, v, s in a.edges() if (u, v) not in forest_set]
-    for lam, key in _labelings(a.n, a.edge_set()):
+    signed = a.edges()
+    cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
+    a_edges = a.edge_set()
+    adj = _bitsets(a.n, a_edges)
+    neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
+    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg)):
         if key != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))

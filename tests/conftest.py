@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
@@ -256,3 +256,28 @@ def brute_char_poly_values(rows) -> list[int]:
         brute_det([[(k if i == j else 0) - int(rows[i][j]) for j in range(n)] for i in range(n)])
         for k in range(n + 1)
     ]
+
+
+def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:
+    """Complete multipartite, threshold and K_n-minus-matching graphs and their complements."""
+    parts, start = [], 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        parts.append(range(start, start + size))
+        start += size
+    part = {v: i for i, p in enumerate(parts) for v in p}
+    multipartite = {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
+    threshold = set()
+    for v in range(1, n):
+        if rng.random() < 0.5:  # v dominates all earlier vertices, else it stays isolated
+            threshold |= {(u, v) for u in range(v)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    matching = {tuple(sorted(perm[2 * i : 2 * i + 2])) for i in range(rng.randint(1, n // 2))}
+    minus_matching = set(combinations(range(n), 2)) - matching
+    out = []
+    for edges in (multipartite, threshold, minus_matching):
+        for e in (edges, set(combinations(range(n), 2)) - edges):
+            g = SignedGraph(n, {pair: 1 for pair in e}).relabel(perm)
+            out.append(g.edge_set())
+    return out

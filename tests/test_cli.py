@@ -209,6 +209,25 @@ def reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+def test_verify_checkpoint_is_strict_json(tmp_path, capsys):
+    # graphs with no eligible class record best as null, not -Infinity
+    ck = tmp_path / "census6.jsonl"
+    code, first, _ = run(capsys, "verify", "--n", "6", "--checkpoint", str(ck))
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    records = [json.loads(line, parse_constant=reject_constant) for line in lines]
+    assert len(records) == 1 + 156
+    assert any(r["best"] is None and r["keep"] == [] for r in records[1:])
+    assert all(r["best"] is not None for r in records[1:] if r["keep"])
+    code, resumed, _ = run(capsys, "verify", "--n", "6", "--checkpoint", str(ck))
+    assert code == 0
+    first, resumed = json.loads(first), json.loads(resumed)
+    first.pop("seconds")
+    resumed.pop("seconds")
+    assert first == resumed
+    assert ck.read_text().splitlines() == lines
+
+
 def json_commands(tmp_path):
     g = tmp_path / "g.sg"
     extremal_graph(6).save(g)

@@ -22,7 +22,7 @@ from signedspectra.families import extremal_graph
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import is_balanced, switching_equivalent, switching_isomorphic
 
-from conftest import brute_census_one_graph, brute_switching_orbit_count
+from conftest import brute_census_one_graph, brute_switching_orbit_count, twin_rich_graphs
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
@@ -129,44 +129,22 @@ def test_canonical_keys_match_the_graph_atlas():
         assert set(keys) == {tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)}
 
 
-def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:
-    """Complete multipartite, threshold and K_n-minus-matching graphs and their complements."""
-    parts, start = [], 0
-    while start < n:
-        size = rng.randint(1, n - start)
-        parts.append(range(start, start + size))
-        start += size
-    part = {v: i for i, p in enumerate(parts) for v in p}
-    multipartite = {(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]}
-    threshold = set()
-    for v in range(1, n):
-        if rng.random() < 0.5:  # v dominates all earlier vertices, else it stays isolated
-            threshold |= {(u, v) for u in range(v)}
-    perm = list(range(n))
-    rng.shuffle(perm)
-    matching = {tuple(sorted(perm[2 * i : 2 * i + 2])) for i in range(rng.randint(1, n // 2))}
-    minus_matching = set(combinations(range(n), 2)) - matching
-    out = []
-    for edges in (multipartite, threshold, minus_matching):
-        for e in (edges, set(combinations(range(n), 2)) - edges):
-            g = SignedGraph(n, {pair: 1 for pair in e}).relabel(perm)
-            out.append(g.edge_set())
-    return out
-
-
 def test_twin_pruned_walk_matches_the_unpruned_oracle():
     # the pruned walk's minimum key equals the unpruned walk's on every graph
     from itertools import islice
 
-    from signedspectra.enumeration import _canonical_edges, _twin_classes
-    from signedspectra.switching import _bitsets, _labelings
+    from signedspectra.enumeration import _canonical_edges
+    from signedspectra.switching import _bitsets, _leaves, _twin_classes
+
+    def unpruned_keys(n, edges):
+        return (key for _, key in _leaves(_bitsets(n, edges), edges, [[v] for v in range(n)]))
 
     cases = [
         (G.number_of_nodes(), frozenset((min(e), max(e)) for e in G.edges()))
         for G in nx.graph_atlas_g()
         if G.number_of_nodes() <= 7
     ]
-    keys = [[key for _, key in _labelings(n, edges)] for n, edges in cases]
+    keys = [list(unpruned_keys(n, edges)) for n, edges in cases]
     atlas = len(cases)
     rng = random.Random(65)
     while len(cases) < atlas + 200:
@@ -175,7 +153,7 @@ def test_twin_pruned_walk_matches_the_unpruned_oracle():
             # the oracle walks at least |Aut| >= prod |class|! leaves; bound its cost
             if math.prod(math.factorial(len(c)) for c in _twin_classes(_bitsets(n, edges))) > 1000:
                 continue
-            leaves = [key for _, key in islice(_labelings(n, edges), 1001)]
+            leaves = list(islice(unpruned_keys(n, edges), 1001))
             if len(leaves) <= 1000:
                 cases.append((n, edges))
                 keys.append(leaves)
@@ -197,10 +175,12 @@ def test_twin_pruned_walk_has_one_leaf_on_complete_graphs(n):
     # a count, not a timing: the unpruned walk has n! leaves
     from itertools import islice
 
-    from signedspectra.enumeration import _pruned_leaf_keys
+    from signedspectra.switching import _bitsets, _leaves, _twin_classes
 
     edges = frozenset(combinations(range(n), 2))
-    assert list(islice(_pruned_leaf_keys(n, edges), 2)) == [tuple(sorted(edges))]
+    adj = _bitsets(n, edges)
+    leaves = [key for _, key in islice(_leaves(adj, edges, _twin_classes(adj)), 2)]
+    assert leaves == [tuple(sorted(edges))]
 
 
 def test_catalog_hashes_are_pinned():
@@ -403,7 +383,21 @@ def test_verify_census_checkpoint_fingerprint(tmp_path):
         verify_max_index(5, checkpoint=str(old))
 
 
-GOOD_RECORD = {"i": 0, "classes": 1, "eligible": 0, "best": -math.inf, "keep": []}
+def test_verify_census_checkpoint_format_2_refused(tmp_path):
+    # format 2 wrote -Infinity for an empty keep; its header no longer matches
+    ck = tmp_path / "census5.jsonl"
+    verify_max_index(5, checkpoint=str(ck))
+    header = json.loads(ck.read_text().splitlines()[0])
+    assert header["format"] == 3
+    record = {"i": 0, "classes": 1, "eligible": 0, "best": -math.inf, "keep": []}
+    ck.write_text(json.dumps(dict(header, format=2)) + "\n" + json.dumps(record) + "\n")
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="belongs to a different census"):
+        verify_max_index(5, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+
+
+GOOD_RECORD = {"i": 0, "classes": 1, "eligible": 0, "best": None, "keep": []}
 BAD_RECORDS = {
     "missing-i": [{k: v for k, v in GOOD_RECORD.items() if k != "i"}],
     "i-out-of-range": [dict(GOOD_RECORD, i=34)],
@@ -417,6 +411,7 @@ BAD_RECORDS = {
     "eligible-plus-one-not-a-power-of-two": [dict(GOOD_RECORD, i=33, classes=64, eligible=2)],
     "eligible-not-below-classes": [dict(GOOD_RECORD, eligible=1)],
     "best-not-a-float": [dict(GOOD_RECORD, best=0)],
+    "best-minus-infinity": [dict(GOOD_RECORD, best=-math.inf)],  # format 2 wrote it; 3 writes null
     "pattern-out-of-range": [dict(GOOD_RECORD, best=99.0, keep=[[99.0, 5]])],
     "pattern-zero": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0, 0]])],
     "keep-above-best": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[3.0, 1]])],

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +22,7 @@ from conftest import (
     brute_switching_orbit_of,
     random_signed_graph,
     signing_bitmask,
+    twin_rich_graphs,
 )
 
 
@@ -248,6 +251,16 @@ def test_switching_isomorphic_matches_permutation_oracle():
     spider = SignedGraph(6, {(0, 1): 1, (1, 2): -1, (0, 3): 1, (3, 4): 1, (0, 5): 1})
     broom = SignedGraph(6, {(0, 1): 1, (1, 2): 1, (2, 3): -1, (0, 4): 1, (0, 5): 1})
     pairs.append(("same degrees", spider, broom))
+    # complete multipartite graphs and their complements, rich in signed twins
+    for n in range(3, 8):
+        for _ in range(3):
+            for edges in twin_rich_graphs(rng, n)[:2]:
+                a, c = _twin_rich_signing(rng, n, edges), _twin_rich_signing(rng, n, edges)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                switched = {v for v in range(n) if rng.random() < 0.5}
+                pairs.append(("twin-rich", a, switch(a.relabel(perm), switched)))
+                pairs.append(("twin-rich", a, c.relabel(perm)))
     answers: dict[str, set[bool]] = {}
     for kind, a, b in pairs:
         ok, pi = switching_isomorphic(a, b)
@@ -262,4 +275,81 @@ def test_switching_isomorphic_matches_permutation_oracle():
         "copy": {True},
         "same underlying": {True, False},
         "same degrees": {True, False},
+        "twin-rich": {True, False},
     }
+
+
+def _twin_rich_signing(rng: random.Random, n: int, edges) -> SignedGraph:
+    """0-2 negative edges, or a switched all-positive signing with one edge flipped."""
+    edges = sorted(edges)
+    if rng.random() < 0.5:
+        negative = set(rng.sample(edges, min(len(edges), rng.randint(0, 2))))
+        return SignedGraph(n, {e: -1 if e in negative else 1 for e in edges})
+    flipped = rng.choice(edges) if edges else None
+    g = SignedGraph(n, {e: -1 if e == flipped else 1 for e in edges})
+    return switch(g, {v for v in range(n) if rng.random() < 0.5})
+
+
+def _signed_twins(g: SignedGraph, u: int, v: int) -> bool:
+    """Pairwise definition: N(u) - v = N(v) - u and one value of sigma(uw) sigma(vw)."""
+    nu = {w for w in range(g.n) if w not in (u, v) and g.has_edge(u, w)}
+    nv = {w for w in range(g.n) if w not in (u, v) and g.has_edge(v, w)}
+    return nu == nv and len({g.sign(u, w) * g.sign(v, w) for w in nu}) <= 1
+
+
+def test_signed_twin_classes_match_the_pairwise_definition():
+    from signedspectra.switching import _bitsets, _twin_classes
+
+    rng = random.Random(66)
+    transpositions = {1: 0, -1: 0}
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        for edges in twin_rich_graphs(rng, n):
+            if rng.random() < 0.3:
+                g = SignedGraph(n, {e: rng.choice((1, -1)) for e in edges})
+            else:
+                g = _twin_rich_signing(rng, n, edges)
+            adj = _bitsets(n, g.edge_set())
+            neg = _bitsets(n, [(u, v) for u, v, s in g.edges() if s < 0])
+            classes = _twin_classes(adj, neg)
+            assert sorted(v for c in classes for v in c) == list(range(n))
+            cls = {v: i for i, c in enumerate(classes) for v in c}
+            for u, v in combinations(range(n), 2):
+                assert (cls[u] == cls[v]) == _signed_twins(g, u, v), (g, u, v)
+            for c in classes:
+                for u, v in combinations(c, 2):
+                    tau = list(range(n))
+                    tau[u], tau[v] = v, u
+                    common = [w for w in range(n) if w not in (u, v) and g.has_edge(u, w)]
+                    product = g.sign(u, common[0]) * g.sign(v, common[0]) if common else 1
+                    h = g.relabel(tau)
+                    if product < 0:
+                        h = switch(h, {u, v})
+                    assert h == g and switching_equivalent(g.relabel(tau), g), (g, u, v)
+                    transpositions[product] += 1
+    assert min(transpositions.values()) > 50, transpositions
+    # the converse fails: (0 2) is a switching automorphism of this C4 but 0, 2
+    # are not signed twins (sigma(01) sigma(21) = -1, sigma(03) sigma(23) = +1)
+    c4 = SignedGraph(4, {(0, 1): 1, (1, 2): -1, (2, 3): 1, (0, 3): 1})
+    assert switching_equivalent(c4.relabel([2, 1, 0, 3]), c4)
+    assert not _signed_twins(c4, 0, 2)
+    assert _twin_classes(_bitsets(4, c4.edge_set()), _bitsets(4, [(1, 2)])) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_signed_twin_walk_leaf_count_on_complete_bipartite(m):
+    # a count, not a timing: the unpruned walk has 2 (m!)^2 leaves on K_{m,m}
+    from signedspectra.switching import _bitsets, _leaves, _twin_classes
+
+    edges = frozenset((i, m + j) for i in range(m) for j in range(m))
+    adj = _bitsets(2 * m, edges)
+    classes = _twin_classes(adj, _bitsets(2 * m, [(0, m)]))
+    assert sum(1 for _ in _leaves(adj, edges, classes)) <= 2 * m * m
+    if m <= 4:
+        singletons = [[v] for v in range(2 * m)]
+        assert sum(1 for _ in _leaves(adj, edges, singletons)) == 2 * math.factorial(m) ** 2
+    if m in (5, 6):
+        # one negative edge against two negative edges at one vertex
+        a = SignedGraph(2 * m, {e: -1 if e == (0, m) else 1 for e in edges})
+        b = SignedGraph(2 * m, {e: -1 if e in ((0, m), (0, m + 1)) else 1 for e in edges})
+        assert switching_isomorphic(a, b) == (False, None)

@@ -1,20 +1,27 @@
-"""Per-call cost of the exact layer: char_poly_exact and largest_real_root_interval.
+"""Per-call cost of the exact layer and of the labeller.
 
 Run from the root of a source checkout (the package is imported from ./src):
 
     python3 tools/layer_costs.py
 
-For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``
-and ``largest_real_root_interval`` of that polynomial at width 1e-15, and
-prints one JSON object: per-call median and quartiles in microseconds over
-SAMPLES samples, each sample the mean of a batch of calls sized to take
-about 20 ms.  Uses the standard library and the package only.
+For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
+``largest_real_root_interval`` of that polynomial at width 1e-15 and
+``switching_isomorphic`` of a relabelled and switched copy of
+``extremal_graph(n)`` against the original.  It also times the canonical
+form ``_canonical_edges`` per graph of ``enumerate_underlying(7)``, and
+``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
+with two negative edges at one vertex (not switching isomorphic, and
+K_{5,5} has 2 (5!)^2 automorphisms).  It prints one JSON object: per-call
+median and quartiles in microseconds over SAMPLES samples, each sample
+the mean of a batch of calls sized to take about 20 ms.  Uses the
+standard library and the package only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import statistics
 import sys
 import time
@@ -30,8 +37,11 @@ BATCH_S = 0.02
 SAMPLES = 15
 
 
-def per_call_us(call, samples: int) -> dict:
-    """Median and quartiles of the per-call time in microseconds."""
+def per_call_us(call, samples: int, calls: int = 1) -> dict:
+    """Median and quartiles of the per-call time in microseconds.
+
+    ``call`` makes ``calls`` calls of the function being measured.
+    """
     call()  # warm caches and lazy set-up
     t0 = time.perf_counter()
     for _ in range(5):
@@ -42,20 +52,42 @@ def per_call_us(call, samples: int) -> dict:
         t0 = time.perf_counter()
         for _ in range(batch):
             call()
-        runs.append((time.perf_counter() - t0) / batch * 1e6)
+        runs.append((time.perf_counter() - t0) / (batch * calls) * 1e6)
     q1, med, q3 = statistics.quantiles(runs, n=4)
     return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch}
 
 
+def complete_bipartite(m: int, negative) -> ss.SignedGraph:
+    return ss.SignedGraph(
+        2 * m, {(i, m + j): -1 if (i, m + j) in negative else 1 for i in range(m) for j in range(m)}
+    )
+
+
 def main() -> None:
     out = {"unit": "us per call", "samples": SAMPLES}
+    rng = random.Random(1)
     for n in ORDERS:
         g = ss.extremal_graph(n)
         p = ss.char_poly_exact(g)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = ss.switching.switch(g.relabel(perm), {v for v in range(n) if rng.random() < 0.5})
         out[f"char_poly_exact.n{n}"] = per_call_us(lambda: ss.char_poly_exact(g), SAMPLES)
         out[f"largest_real_root_interval.n{n}"] = per_call_us(
             lambda: ss.polynomial.largest_real_root_interval(p, WIDTH), SAMPLES
         )
+        out[f"switching_isomorphic.n{n}"] = per_call_us(
+            lambda: ss.switching.switching_isomorphic(h, g), SAMPLES
+        )
+    catalog = [frozenset(g.edge_set()) for g in ss.enumeration.enumerate_underlying(7)]
+    out["_canonical_edges.n7"] = per_call_us(
+        lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog], SAMPLES, len(catalog)
+    )
+    one = complete_bipartite(5, {(0, 5)})
+    two = complete_bipartite(5, {(0, 5), (0, 6)})
+    out["switching_isomorphic.k55"] = per_call_us(
+        lambda: ss.switching.switching_isomorphic(one, two), SAMPLES
+    )
     print(json.dumps(out))
 
 
