@@ -2,12 +2,12 @@
 
 Coefficients are arbitrary-precision Python ints stored in ascending order
 (c_0 + c_1 x + ... + c_d x^d).  Root finding is exact: a Sturm chain of the
-square-free part, built once over the rationals and scaled to integer
-polynomials, isolates every real root, then bisection refines each isolating
-interval to a requested width.  Every point isolation and bisection visit is
-dyadic (they start at the integers -B and B and only halve), so each sign is
-one integer Horner evaluation.  Nothing here touches floating point until
-the final conversion, so results can be compared at any precision.
+square-free part isolates every real root, then bisection refines each
+isolating interval to a requested width.  Gcds, the square-free part and the
+chain come from one integer pseudo-division with content removal.  Every
+point visited is dyadic (the search starts at the integers -B and B and only
+halves), so each sign is one integer Horner evaluation.  Nothing here
+touches floating point until the final conversion.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        given = list(coeffs)
+        cs = [int(c) for c in given]
+        if cs != given:
+            raise ValueError(f"coefficients must be integers, got {given!r}")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -139,21 +142,16 @@ class IntPolynomial:
 
     def divides(self, other: "IntPolynomial") -> bool:
         """True iff self divides other exactly over the rationals."""
-        _, r = _divmod_frac(_fractions(other), _fractions(self))
-        return all(c == 0 for c in r)
+        return _pdivmod(other.coeffs, self.coeffs)[1] == [0]
 
     def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
         """self / other, which must be exact with integer quotient."""
-        q, r = _divmod_frac(_fractions(self), _fractions(other))
-        if any(c != 0 for c in r):
+        q, r, s = _pdivmod(self.coeffs, other.coeffs)
+        if r != [0]:
             raise ValueError("division is not exact")
-        if any(c.denominator != 1 for c in q):
+        if any(c % s for c in q):
             raise ValueError("quotient is not integral")
-        return IntPolynomial([int(c) for c in q])
-
-
-def _fractions(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+        return IntPolynomial([c // s for c in q])
 
 
 def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
@@ -174,69 +172,66 @@ def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
 # integer coefficient lists.
 
 
-def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
-    """Coefficients of p / gcd(p, p') over Q (monic-scaled square-free part)."""
-    a = _fractions(p)
-    g = _poly_gcd(a, _fractions(p.derivative()))
-    q, r = _divmod_frac(a, g)
-    assert all(c == 0 for c in r)
-    lead = q[-1]
-    return [c / lead for c in q]
+def _squarefree_part(p: IntPolynomial) -> list[int]:
+    """Coefficients of p / gcd(p, p'), primitive with positive leading coefficient."""
+    a = list(p.coeffs)
+    q = _primitive(_pdivmod(a, _poly_gcd(a, list(p.derivative().coeffs)))[0])
+    return q if q[-1] > 0 else [-c for c in q]
 
 
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the positive gcd of its coefficients (the zero list unchanged)."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _divmod_frac(a, b)
-        a, b = b, _trim(r)
-    lead = a[-1]
-    return [c / lead for c in a] if lead else a
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of trimmed coefficient lists, up to sign."""
+    while b != [0]:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _primitive(a)
 
 
-def _divmod_frac(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division over Q of trimmed coefficient lists: (quotient, remainder)."""
-    if b[-1] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return [Fraction(0)], rem
-    quot = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = rem[k + len(b) - 1] / b[-1]
-        quot[k] = c
-        if c:
-            for i, d in enumerate(b):
-                rem[k + i] -= c * d
-    return quot, _trim(rem[: len(b) - 1] or [Fraction(0)])
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of trimmed integer coefficient lists: (q, r, s).
 
-
-def _sturm_chain(sf: list[Fraction]) -> list[list[int]]:
-    """Sturm chain of a square-free polynomial, each member scaled to integers.
-
-    A member is multiplied by the positive lcm of its denominators, which
-    leaves its sign at every point unchanged.
+    s a = q b + r with deg r < deg b and s = |lc b|^(deg a - deg b + 1) > 0,
+    so over Q the quotient is q / s and the remainder r / s.
     """
-    chain = [list(sf)]
-    d = _trim([k * c for k, c in enumerate(sf)][1:] or [Fraction(0)])
-    chain.append(d)
-    while not (len(chain[-1]) == 1 and chain[-1][0] == 0):
-        _, r = _divmod_frac(chain[-2], chain[-1])
-        chain.append([-c for c in r])
+    lead = b[-1]
+    if lead == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [0], list(a), 1
+    scale, rem, quot = abs(lead), list(a), [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        # scale by |lc b|, then cancel the top coefficient c with t x^k b
+        c = rem.pop()
+        t = c if lead > 0 else -c
+        quot[k] = t * scale**k
+        if scale != 1:
+            rem = [scale * x for x in rem]
+        if t:
+            for i in range(len(b) - 1):
+                rem[k + i] -= t * b[i]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem or [0], scale ** (dq + 1)
+
+
+def _sturm_chain(sf: list[int]) -> list[list[int]]:
+    """Sturm chain of a square-free integer polynomial, each member primitive.
+
+    Members are negated primitive pseudo-remainders.  The multiplier and the
+    content are positive, so each member is a positive multiple of its
+    counterpart over Q and has the same sign at every point.
+    """
+    chain = [sf, _primitive([k * c for k, c in enumerate(sf)][1:] or [0])]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _primitive(_pdivmod(chain[-2], chain[-1])[1])])
     chain.pop()
-    scaled = []
-    for f in chain:
-        den = math.lcm(*(c.denominator for c in f))
-        scaled.append([c.numerator * (den // c.denominator) for c in f])
-    return scaled
+    return chain
 
 
 def _sign_at(f: list[int], m: int, e: int) -> int:
@@ -383,7 +378,7 @@ def _real_roots(p: IntPolynomial, tol: float) -> tuple[list[float], int]:
     out = []
     for iv in intervals:
         lo, hi, e = _refine(sf, iv, width)
-        out.append(float(Fraction(lo + hi, 2 << e)))
+        out.append((lo + hi) / (2 << e))
     return out, len(sf) - 1
 
 
@@ -428,7 +423,7 @@ def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     # both intervals at one exponent, which they keep since they halve in step
     e = max(e1, e2)
     lo1, hi1, lo2, hi2 = lo1 << e - e1, hi1 << e - e1, lo2 << e - e2, hi2 << e - e2
-    g = _sturm_chain(_poly_gcd(list(map(Fraction, cp[0])), list(map(Fraction, cq[0]))))
+    g = _sturm_chain(_poly_gcd(cp[0], cq[0]))
     if _sign_changes(g, max(lo1, lo2), e) > _sign_changes(g, min(hi1, hi2), e):
         return 0
     v1, v2 = _sign_changes(cp, lo1, e), _sign_changes(cq, lo2, e)

@@ -4,8 +4,8 @@ Switching at a vertex set U negates every edge with exactly one endpoint in
 U.  It is a signature similarity of the adjacency matrix, so the spectrum
 and all cycle signs are preserved.  Two signings of the same underlying
 graph are switching equivalent exactly when they agree on the signs of all
-cycles, which reduces to comparing cotree signs after normalizing a fixed
-spanning forest to all-positive.
+cycles, that is, when their product signing is balanced.  Normalizing a
+fixed spanning forest to all-positive gives each class a normal form.
 """
 
 from __future__ import annotations
@@ -167,10 +167,15 @@ def forest_normal_form(g: SignedGraph) -> NormalForm:
 
 
 def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
-    """True iff a and b (same underlying graph) differ by a switching."""
+    """True iff a and b (same underlying graph) differ by a switching.
+
+    They do exactly when the product signing sigma_a sigma_b is balanced
+    (Zaslavsky 1982): a switching taking a to b is a bisigning of it.
+    """
     if a.n != b.n or a.edge_set() != b.edge_set():
         raise ValueError("graphs must share the same underlying graph")
-    return forest_normal_form(a).cotree_signs == forest_normal_form(b).cotree_signs
+    product = {(u, v): s * b.sign(u, v) for u, v, s in a.edges()}
+    return is_balanced(SignedGraph(a.n, product)).balanced
 
 
 def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:

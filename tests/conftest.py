@@ -10,13 +10,16 @@ exact roots of integer characteristic polynomials, not against a second
 float solver.  Exact characteristic polynomials (multimodular
 Faddeev-LeVerrier) are checked against determinants by fraction-free
 elimination.  Switching isomorphism is checked against every relabeling,
-not against the library's canonical labeller.
+not against the library's canonical labeller.  Real-root isolation (integer
+pseudo-remainders) is checked against a Sturm chain built by Euclidean
+division over the rationals.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from signedspectra import SignedGraph
@@ -281,3 +284,44 @@ def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:
             g = SignedGraph(n, {pair: 1 for pair in e}).relabel(perm)
             out.append(g.edge_set())
     return out
+
+
+def _fraction_divmod(a: list, b: list) -> tuple[list, list]:
+    """Euclidean division over Q of ascending coefficient lists; [] is zero."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c, k = Fraction(a[-1]) / b[-1], len(a) - len(b)
+        q[k] = c
+        for i, d in enumerate(b):
+            a[k + i] -= c * d
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def brute_squarefree_and_sturm(coeffs) -> tuple[list, list[list]]:
+    """Monic p / gcd(p, p') and its Sturm chain, by Euclidean division over Q."""
+    p = [Fraction(c) for c in coeffs]
+    g, h = p, [k * c for k, c in enumerate(p)][1:]
+    while h:
+        g, h = h, _fraction_divmod(g, h)[1]
+    sf = _fraction_divmod(p, g)[0]
+    sf = [c / sf[-1] for c in sf]
+    chain = [sf, [k * c for k, c in enumerate(sf)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _fraction_divmod(chain[-2], chain[-1])[1]])
+    return sf, chain[:-1]
+
+
+def fraction_value(coeffs, x: Fraction) -> Fraction:
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+def brute_sturm_count(chain: list[list], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of chain[0] in (lo, hi], by Sturm's theorem."""
+
+    def changes(x: Fraction) -> int:
+        signs = [v for v in (fraction_value(f, x) for f in chain) if v]
+        return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)

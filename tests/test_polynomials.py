@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from signedspectra.polynomial import (
     IntPolynomial,
+    _sign_at,
+    _squarefree_part,
+    _sturm_chain,
     compare_largest_real_roots,
     isolate_real_roots,
     largest_real_root,
@@ -17,6 +20,8 @@ from signedspectra.polynomial import (
     root_multiplicity_exact,
 )
 from signedspectra.spectra import check_quotient_containment
+
+from conftest import brute_squarefree_and_sturm, brute_sturm_count, fraction_value
 
 
 def poly(*descending):
@@ -64,6 +69,37 @@ def test_divides_and_divexact():
         poly(0).divides(p)
     with pytest.raises(ZeroDivisionError):
         p.divexact(poly(0))
+    # negative and non-monic divisors: the pseudo-division multiplier is |lc|^k
+    assert poly(-2, 2, 4).divexact(poly(-1, -1)) == poly(2, -4)
+    assert poly(6, -1, -1).divexact(poly(3, 1)) == poly(2, -1)
+    assert poly(6, -1, -1).divexact(poly(-3, -1)) == poly(-2, 1)
+    assert poly(-3, -1).divides(poly(6, -1, -1)) and not poly(-3, 1).divides(poly(6, -1, -1))
+    q = poly(4, 0, -1) * poly(1, 1)  # multiplier 4^2
+    assert q.divexact(poly(4, 0, -1)) == poly(1, 1)
+    assert q.divexact(poly(-4, 0, 1)) == poly(-1, -1)
+    assert poly(6, 4).divexact(poly(-2)) == poly(-3, -2)
+    assert poly(2, 2).divexact(poly(1, 1)) == poly(2)
+    assert poly(0).divexact(poly(1, 1)) == poly(0)
+    for a, b in [(poly(1, 1), poly(2, 2)), (poly(3, 4), poly(2)), (poly(1, 0, -1), poly(-2, 2))]:
+        with pytest.raises(ValueError, match="not integral"):
+            a.divexact(b)
+    with pytest.raises(ValueError, match="not exact"):
+        poly(1, 1).divexact(poly(1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[0.5, 1], [Fraction(7, 2)], ["3"], [1, 2.25], [np.float64(0.1)]]
+)
+def test_non_integral_coefficients_are_refused(coeffs):
+    with pytest.raises(ValueError, match="must be integers"):
+        IntPolynomial(coeffs)
+
+
+def test_integral_coefficients_of_any_numeric_type_construct():
+    want = IntPolynomial([3, -2, 1])
+    assert IntPolynomial([np.int64(3), -2.0, Fraction(2, 2)]) == want
+    assert IntPolynomial(np.array([3, -2, 1, 0])) == want
+    assert IntPolynomial(c for c in (3, -2, 1)) == want
 
 
 def test_real_roots_simple():
@@ -307,3 +343,54 @@ def test_isolation_and_top_bracket_of_rational_roots(factors, with_complex, widt
         assert b1 <= a2
     lo, hi = largest_real_root_interval(p, width)
     assert lo <= roots[-1] <= hi and hi - lo <= width
+
+
+# factors as ascending coefficient lists: (b x - a) with b of either sign,
+# irreducible non-monic quadratics, random cubics, and a x^4 + b x + c, whose
+# chain skips degree 2, so its last division has the odd multiplier |lc|^3
+oracle_factors = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.integers(-9, 9), st.integers(-4, 4).filter(bool)).map(lambda t: [-t[0], t[1]]),
+            st.sampled_from([[-2, 0, 3], [2, 0, -3], [1, 0, 1], [-5, 0, 2], [-1, -1, 1], [3, 1, -2]]),
+            st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+            st.tuples(st.sampled_from([1, -1, 3]), st.integers(-5, 5).filter(bool), st.integers(-5, 5))
+            .map(lambda t: [t[2], t[1], 0, 0, t[0]]),
+        ),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_factors, st.sampled_from([1, -1, 2, -3]))
+def test_isolation_matches_a_rational_sturm_oracle(factors, unit):
+    # repeated, non-monic and sign-flipped factors exercise the multiplier
+    # |lc b|^k of the integer pseudo-remainders; the oracle divides over Q
+    p = IntPolynomial([unit])
+    for f, k in factors:
+        p = p * IntPolynomial(f) ** k
+    sf, chain = brute_squarefree_and_sturm(p.coeffs)
+    # each integer member has the sign of its rational counterpart everywhere
+    ours = _sturm_chain(_squarefree_part(p))
+    assert len(ours) == len(chain)
+    for m in range(-21, 22):
+        want = [fraction_value(f, Fraction(m, 2)) for f in chain]
+        assert [_sign_at(f, m, 1) for f in ours] == [(v > 0) - (v < 0) for v in want]
+    bound = 1 + Fraction(max(map(abs, p.coeffs)), abs(p.coeffs[-1]))  # Cauchy
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == brute_sturm_count(chain, -bound, bound)
+    for a, b in intervals:
+        assert brute_sturm_count(chain, a, b) == 1
+        assert fraction_value(sf, a) * fraction_value(sf, b) <= 0
+    for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
+        assert b1 <= a2
+    if intervals:
+        lo, hi = largest_real_root_interval(p, Fraction(1, 10**6))
+        assert hi - lo <= Fraction(1, 10**6) and brute_sturm_count(chain, hi, bound) == 0
+        if lo == hi:
+            assert fraction_value(sf, lo) == 0
+        else:
+            assert brute_sturm_count(chain, lo, hi) == 1

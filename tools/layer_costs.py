@@ -7,8 +7,12 @@ Run from the root of a source checkout (the package is imported from ./src):
 For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
 ``switching_isomorphic`` of a relabelled and switched copy of
-``extremal_graph(n)`` against the original.  It also times the canonical
-form ``_canonical_edges`` per graph of ``enumerate_underlying(7)``, and
+``extremal_graph(n)`` against the original.  It times
+``largest_real_root_interval`` at width 1e-12 per characteristic polynomial
+of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
+square-free part and the Sturm chain, not bisection, are most of the cost.
+It also times the canonical form ``_canonical_edges`` per graph of
+``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
 K_{5,5} has 2 (5!)^2 automorphisms).  It prints one JSON object: per-call
@@ -33,6 +37,7 @@ import signedspectra as ss  # noqa: E402
 
 ORDERS = (7, 20, 40)
 WIDTH = Fraction(1, 10**15)
+G10_WIDTH = Fraction(1e-12)
 BATCH_S = 0.02
 SAMPLES = 15
 
@@ -63,6 +68,16 @@ def complete_bipartite(m: int, negative) -> ss.SignedGraph:
     )
 
 
+def random_signed_graph(rng: random.Random, n: int, edge_prob: float) -> ss.SignedGraph:
+    """Each pair an edge with probability edge_prob, each edge negative with probability 1/2."""
+    table = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                table[(u, v)] = rng.choice((-1, 1))
+    return ss.SignedGraph(n, table)
+
+
 def main() -> None:
     out = {"unit": "us per call", "samples": SAMPLES}
     rng = random.Random(1)
@@ -79,6 +94,11 @@ def main() -> None:
         out[f"switching_isomorphic.n{n}"] = per_call_us(
             lambda: ss.switching.switching_isomorphic(h, g), SAMPLES
         )
+    rng = random.Random(10)
+    g10 = [ss.char_poly_exact(random_signed_graph(rng, 10, 0.8)) for _ in range(200)]
+    out["largest_real_root_interval.g10"] = per_call_us(
+        lambda: [ss.polynomial.largest_real_root_interval(p, G10_WIDTH) for p in g10], SAMPLES, len(g10)
+    )
     catalog = [frozenset(g.edge_set()) for g in ss.enumeration.enumerate_underlying(7)]
     out["_canonical_edges.n7"] = per_call_us(
         lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog], SAMPLES, len(catalog)
