@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .core import SgFormatError, SignedGraph
 from .cycles import is_ck_negative_free, shortest_negative_cycle
 from .enumeration import (
@@ -31,13 +32,6 @@ from .spectra import (
     quotient_matrix,
 )
 from .switching import is_balanced
-
-try:  # version string for --version
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("signedspectra")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,11 +125,7 @@ def cmd_check(args) -> int:
 
 def cmd_quotient(args) -> int:
     g = _load_graph(args.file)
-    try:
-        part = parse_partition(args.partition, g.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    part = parse_partition(args.partition, g.n)
     res = quotient_matrix(g.adjacency_matrix(), part)
     if res.is_equitable:
         print(json.dumps({"equitable": True, "matrix": res.matrix.tolist()}))
@@ -210,7 +200,7 @@ def cmd_bounds(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="signedspectra", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"signedspectra {VERSION}")
+    parser.add_argument("--version", action="version", version=f"signedspectra {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a named family member as .sg")
@@ -281,10 +271,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (SgFormatError, GraphListError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SgFormatError, GraphListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -2,19 +2,21 @@
 
 Coefficients are arbitrary-precision Python ints stored in ascending order
 (c_0 + c_1 x + ... + c_d x^d).  Root finding is exact: a Sturm chain of the
-square-free part isolates every real root, then bisection refines each
-isolating interval to a requested width.  Gcds, the square-free part and the
-chain come from one integer pseudo-division with content removal.  Every
-point visited is dyadic (the search starts at the integers -B and B and only
-halves), so each sign is one integer Horner evaluation.  Nothing here
-touches floating point until the final conversion.
+square-free part isolates the real roots from the top down, lazily, so a
+question about the largest root stops once the top root is isolated; then
+bisection refines an isolating interval to a requested width.  Gcds, the
+square-free part and the chain come from one integer pseudo-division with
+content removal.  Every point visited is dyadic (the search starts at the
+integers -B and B and only halves), so each sign is one integer Horner
+evaluation.  Nothing here touches floating point until the final
+conversion.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "IntPolynomial",
@@ -269,31 +271,33 @@ def _root_bound(p: IntPolynomial) -> int:
     return 1 + (m + lead - 1) // lead + 1
 
 
-def _isolate(p: IntPolynomial) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """Integer Sturm chain of p's square-free part, and ascending isolating intervals.
+def _isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int, int]]]:
+    """Integer Sturm chain of p's square-free part, and its isolating intervals, largest first.
 
-    The chain's first member is the square-free part itself.  The search
-    halves the left half first, so intervals come out in ascending order.
+    The chain's first member is the square-free part itself.  The intervals
+    come lazily from one search that halves the right half first, so a
+    caller that takes only the top interval never splits the intervals
+    below it.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     chain = _sturm_chain(_squarefree_part(p))
     B = _root_bound(p)
-    out = []
-    stack = [(-B, B, 0, _sign_changes(chain, -B, 0), _sign_changes(chain, B, 0))]
-    while stack:
-        lo, hi, e, vlo, vhi = stack.pop()
-        k = vlo - vhi
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((lo, hi, e))
-            continue
-        mid = lo + hi
-        vm = _sign_changes(chain, mid, e + 1)
-        stack.append((mid, 2 * hi, e + 1, vm, vhi))
-        stack.append((2 * lo, mid, e + 1, vlo, vm))
-    return chain, out
+
+    def descend():
+        stack = [(-B, B, 0, _sign_changes(chain, -B, 0), _sign_changes(chain, B, 0))]
+        while stack:
+            lo, hi, e, vlo, vhi = stack.pop()
+            k = vlo - vhi
+            if k == 1:
+                yield lo, hi, e
+            elif k > 1:
+                mid = lo + hi
+                vm = _sign_changes(chain, mid, e + 1)
+                stack.append((2 * lo, mid, e + 1, vlo, vm))
+                stack.append((mid, 2 * hi, e + 1, vm, vhi))
+
+    return chain, descend()
 
 
 def _fraction_pair(lo: int, hi: int, e: int) -> tuple[Fraction, Fraction]:
@@ -306,7 +310,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     Intervals are returned in ascending order and cover every distinct real
     root (multiplicity collapsed via the square-free part).
     """
-    return [_fraction_pair(*iv) for iv in _isolate(p)[1]]
+    return [_fraction_pair(*iv) for iv in _isolate(p)[1]][::-1]
 
 
 def _checked_width(width) -> Fraction:
@@ -379,7 +383,7 @@ def _real_roots(p: IntPolynomial, tol: float) -> tuple[list[float], int]:
     for iv in intervals:
         lo, hi, e = _refine(sf, iv, width)
         out.append((lo + hi) / (2 << e))
-    return out, len(sf) - 1
+    return out[::-1], len(sf) - 1
 
 
 def largest_real_root(p: IntPolynomial, tol: float = 1e-12) -> float:
@@ -407,9 +411,10 @@ def largest_real_root_interval(
 def _top_root(p: IntPolynomial) -> tuple[list[list[int]], tuple[int, int, int]]:
     """Integer Sturm chain of p's square-free part and the interval of its largest real root."""
     chain, intervals = _isolate(p)
-    if not intervals:
+    top = next(intervals, None)
+    if top is None:
         raise ValueError("polynomial has no real roots")
-    return chain, intervals[-1]
+    return chain, top
 
 
 def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:

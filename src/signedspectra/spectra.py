@@ -3,7 +3,8 @@
 The numerical path is LAPACK's symmetric eigensolver (``np.linalg.eigh``:
 full spectrum plus eigenvectors); the exact path computes characteristic
 polynomials over arbitrary-precision integers, an independent oracle
-against which every numerical quantity can be cross-checked.
+against which every numerical quantity can be cross-checked.  The C4-free
+bound check uses the exact path alone: it compares largest roots exactly.
 
 The index of a signed graph is its largest eigenvalue.  Note that this is
 not the spectral radius: the all-negative complete graph on n vertices has
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import SignedGraph
-from .polynomial import IntPolynomial, _real_roots, largest_real_root, root_multiplicity_exact
+from .polynomial import IntPolynomial, _real_roots, compare_largest_real_roots, root_multiplicity_exact
 from .switching import switch
 
 __all__ = [
@@ -338,29 +339,16 @@ def check_quotient_containment(M, Q, tol: float = 1e-8) -> bool:
     return all(float(np.min(np.abs(ev - r))) <= tol for r in roots)
 
 
-@lru_cache(maxsize=None)
-def _parity_roots(n: int) -> tuple[float, float]:
-    """Largest roots of the odd/even C4-free bound polynomials at order n."""
-    odd_root = 0.5 * (1.0 + math.sqrt(4.0 * n - 3.0))
-    even_root = largest_real_root(IntPolynomial([1, -(n - 1), -1, 1]))
-    return odd_root, even_root
+def c4free_bound_check(g: SignedGraph) -> bool:
+    """True iff the index of g is at most the C4-free bound of its order n.
 
-
-def c4free_bound_check(G: SignedGraph, lam: float, tol: float = 1e-9):
-    """Evaluate the order-parity spectral bounds for C4-free graphs.
-
-    A C4-free (unsigned) graph of order n has top eigenvalue at most the
-    largest root of x^2 - x - (n-1) when n is odd and of
-    x^3 - x^2 - (n-1)x + 1 when n is even; equivalently the polynomial is
-    <= 0 at lam once the graph has any edge (lam >= 1 then exceeds the
-    cubic's middle root, which lies below 1).  The root form also covers
-    the edgeless graph, where the cubic is positive at lam = 0.  Returns
-    (odd_ok, even_ok, applicable_ok) with slack tol, since equality is
-    attained by extremal graphs.
+    A C4-free graph of order n has index at most the largest root of
+    x^2 - x - (n-1) when n is odd (Nikiforov 2007) and of
+    x^3 - x^2 - (n-1)x + 1 when n is even (Zhai and Wang 2012).  The two
+    largest roots are compared exactly, with ``compare_largest_real_roots``
+    on the characteristic polynomial of g, because equality is attained at
+    every order n >= 2 (at n = 5 by two triangles sharing a vertex).
     """
-    n = G.n
-    odd_root, even_root = _parity_roots(n)
-    odd_ok = lam <= odd_root + tol
-    even_ok = lam <= even_root + tol
-    applicable = odd_ok if n % 2 == 1 else even_ok
-    return odd_ok, even_ok, applicable
+    n = g.n
+    bound = IntPolynomial([-(n - 1), -1, 1] if n % 2 else [1, -(n - 1), -1, 1])
+    return compare_largest_real_roots(char_poly_exact(g), bound) <= 0

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import signedspectra
 from signedspectra import SignedGraph
 from signedspectra.cli import build_parser, main, parse_partition
 from signedspectra.families import extremal_graph
@@ -76,6 +79,15 @@ def test_quotient_violation(tmp_path, capsys):
     record = json.loads(out)
     assert record["equitable"] is False
     assert set(record["violation"]) == {"block_i", "block_j", "row"}
+
+
+def test_quotient_partition_of_wrong_size_exits_1(tmp_path, capsys):
+    target = tmp_path / "g.sg"
+    extremal_graph(5).save(target)
+    code, out, err = run(capsys, "quotient", str(target), "--partition", "1|2-4")
+    assert code == 1
+    assert out == ""
+    assert err == "error: partition covers 4 vertices, graph has 5\n"
 
 
 def test_parse_partition_syntax():
@@ -327,4 +339,9 @@ def test_io_and_parse_errors_exit_2(tmp_path, capsys):
 
 
 def test_version_flag(capsys):
-    assert run(capsys, "--version")[0] == 0
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out == f"signedspectra {signedspectra.__version__}\n"
+    # requires-python is 3.10, which has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == signedspectra.__version__

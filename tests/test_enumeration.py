@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -312,6 +313,55 @@ def test_kernel_census_matches_brute_filter_oracle():
             assert _census_one_graph(*task) == brute_census_one_graph(*task), task
 
 
+def test_float_index_is_within_1e_12_of_the_exact_root():
+    # FLOAT_MARGIN (1e-9) is sound only while eigh's error on the census's
+    # matrices is far below it; every eligible class at n = 5..7 is checked
+    from signedspectra.enumeration import (
+        _c4_rows,
+        _census_one_graph,
+        _cotree,
+        _kernel_basis,
+        _signed_by_pattern,
+    )
+    from signedspectra.polynomial import largest_real_root_interval
+    from signedspectra.spectra import char_poly_exact
+
+    for n in (5, 6, 7):
+        for g in enumerate_underlying(n):
+            edges = tuple(sorted(g.edge_set()))
+            cotree = _cotree(n, edges)
+            span = [0]
+            for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
+                span += [x ^ b for x in span]
+            lams = []
+            for bits in span[1:]:
+                h = _signed_by_pattern(n, edges, cotree, bits)
+                lam = eigenvalues_sym(h.adjacency_matrix()).lambda1
+                lo, hi = largest_real_root_interval(char_poly_exact(h), Fraction(1, 2**60))
+                assert abs(lam - float((lo + hi) / 2)) <= 1e-12, h.to_sg()
+                lams.append(lam)
+            # the same floats as the census's: same count, same maximum
+            _, eligible, best, _ = _census_one_graph(n, edges)
+            assert (len(lams), max(lams, default=-math.inf)) == (eligible, best)
+
+
+def test_kernel_census_matches_brute_filter_oracle_past_order_6():
+    # seeded random graphs of order 7..9 with 6 to 10 cotree edges (at most
+    # 1024 classes each), so the per-class brute filter stays cheap
+    from signedspectra.enumeration import _census_one_graph, _cotree
+
+    rng = random.Random(79)
+    for n in (7, 8, 9):
+        pairs = list(combinations(range(n), 2))
+        checked = 0
+        while checked < 16:
+            edges = tuple(sorted(rng.sample(pairs, rng.randint(n - 1, n + 9))))
+            if not 6 <= len(_cotree(n, edges)) <= 10:
+                continue
+            assert _census_one_graph(n, edges) == brute_census_one_graph(n, edges), (n, edges)
+            checked += 1
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_census_witnesses_match_exact_brute_oracle(n):
     # float-free second method: every class, filtered per class, compared
@@ -527,6 +577,16 @@ def test_ingest_sg_without_signs(tmp_path):
     assert len(parsed) == 2
     assert parsed[0].edge_set() == frozenset({(0, 1), (1, 2)})
     assert parsed[1].n == 2 and parsed[1].m == 1
+
+
+def test_ingest_sg_edge_sign_is_ignored_and_checked(tmp_path):
+    path = tmp_path / "signed.sgl"
+    path.write_text("3 2\n1 2 -\n2 3 +\n")
+    assert ingest_graph_list(path)[0].edge_set() == frozenset({(0, 1), (1, 2)})
+    path.write_text("3 2\n1 2\n2 3 banana\n")
+    with pytest.raises(GraphListError) as err:
+        ingest_graph_list(path)
+    assert err.value.line == 3
 
 
 def test_ingest_empty_file(tmp_path):

@@ -12,7 +12,7 @@ from signedspectra.families import (
     near_extremal_graph,
     near_extremal_partition,
 )
-from signedspectra.polynomial import IntPolynomial, real_roots
+from signedspectra.polynomial import IntPolynomial, compare_largest_real_roots, real_roots
 from signedspectra.spectra import (
     VertexPartition,
     c4free_bound_check,
@@ -297,26 +297,23 @@ def test_quotient_containment_trivial_partition():
 
 def test_c4free_bounds_examples():
     star = SignedGraph(5, {(0, v): 1 for v in range(1, 5)})
-    lam = index(star)
-    assert lam == pytest.approx(2.0, abs=1e-10)
-    odd_ok, _, applicable = c4free_bound_check(star, lam)
-    assert odd_ok and applicable  # 4 - 2 - 4 = -2 <= 0
+    assert index(star) == pytest.approx(2.0, abs=1e-10)
+    assert c4free_bound_check(star)  # 2 < (1 + sqrt(17)) / 2
     c6 = SignedGraph(6, {(v, (v + 1) % 6): 1 for v in range(6)})
-    lam6 = index(c6)
-    assert lam6 == pytest.approx(2.0, abs=1e-10)
-    _, even_ok, applicable6 = c4free_bound_check(c6, lam6)
-    assert even_ok and applicable6  # 8 - 4 - 10 + 1 = -5 <= 0
+    assert index(c6) == pytest.approx(2.0, abs=1e-10)
+    assert c4free_bound_check(c6)  # 8 - 4 - 10 + 1 = -5 < 0
+    # K4 holds a 4-cycle: its index 3 exceeds the even bound at n = 4 (about 2.17)
+    assert not c4free_bound_check(complete_signed(4, 1))
 
 
 def test_c4free_bound_equality_case():
-    # two triangles sharing one vertex attain the odd bound with equality
+    # two triangles sharing one vertex attain the odd bound with equality,
+    # decided exactly rather than within a float slack
     bowtie = SignedGraph(
         5, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (0, 4): 1, (3, 4): 1}
     )
-    lam = index(bowtie)
-    assert lam * lam - lam - 4 == pytest.approx(0.0, abs=1e-9)
-    odd_ok, _, applicable = c4free_bound_check(bowtie, lam)
-    assert odd_ok and applicable
+    assert compare_largest_real_roots(char_poly_exact(bowtie), IntPolynomial([-4, -1, 1])) == 0
+    assert c4free_bound_check(bowtie)
 
 
 def test_exact_root_interval_brackets_float_index():

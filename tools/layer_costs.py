@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout (the package is imported from ./src):
 
-    python3 tools/layer_costs.py
+    python3 tools/layer_costs.py [OTHER_CHECKOUT]
 
 For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
@@ -10,19 +10,27 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``extremal_graph(n)`` against the original.  It times
 ``largest_real_root_interval`` at width 1e-12 per characteristic polynomial
 of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
-square-free part and the Sturm chain, not bisection, are most of the cost.
-It also times the canonical form ``_canonical_edges`` per graph of
-``enumerate_underlying(7)``, and
+square-free part and the Sturm chain, not bisection, are most of the cost,
+and ``compare_largest_real_roots`` per consecutive pair of those
+polynomials.  It also times the canonical form ``_canonical_edges`` per
+graph of ``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
 K_{5,5} has 2 (5!)^2 automorphisms).  It prints one JSON object: per-call
 median and quartiles in microseconds over SAMPLES samples, each sample
 the mean of a batch of calls sized to take about 20 ms.  Uses the
 standard library and the package only.
+
+Given the root of a second source checkout, it loads that checkout's
+package too, under another module name, and times both in one process:
+each row alternates samples between the two, in turn first, so drift of
+the machine's speed falls on both alike.  Each row then holds one entry
+per side, ``this`` and ``other``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
@@ -33,7 +41,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
-import signedspectra as ss  # noqa: E402
+import signedspectra  # noqa: E402
 
 ORDERS = (7, 20, 40)
 WIDTH = Fraction(1, 10**15)
@@ -42,33 +50,57 @@ BATCH_S = 0.02
 SAMPLES = 15
 
 
-def per_call_us(call, samples: int, calls: int = 1) -> dict:
-    """Median and quartiles of the per-call time in microseconds.
+def load_checkout(root: str, name: str):
+    """The signedspectra package of the checkout at root, imported as ``name``."""
+    package = os.path.join(root, "src", "signedspectra")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
-    ``call`` makes ``calls`` calls of the function being measured.
+
+def per_call_us(calls: dict, samples: int) -> dict:
+    """Median and quartiles of the per-call time in microseconds, per side.
+
+    ``calls`` maps a side to ``(call, count)``, where ``call`` makes
+    ``count`` calls of the function being measured.  Every side runs
+    batches of the size the first side needs for about BATCH_S, and the
+    sides alternate sample by sample.
     """
-    call()  # warm caches and lazy set-up
+    for call, _ in calls.values():
+        call()  # warm caches and lazy set-up
+    first, _ = next(iter(calls.values()))
     t0 = time.perf_counter()
     for _ in range(5):
-        call()
+        first()
     batch = max(1, int(BATCH_S * 5 / (time.perf_counter() - t0)))
-    runs = []
+    runs: dict = {side: [] for side in calls}
+    order = list(calls)
     for _ in range(samples):
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            call()
-        runs.append((time.perf_counter() - t0) / (batch * calls) * 1e6)
-    q1, med, q3 = statistics.quantiles(runs, n=4)
-    return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch}
+        for side in order:
+            call, count = calls[side]
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                call()
+            runs[side].append((time.perf_counter() - t0) / (batch * count) * 1e6)
+        order.reverse()
+    out = {}
+    for side, times in runs.items():
+        q1, med, q3 = statistics.quantiles(times, n=4)
+        out[side] = {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch}
+    return out
 
 
-def complete_bipartite(m: int, negative) -> ss.SignedGraph:
+def complete_bipartite(ss, m: int, negative):
     return ss.SignedGraph(
         2 * m, {(i, m + j): -1 if (i, m + j) in negative else 1 for i in range(m) for j in range(m)}
     )
 
 
-def random_signed_graph(rng: random.Random, n: int, edge_prob: float) -> ss.SignedGraph:
+def random_signed_graph(ss, rng: random.Random, n: int, edge_prob: float):
     """Each pair an edge with probability edge_prob, each edge negative with probability 1/2."""
     table = {}
     for u in range(n):
@@ -78,8 +110,9 @@ def random_signed_graph(rng: random.Random, n: int, edge_prob: float) -> ss.Sign
     return ss.SignedGraph(n, table)
 
 
-def main() -> None:
-    out = {"unit": "us per call", "samples": SAMPLES}
+def rows(ss) -> dict:
+    """Row name -> ``(call, count)``, with inputs built by the package ss from fixed seeds."""
+    out = {}
     rng = random.Random(1)
     for n in ORDERS:
         g = ss.extremal_graph(n)
@@ -87,29 +120,48 @@ def main() -> None:
         perm = list(range(n))
         rng.shuffle(perm)
         h = ss.switching.switch(g.relabel(perm), {v for v in range(n) if rng.random() < 0.5})
-        out[f"char_poly_exact.n{n}"] = per_call_us(lambda: ss.char_poly_exact(g), SAMPLES)
-        out[f"largest_real_root_interval.n{n}"] = per_call_us(
-            lambda: ss.polynomial.largest_real_root_interval(p, WIDTH), SAMPLES
+        out[f"char_poly_exact.n{n}"] = (lambda g=g: ss.char_poly_exact(g), 1)
+        out[f"largest_real_root_interval.n{n}"] = (
+            lambda p=p: ss.polynomial.largest_real_root_interval(p, WIDTH),
+            1,
         )
-        out[f"switching_isomorphic.n{n}"] = per_call_us(
-            lambda: ss.switching.switching_isomorphic(h, g), SAMPLES
+        out[f"switching_isomorphic.n{n}"] = (
+            lambda g=g, h=h: ss.switching.switching_isomorphic(h, g),
+            1,
         )
     rng = random.Random(10)
-    g10 = [ss.char_poly_exact(random_signed_graph(rng, 10, 0.8)) for _ in range(200)]
-    out["largest_real_root_interval.g10"] = per_call_us(
-        lambda: [ss.polynomial.largest_real_root_interval(p, G10_WIDTH) for p in g10], SAMPLES, len(g10)
+    g10 = [ss.char_poly_exact(random_signed_graph(ss, rng, 10, 0.8)) for _ in range(200)]
+    out["largest_real_root_interval.g10"] = (
+        lambda: [ss.polynomial.largest_real_root_interval(p, G10_WIDTH) for p in g10],
+        len(g10),
+    )
+    out["compare_largest_real_roots.g10"] = (
+        lambda: [ss.polynomial.compare_largest_real_roots(p, q) for p, q in zip(g10, g10[1:])],
+        len(g10) - 1,
     )
     catalog = [frozenset(g.edge_set()) for g in ss.enumeration.enumerate_underlying(7)]
-    out["_canonical_edges.n7"] = per_call_us(
-        lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog], SAMPLES, len(catalog)
+    out["_canonical_edges.n7"] = (
+        lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog],
+        len(catalog),
     )
-    one = complete_bipartite(5, {(0, 5)})
-    two = complete_bipartite(5, {(0, 5), (0, 6)})
-    out["switching_isomorphic.k55"] = per_call_us(
-        lambda: ss.switching.switching_isomorphic(one, two), SAMPLES
-    )
+    one = complete_bipartite(ss, 5, {(0, 5)})
+    two = complete_bipartite(ss, 5, {(0, 5), (0, 6)})
+    out["switching_isomorphic.k55"] = (lambda: ss.switching.switching_isomorphic(one, two), 1)
+    return out
+
+
+def main(argv: list[str]) -> None:
+    sides = {"this": signedspectra}
+    if argv:
+        sides["other"] = load_checkout(argv[0], "signedspectra_other")
+    tables = {side: rows(ss) for side, ss in sides.items()}
+    out = {"unit": "us per call", "samples": SAMPLES}
+    for name in tables["this"]:
+        calls = {side: table[name] for side, table in tables.items()}
+        stats = per_call_us(calls, SAMPLES)
+        out[name] = stats if len(stats) > 1 else stats["this"]
     print(json.dumps(out))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
