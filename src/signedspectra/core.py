@@ -22,6 +22,7 @@ UTF-8 with LF line endings.  Example, the all-negative triangle::
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -65,6 +66,32 @@ class SgFormatError(ValueError):
 
 def _canon(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The one spanning-forest builder: BFS over ascending neighbour lists.
+
+    Returns (parent, order, forest_edges), roots with parent -1.  Roots are the
+    lowest unreached vertices, so each tree is a run of ``order`` from its root.
+    """
+    parent = [-2] * len(adj)
+    order: list[int] = []
+    forest: list[tuple[int, int]] = []
+    for root in range(len(adj)):
+        if parent[root] != -2:
+            continue
+        parent[root] = -1
+        order.append(root)
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            for w in adj[u]:
+                if parent[w] == -2:
+                    parent[w] = u
+                    order.append(w)
+                    forest.append((u, w) if u < w else (w, u))
+                    q.append(w)
+    return parent, order, forest
 
 
 class SignedGraph:
@@ -224,25 +251,10 @@ class SignedGraph:
         return A
 
     def components(self) -> list[list[int]]:
-        """Connected components as ascending vertex lists, ordered by minimum."""
-        adj = self.adjacency_lists()
-        seen = [False] * self._n
-        comps: list[list[int]] = []
-        for root in range(self._n):
-            if seen[root]:
-                continue
-            comp = [root]
-            seen[root] = True
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components as ascending vertex lists, ordered by minimum: the BFS trees."""
+        parent, order, _ = _bfs_forest(self.adjacency_lists())
+        starts = [k for k, v in enumerate(order) if parent[v] == -1] + [self._n]
+        return [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
 
     # -- value semantics -----------------------------------------------------
 

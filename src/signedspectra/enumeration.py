@@ -31,9 +31,10 @@ and a 4-cycle C is negative iff the parity of x on C's cotree edges is 1
 (Zaslavsky, "Signed graphs", 1982).  The unbalanced classes with no
 negative 4-cycle are therefore exactly the nonzero vectors in the kernel
 of the 4-cycle rows, so class and eligible counts are powers of two and
-only the kernel vectors are eigensolved.  The classes that attain the
-maximum index exactly are the witnesses, and the report's verdict states
-whether every witness is switching isomorphic to the extremal graph.
+only the kernel vectors are eigensolved, in one stacked LAPACK call per
+graph.  The classes that attain the maximum index exactly are the
+witnesses, and the report's verdict states whether every witness is
+switching isomorphic to the extremal graph.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from itertools import product
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import SignedGraph, _bfs_forest
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
-from .spectra import c4free_bound_check, char_poly_exact, eigenvalues_sym, index
-from .switching import _bfs_forest, _bitsets, _leaves, _twin_classes, switching_isomorphic
+from .spectra import c4free_bound_check, char_poly_exact, index
+from .switching import _bitsets, _leaves, _twin_classes, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -134,11 +135,16 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
 def _cotree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Edges outside the canonical BFS forest, in sorted edge order.
 
-    Bit i of a sign pattern negates ``cotree[i]``; this fixes the pattern
-    numbering shared by :func:`switching_classes` and the census.
+    ``edges`` are sorted pairs u < v, so the neighbour lists come out
+    ascending.  Bit i of a sign pattern negates ``cotree[i]``; this fixes
+    the pattern numbering shared by :func:`switching_classes` and the census.
     """
-    forest = set(_bfs_forest(SignedGraph(n, {e: 1 for e in edges}))[2])
-    return [e for e in sorted(edges) if e not in forest]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    forest = set(_bfs_forest(adj)[2])
+    return [e for e in edges if e not in forest]
 
 
 def _signed_by_pattern(
@@ -261,6 +267,27 @@ class CensusReport:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
+def _eligible_indices(n: int, edges: tuple, cotree: list) -> list[tuple[float, int]]:
+    """``(lam, pattern)`` per eligible class (nonzero kernel vector), by pattern.
+
+    One ``np.linalg.eigh`` call solves the stack of their signed adjacency
+    matrices.  Its bits are those of ``spectra.eigenvalues_sym`` per matrix:
+    the same LAPACK routine runs on the same float64 input, matrix by matrix.
+    """
+    span = [0]
+    for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
+        span += [x ^ b for x in span]
+    patterns = sorted(span)[1:]
+    if not patterns:
+        return []
+    A = np.zeros((len(patterns), n, n))
+    for u, v in edges:
+        A[:, u, v] = A[:, v, u] = 1
+    for i, (u, v) in enumerate(cotree):
+        A[:, u, v] = A[:, v, u] = [1 - 2 * ((bits >> i) & 1) for bits in patterns]
+    return list(zip(np.linalg.eigh(A)[0][:, -1].tolist(), patterns))
+
+
 def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...]):
     """Census of the switching classes of one underlying graph.
 
@@ -270,22 +297,10 @@ def _census_one_graph(n: int, edges: tuple[tuple[int, int], ...]):
     within ``FLOAT_MARGIN`` of it, in ascending pattern order.
     """
     cotree = _cotree(n, edges)
-    span = [0]
-    for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
-        span += [x ^ b for x in span]
-    base = np.zeros((n, n), dtype=np.int64)
-    for u, v in edges:
-        base[u, v] = base[v, u] = 1
-    solved: list[tuple[float, int]] = []
-    for bits in sorted(span)[1:]:
-        A = base.copy()
-        for i, (u, v) in enumerate(cotree):
-            if (bits >> i) & 1:
-                A[u, v] = A[v, u] = -1
-        solved.append((eigenvalues_sym(A).lambda1, bits))
+    solved = _eligible_indices(n, edges, cotree)
     best = max((lam for lam, _ in solved), default=-math.inf)
     keep = [(lam, bits) for lam, bits in solved if lam >= best - FLOAT_MARGIN]
-    return 1 << len(cotree), len(span) - 1, best, keep
+    return 1 << len(cotree), len(solved), best, keep
 
 
 def _exact_maximizers(candidates: list[SignedGraph]) -> list[SignedGraph]:
@@ -328,7 +343,7 @@ def verify_max_index(
     recomputed; ``best`` is null when ``keep`` is empty.  Other keys, i
     outside ``range(tasks)``, a repeated i or values that do not fit task i
     (see :func:`_valid_record`) raise ValueError.  A final record torn by a
-    crash is dropped and its task recomputed.
+    crash is dropped and its task recomputed; a torn header is rewritten.
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
@@ -349,7 +364,7 @@ def verify_max_index(
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
     done = _resume_checkpoint(checkpoint, header, tasks) if resuming else {}
     ckpt_fh = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
-    if ckpt_fh and not resuming:
+    if ckpt_fh and not ckpt_fh.tell():
         ckpt_fh.write(json.dumps(header) + "\n")
         ckpt_fh.flush()
 
@@ -430,11 +445,13 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
     Records are appended one line at a time, so a last line without its
     newline was torn by a crash.  Once the header is accepted, the file is
     truncated back to its last complete line: that task is recomputed, and
-    the next record starts on a line of its own.
+    the next record starts on a line of its own.  A file torn inside our
+    header line (a strict prefix of it) is emptied and started afresh.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
+    torn_header = not complete and (json.dumps(header) + "\n").encode().startswith(data)
     recs = []
     for lineno, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
         if not line.strip():
@@ -443,7 +460,7 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
             recs.append((lineno, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"checkpoint {path} line {lineno}: {exc}") from None
-    if not recs or recs[0][1] != header:
+    if not torn_header and (not recs or recs[0][1] != header):
         found = recs[0][1] if recs else "no complete header line"
         raise ValueError(f"checkpoint {path} belongs to a different census: {found} != {header}")
     done: dict[int, tuple] = {}
@@ -503,12 +520,8 @@ def _record(fh, i: int, res: tuple) -> None:
 
 def has_c4(g: SignedGraph) -> bool:
     """True iff the underlying graph contains a 4-cycle (signs ignored)."""
-    adj = [set(row) for row in g.adjacency_lists()]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if len(adj[u] & adj[v]) >= 2:
-                return True
-    return False
+    adj = _bitsets(g.n, g.edge_set())
+    return any((adj[u] & adj[w]).bit_count() >= 2 for u in range(g.n) for w in range(u + 1, g.n))
 
 
 def verify_c4free_bounds(n: int) -> bool:

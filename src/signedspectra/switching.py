@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import SignedGraph, _bfs_forest
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -59,35 +59,9 @@ class BalanceResult:
         return self.balanced
 
 
-def _bfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """Deterministic BFS forest: lowest-index roots, ascending neighbors.
-
-    Returns (parent, order, forest_edges); roots have parent -1.
-    """
-    adj = g.adjacency_lists()
-    parent = [-2] * g.n
-    order: list[int] = []
-    forest: list[tuple[int, int]] = []
-    for root in range(g.n):
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        order.append(root)
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    order.append(w)
-                    forest.append((u, w) if u < w else (w, u))
-                    q.append(w)
-    return parent, order, forest
-
-
 def _forest_signs(g: SignedGraph) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child)."""
-    parent, order, forest = _bfs_forest(g)
+    parent, order, forest = _bfs_forest(g.adjacency_lists())
     s = [1] * g.n
     for v in order:
         if parent[v] >= 0:
@@ -339,7 +313,7 @@ def switching_isomorphic(
     sign_b = {}
     for u, v, s in b.edges():
         sign_b[u, v] = sign_b[v, u] = s
-    parent, order, forest = _bfs_forest(a)
+    parent, order, forest = _bfs_forest(a.adjacency_lists())
     tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
     forest_set = set(forest)
     signed = a.edges()

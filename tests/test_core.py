@@ -116,6 +116,13 @@ def test_extremal5_degree_sequence():
     assert [g.degree(v) for v in range(5)] == [2, 2, 4, 2, 2]
 
 
+def test_components_are_pinned():
+    # the search from 0 reaches 3 before 1, so a tree must be sorted; 5 is isolated
+    g = SignedGraph(6, {(0, 3): 1, (3, 1): -1, (2, 4): 1})
+    assert g.components() == [[0, 1, 3], [2, 4], [5]]
+    assert new_graph(0).components() == []
+
+
 def test_adjacency_invariants_random():
     rng = random.Random(7)
     for _ in range(50):

@@ -316,13 +316,8 @@ def test_kernel_census_matches_brute_filter_oracle():
 def test_float_index_is_within_1e_12_of_the_exact_root():
     # FLOAT_MARGIN (1e-9) is sound only while eigh's error on the census's
     # matrices is far below it; every eligible class at n = 5..7 is checked
-    from signedspectra.enumeration import (
-        _c4_rows,
-        _census_one_graph,
-        _cotree,
-        _kernel_basis,
-        _signed_by_pattern,
-    )
+    # (the census's own floats: _census_one_graph reads _eligible_indices)
+    from signedspectra.enumeration import _cotree, _eligible_indices, _signed_by_pattern
     from signedspectra.polynomial import largest_real_root_interval
     from signedspectra.spectra import char_poly_exact
 
@@ -330,19 +325,10 @@ def test_float_index_is_within_1e_12_of_the_exact_root():
         for g in enumerate_underlying(n):
             edges = tuple(sorted(g.edge_set()))
             cotree = _cotree(n, edges)
-            span = [0]
-            for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
-                span += [x ^ b for x in span]
-            lams = []
-            for bits in span[1:]:
+            for lam, bits in _eligible_indices(n, edges, cotree):
                 h = _signed_by_pattern(n, edges, cotree, bits)
-                lam = eigenvalues_sym(h.adjacency_matrix()).lambda1
                 lo, hi = largest_real_root_interval(char_poly_exact(h), Fraction(1, 2**60))
                 assert abs(lam - float((lo + hi) / 2)) <= 1e-12, h.to_sg()
-                lams.append(lam)
-            # the same floats as the census's: same count, same maximum
-            _, eligible, best, _ = _census_one_graph(n, edges)
-            assert (len(lams), max(lams, default=-math.inf)) == (eligible, best)
 
 
 def test_kernel_census_matches_brute_filter_oracle_past_order_6():
@@ -360,6 +346,21 @@ def test_kernel_census_matches_brute_filter_oracle_past_order_6():
                 continue
             assert _census_one_graph(n, edges) == brute_census_one_graph(n, edges), (n, edges)
             checked += 1
+
+
+def test_kernel_census_matches_brute_filter_oracle_on_deep_stacks():
+    # catalog graphs stack at most 15 eligible classes; these 4-cycle-free
+    # cubic graphs stack every nonzero pattern in one eigensolve
+    from signedspectra.enumeration import _census_one_graph
+
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    heawood = [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    for n, edges, eligible, kept in ((10, petersen, 63, 15), (14, heawood, 255, 21)):
+        task = (n, tuple(sorted((min(e), max(e)) for e in edges)))
+        census = _census_one_graph(*task)
+        assert census == brute_census_one_graph(*task)
+        assert (census[1], len(census[3])) == (eligible, kept)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -412,6 +413,29 @@ def test_verify_census_torn_checkpoint_record(tmp_path):
     assert full == resumed
     records = [json.loads(line) for line in ck.read_text().splitlines()]
     assert sorted(r["i"] for r in records[1:]) == list(range(34))
+
+
+def test_verify_census_checkpoint_torn_header(tmp_path):
+    # a crash inside the header line leaves a prefix of it: start afresh
+    fresh = tmp_path / "fresh.jsonl"
+    full = verify_max_index(5, checkpoint=str(fresh)).to_dict()
+    ck = tmp_path / "census5.jsonl"
+    ck.write_bytes(fresh.read_bytes()[:20])
+    resumed = verify_max_index(5, checkpoint=str(ck)).to_dict()
+    full.pop("seconds")
+    resumed.pop("seconds")
+    assert full == resumed
+    assert ck.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("text", ['{"census_n": 6', '{"census_n": 5, "tasks": 35', "garbage"])
+def test_verify_census_checkpoint_headerless_file_refused(tmp_path, text):
+    # no complete line and not a prefix of this census's header
+    ck = tmp_path / "census5.jsonl"
+    ck.write_text(text)
+    with pytest.raises(ValueError, match="no complete header line"):
+        verify_max_index(5, checkpoint=str(ck))
+    assert ck.read_text() == text
 
 
 def test_verify_census_checkpoint_fingerprint(tmp_path):

@@ -12,8 +12,9 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
 square-free part and the Sturm chain, not bisection, are most of the cost,
 and ``compare_largest_real_roots`` per consecutive pair of those
-polynomials.  It also times the canonical form ``_canonical_edges`` per
-graph of ``enumerate_underlying(7)``, and
+polynomials.  It also times the canonical form ``_canonical_edges`` and
+the census kernel ``_census_one_graph`` (GF(2) class filter and
+eigensolve) per graph of ``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
 K_{5,5} has 2 (5!)^2 automorphisms).  It prints one JSON object: per-call
@@ -143,6 +144,11 @@ def rows(ss) -> dict:
     out["_canonical_edges.n7"] = (
         lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog],
         len(catalog),
+    )
+    tasks = [tuple(sorted(e)) for e in catalog]
+    out["_census_one_graph.n7"] = (
+        lambda: [ss.enumeration._census_one_graph(7, t) for t in tasks],
+        len(tasks),
     )
     one = complete_bipartite(ss, 5, {(0, 5)})
     two = complete_bipartite(ss, 5, {(0, 5), (0, 6)})
