@@ -171,7 +171,11 @@ def _one_based(operands) -> list:
 
 
 def cmd_search(args) -> int:
-    result = greedy_ascent(args.n, args.seed, args.max_steps)
+    try:
+        result = greedy_ascent(args.n, args.seed, args.max_steps)
+    except RuntimeError as exc:  # the start sampler gave up
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.progress:
         traj = result.trajectory
         for step, (mv, delta) in enumerate(zip(result.applied, result.deltas), start=1):

@@ -280,11 +280,13 @@ def _eligible_indices(n: int, edges: tuple, cotree: list) -> list[tuple[float, i
     patterns = sorted(span)[1:]
     if not patterns:
         return []
+    # every edge has u < v: fill the upper triangles, then add the transposes
     A = np.zeros((len(patterns), n, n))
-    for u, v in edges:
-        A[:, u, v] = A[:, v, u] = 1
-    for i, (u, v) in enumerate(cotree):
-        A[:, u, v] = A[:, v, u] = [1 - 2 * ((bits >> i) & 1) for bits in patterns]
+    us, vs = zip(*edges)
+    A[:, us, vs] = 1
+    cu, cv = zip(*cotree)
+    A[:, cu, cv] = [[1 - 2 * ((bits >> i) & 1) for i in range(len(cotree))] for bits in patterns]
+    A = A + A.transpose(0, 2, 1)
     return list(zip(np.linalg.eigh(A)[0][:, -1].tolist(), patterns))
 
 

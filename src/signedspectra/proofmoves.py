@@ -10,13 +10,29 @@ where delta = x' (A* - A) x has a closed form per move kind (2 x_u x_v for
 adding a positive edge, and so on).  When x is entrywise nonnegative every
 move below has delta >= 0, which is what makes a greedy ascent on these
 moves monotone.
+
+The greedy ascent keeps its host unbalanced and free of negative 4-cycles,
+and decides each tried move on the host's sign table, neighbour bitsets and
+float adjacency matrix, skipping the checks whose answer is already known:
+
+- adding a positive edge removes no cycle, so the host's negative cycle
+  survives: no balance test, only the negative-C4 test;
+- deleting a negative edge off the host's shortest negative cycle keeps
+  that cycle, and a deletion creates no 4-cycle: neither test;
+- negating a pair of negative edges or rotating a positive edge can do
+  both: the negative-C4 test runs on edited bitsets, and only a move that
+  passes it becomes a SignedGraph for the balance test.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .core import SignedGraph
 from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
@@ -101,36 +117,50 @@ class ConstraintViolation(ValueError):
     """Raised in strict mode when a move breaks a preserved constraint."""
 
 
-def _edited_graph(g: SignedGraph, move: Move) -> SignedGraph:
+def _edits(g, move: Move) -> tuple[tuple[int, int, int], ...]:
+    """The pairs ``move`` changes, as ``(u, v, new sign)``, 0 for a deleted edge.
+
+    The one definition of every move's edit and of its operand checks;
+    ``g`` is a SignedGraph or the ascent's ``_Host`` (anything with
+    ``sign(u, v)``).
+    """
     kind, ops = move.kind, move.operands
     if kind is MoveKind.ADD_POSITIVE_EDGE:
         (u, v), = ops
-        if g.has_edge(u, v):
+        if g.sign(u, v):
             raise ValueError(f"cannot add ({u},{v}): edge already present")
-        return g.set_edge(u, v, 1)
+        return ((u, v, 1),)
     if kind is MoveKind.DELETE_EDGE:
         (u, v), = ops
-        return g.remove_edge(u, v)
+        if not g.sign(u, v):
+            raise ValueError(f"edge ({u},{v}) not present")
+        return ((u, v, 0),)
     if kind is MoveKind.NEGATE_EDGE_PAIR:
         (u, v), (w, t) = ops
         if (u, v) == (w, t):
             raise ValueError("edge pair must be two distinct edges")
         if g.sign(u, v) != -1 or g.sign(w, t) != -1:
             raise ValueError("both edges of the pair must be present and negative")
-        return g.set_edge(u, v, 1).set_edge(w, t, 1)
+        return ((u, v, 1), (w, t, 1))
     pivot, old, new = ops
     s = g.sign(pivot, old)
     if s == 0:
         raise ValueError(f"rotation needs edge ({pivot},{old}) present")
     if new == pivot or new == old:
         raise ValueError("rotation target must be a third vertex")
-    if g.has_edge(pivot, new):
+    if g.sign(pivot, new):
         raise ValueError(f"rotation target ({pivot},{new}) is already an edge")
-    return g.remove_edge(pivot, old).set_edge(pivot, new, s)
+    return ((pivot, old, 0), (pivot, new, s))
 
 
-def _closed_form_delta(g: SignedGraph, move: Move, x) -> float:
-    kind, ops = move.kind, move.operands
+def _edited_graph(g: SignedGraph, move: Move) -> SignedGraph:
+    for u, v, s in _edits(g, move):
+        g = g.set_edge(u, v, s) if s else g.remove_edge(u, v)
+    return g
+
+
+def _closed_form_delta(g, kind: MoveKind, ops: tuple, x) -> float:
+    """x' (A* - A) x for the move ``(kind, ops)`` on g (anything with ``sign(u, v)``)."""
     if kind is MoveKind.ADD_POSITIVE_EDGE:
         (u, v), = ops
         return float(2.0 * x[u] * x[v])
@@ -159,7 +189,7 @@ def apply_move(
     """
     if host_report is None:
         host_report = eigenvalues_sym(g.adjacency_matrix())
-    delta = _closed_form_delta(g, move, host_report.x)
+    delta = _closed_form_delta(g, move.kind, move.operands, host_report.x)
     result = _edited_graph(g, move)
     unbalanced = not is_balanced(result).balanced
     c4free = is_ck_negative_free(result, 4)
@@ -185,34 +215,40 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     on the shortest negative cycle; sign flips of pairs of negative edges;
     rotations of positive edges to non-adjacent targets.
     """
-    out: list[Move] = []
-    n = g.n
-    present = g.edge_set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in present:
-                out.append(Move.add_positive_edge(u, v))
     snc = shortest_negative_cycle(g)
     protected = set(snc.edges()) if snc is not None else set()
-    edges = g.edges()
-    negatives = [(u, v) for u, v, s in edges if s < 0]
-    for (u, v) in negatives:
-        if (u, v) not in protected:
-            out.append(Move.delete_edge(u, v))
-    for i in range(len(negatives)):
-        for j in range(i + 1, len(negatives)):
-            out.append(Move.negate_edge_pair(negatives[i], negatives[j]))
-    for u, v, s in edges:
-        if s > 0:
+    return [
+        Move(kind, ops)
+        for kind, ops in _candidates(g.adjacency_matrix().tolist())
+        if kind is not MoveKind.DELETE_EDGE or ops[0] not in protected
+    ]
+
+
+def _candidates(rows: list[list[int]]) -> Iterator[tuple[MoveKind, tuple]]:
+    """``(kind, operands)`` of each move of :func:`candidate_moves`, in its order.
+
+    ``rows[u][v]`` is the host's sign of edge uv (0 for a non-edge).  Every
+    negative edge comes out as a deletion: the caller drops those on the
+    shortest negative cycle.  Operands come out in the canonical form of
+    the ``Move`` constructors.
+    """
+    n = len(rows)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in pairs:
+        if not rows[u][v]:
+            yield MoveKind.ADD_POSITIVE_EDGE, ((u, v),)
+    negatives = [(u, v) for u, v in pairs if rows[u][v] < 0]
+    for e in negatives:
+        yield MoveKind.DELETE_EDGE, (e,)
+    for i, e in enumerate(negatives):
+        for f in negatives[i + 1 :]:
+            yield MoveKind.NEGATE_EDGE_PAIR, (e, f)
+    for u, v in pairs:
+        if rows[u][v] > 0:
             for pivot, old in ((u, v), (v, u)):
                 for new in range(n):
-                    if (
-                        new != pivot
-                        and new != old
-                        and (min(pivot, new), max(pivot, new)) not in present
-                    ):
-                        out.append(Move.rotate_edge(pivot, old, new))
-    return out
+                    if new != pivot and new != old and not rows[pivot][new]:
+                        yield MoveKind.ROTATE_EDGE, (pivot, old, new)
 
 
 def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
@@ -267,15 +303,64 @@ class AscentResult:
         return len(self.applied)
 
 
+# the move kinds that can remove every negative cycle of an unbalanced host
+_MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
+
+
+class _Host:
+    """One ascent step's host, built once: its sign table, float adjacency
+    matrix and positive/negative neighbour bitsets."""
+
+    def __init__(self, g: SignedGraph):
+        A = g.adjacency_matrix()
+        self.rows = A.tolist()
+        self.matrix = A.astype(float)
+        self.pos = [sum(1 << w for w, s in enumerate(row) if s > 0) for row in self.rows]
+        self.neg = [sum(1 << w for w, s in enumerate(row) if s < 0) for row in self.rows]
+
+    def sign(self, u: int, v: int) -> int:
+        return self.rows[u][v]
+
+    def c4_negative_free_after(self, edits) -> bool:
+        pos, neg = self.pos[:], self.neg[:]
+        for u, v, s in edits:
+            bu, bv = 1 << u, 1 << v
+            pos[u] &= ~bv
+            neg[u] &= ~bv
+            pos[v] &= ~bu
+            neg[v] &= ~bu
+            if s:
+                bits = pos if s > 0 else neg
+                bits[u] |= bv
+                bits[v] |= bu
+        return _c4_negative_free_bits(pos, neg)
+
+    def lambda1_after(self, edits) -> float:
+        # the bits of eigenvalues_sym(edited graph's adjacency_matrix()).lambda1:
+        # the same LAPACK routine on the same float64 matrix
+        A = self.matrix.copy()
+        for u, v, s in edits:
+            A[u, v] = A[v, u] = s
+        return float(np.linalg.eigh(A)[0][-1])
+
+
 def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     """Greedy index ascent over constraint-preserving moves.
 
     Starts from a random unbalanced graph with no negative C4, switches to
     nonnegative-eigenvector form each step, then tries candidate moves in
-    order of decreasing closed-form delta (ties by operand order) and
-    applies the first one that keeps the constraints and strictly increases
-    the index by more than 1e-12.  Stops at a local maximum or after
-    max_steps moves; the returned trajectory is strictly increasing.
+    order of decreasing closed-form delta (ties by kind, then operand
+    order) and applies the first one that keeps the constraints and
+    strictly increases the index by more than 1e-12.  Stops at a local
+    maximum or after max_steps moves; the returned trajectory is strictly
+    increasing.
+
+    Candidates are popped lazily from a heap and decided on the host's
+    state (see the module docstring for the checks each kind skips); only
+    negate-pair and rotate moves that pass the negative-C4 test, and the
+    accepted move, become SignedGraphs.  The host's shortest negative
+    cycle, which only deletions need, is found when a step pops its first
+    deletion.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
@@ -286,18 +371,34 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     applied: list[Move] = []
     deltas: list[float] = []
     for _ in range(max_steps):
-        moves = candidate_moves(g)
-        scored = sorted(
-            ((-_closed_form_delta(g, mv, report.x), mv.kind.value, mv.operands, mv) for mv in moves)
-        )
+        host = _Host(g)
+        x = report.x.tolist()
+        heap = [
+            (-_closed_form_delta(host, kind, ops, x), kind.value, ops, kind)
+            for kind, ops in _candidates(host.rows)
+        ]
+        # keys are unique (no two moves share kind and operands), so the pops
+        # come in sorted order and the trailing kind is never compared
+        heapq.heapify(heap)
         accepted = None
-        for neg_delta, _, _, mv in scored:
-            result = _edited_graph(g, mv)
-            if is_balanced(result).balanced or not is_ck_negative_free(result, 4):
+        protected = None  # most steps accept a move before popping any deletion
+        while heap:
+            neg_delta, _, ops, kind = heapq.heappop(heap)
+            if kind is MoveKind.DELETE_EDGE:
+                if protected is None:
+                    # never None: every host is unbalanced
+                    protected = set(shortest_negative_cycle(g).edges())
+                if ops[0] in protected:
+                    continue
+            mv = Move(kind, ops)
+            edits = _edits(host, mv)
+            if kind is not MoveKind.DELETE_EDGE and not host.c4_negative_free_after(edits):
                 continue
-            lam = eigenvalues_sym(result.adjacency_matrix()).lambda1
+            if kind in _MAY_BALANCE and is_balanced(_edited_graph(g, mv)).balanced:
+                continue
+            lam = host.lambda1_after(edits)
             if lam > report.lambda1 + STRICT_GAIN:
-                accepted = (result, lam, mv, -neg_delta)
+                accepted = (_edited_graph(g, mv), lam, mv, -neg_delta)
                 break
         if accepted is None:
             break

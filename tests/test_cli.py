@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import signedspectra
-from signedspectra import SignedGraph
+from signedspectra import SignedGraph, proofmoves
 from signedspectra.cli import build_parser, main, parse_partition
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import greedy_ascent
@@ -282,6 +282,18 @@ def test_search_subcommand(capsys):
     body = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
     final = SignedGraph.from_sg(body)
     assert final.n == 5
+
+
+def test_search_sampler_give_up_is_an_error_line(monkeypatch, capsys):
+    # 10 trials instead of 10^5: the order-17 start sampler gives up at once
+    monkeypatch.setattr(proofmoves, "SAMPLE_TRIALS", 10)
+    code, out, err = run(capsys, "search", "--n", "17", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: rejection sampling found no unbalanced graph of order 17 without a "
+        "negative 4-cycle in 10 trials\n"
+    )
 
 
 def flat_ints(operands):

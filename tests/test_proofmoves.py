@@ -7,8 +7,11 @@ from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free, shortest_negative_cycle
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import (
+    STRICT_GAIN,
     ConstraintViolation,
     Move,
+    MoveKind,
+    _closed_form_delta,
     apply_move,
     candidate_moves,
     greedy_ascent,
@@ -186,13 +189,18 @@ def test_greedy_ascent_often_reaches_the_extremal_graph():
 
 
 # (n, seed) -> (start .sg digest, steps, final .sg digest), recorded from the
-# sampler that tested balance before negative C4s.  Any change to the
-# sampler's random draws moves the start graph and fails this test.
+# sampler that tested balance before negative C4s; the order-12 and order-13
+# entries from the ascent that built a SignedGraph for every tried move.  Any
+# change to the sampler's random draws moves the start graph and fails this
+# test.
 PINNED_ASCENTS = {
     (8, 0): ("e886b62de0205462", 11, "f0d6b869d165cc97"),
     (9, 1): ("12909c9b51d0dd75", 19, "41b489f0fd3a6758"),
     (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d"),
     (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a"),
+    (12, 4): ("59b297eea65a5adc", 41, "5491984a069cdaf3"),
+    (12, 5): ("b55abe5ea96f37b4", 34, "b93bcf62e66c4432"),
+    (13, 6): ("a03273eef1765a5e", 41, "ec201f2a187eff2d"),
 }
 
 
@@ -207,3 +215,56 @@ def test_sampler_and_ascent_are_pinned(n, seed):
     result = greedy_ascent(n, seed)
     assert result.steps == steps == len(result.deltas)
     assert sg_digest(result.graph) == final_digest
+
+
+def reference_ascent(n, seed, max_steps=500):
+    """greedy_ascent's definition on the per-move API: every candidate scored,
+    sorted, then applied and certified in turn."""
+    g = random_unbalanced_c4free(n, random.Random(seed))
+    g, rep = nonneg_eigenvector_form(g)
+    trajectory, applied, deltas = [rep.lambda1], [], []
+    for _ in range(max_steps):
+        scored = sorted(
+            (-_closed_form_delta(g, mv.kind, mv.operands, rep.x), mv.kind.value, mv.operands, mv)
+            for mv in candidate_moves(g)
+        )
+        for *_, mv in scored:
+            result, cert = apply_move(g, mv, host_report=rep)
+            if cert.preserves_constraints and cert.result_lambda1 > rep.lambda1 + STRICT_GAIN:
+                break
+        else:
+            break
+        applied.append(mv)
+        deltas.append(cert.rayleigh_delta)
+        trajectory.append(cert.result_lambda1)
+        g, rep = nonneg_eigenvector_form(result)
+    return g, tuple(trajectory), tuple(applied), tuple(deltas)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_greedy_ascent_matches_the_per_move_reference(n):
+    for seed in range(6):
+        result = greedy_ascent(n, seed)
+        g, trajectory, applied, deltas = reference_ascent(n, seed)
+        assert result.graph == g
+        assert result.trajectory == trajectory
+        assert result.applied == applied
+        assert result.deltas == deltas
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_additions_and_deletions_keep_the_constraints_they_skip(n):
+    # the ascent tests neither balance after an addition or a deletion, nor
+    # negative 4-cycles after a deletion
+    kinds = set()
+    for seed in range(3):
+        g = random_unbalanced_c4free(n, random.Random(seed))
+        rep = eigenvalues_sym(g.adjacency_matrix())
+        for mv in candidate_moves(g):
+            if mv.kind in (MoveKind.ADD_POSITIVE_EDGE, MoveKind.DELETE_EDGE):
+                _, cert = apply_move(g, mv, host_report=rep)
+                assert cert.still_unbalanced, mv
+                if mv.kind is MoveKind.DELETE_EDGE:
+                    assert cert.still_c4_negative_free, mv
+                kinds.add(mv.kind)
+    assert kinds == {MoveKind.ADD_POSITIVE_EDGE, MoveKind.DELETE_EDGE}

@@ -17,7 +17,8 @@ the census kernel ``_census_one_graph`` (GF(2) class filter and
 eigensolve) per graph of ``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
-K_{5,5} has 2 (5!)^2 automorphisms).  It prints one JSON object: per-call
+K_{5,5} has 2 (5!)^2 automorphisms), and ``greedy_ascent`` at order 12 per
+seed in ASCENT_SEEDS (start sampling included).  It prints one JSON object: per-call
 median and quartiles in microseconds over SAMPLES samples, each sample
 the mean of a batch of calls sized to take about 20 ms.  Uses the
 standard library and the package only.
@@ -49,6 +50,7 @@ WIDTH = Fraction(1, 10**15)
 G10_WIDTH = Fraction(1e-12)
 BATCH_S = 0.02
 SAMPLES = 15
+ASCENT_SEEDS = (1, 2, 3)
 
 
 def load_checkout(root: str, name: str):
@@ -153,6 +155,10 @@ def rows(ss) -> dict:
     one = complete_bipartite(ss, 5, {(0, 5)})
     two = complete_bipartite(ss, 5, {(0, 5), (0, 6)})
     out["switching_isomorphic.k55"] = (lambda: ss.switching.switching_isomorphic(one, two), 1)
+    out["greedy_ascent.n12"] = (
+        lambda: [ss.greedy_ascent(12, seed) for seed in ASCENT_SEEDS],
+        len(ASCENT_SEEDS),
+    )
     return out
 
 
