@@ -11,7 +11,9 @@ negative 4-cycle iff some vertex pair u != w is joined by both a positive
 and a negative 2-path (the two middle vertices then differ, and the two
 paths close into a cycle of sign -1).  With positive and negative
 neighbour bitsets P, N this is one test per pair,
-``((Pu & Pw) | (Nu & Nw)) and ((Pu & Nw) | (Nu & Pw))``.
+``((Pu & Pw) | (Nu & Nw)) and ((Pu & Nw) | (Nu & Pw))``.  When one edge
+joins a graph that has none, only the cycles through that edge need
+testing, one bitset test per neighbour of an endpoint.
 """
 
 from __future__ import annotations
@@ -147,6 +149,29 @@ def _c4_negative_free_bits(pos: Sequence[int], neg: Sequence[int]) -> bool:
             if ((pu & pw) | (nu & nw)) and ((pu & nw) | (nu & pw)):
                 return False
     return True
+
+
+def _closes_negative_c4(pos: Sequence[int], neg: Sequence[int], u: int, v: int, s: int) -> bool:
+    """True iff adding the edge uv of sign s to pos/neg makes a negative 4-cycle.
+
+    The bitsets are as in :func:`_c4_negative_free_bits`; their graph must
+    have no negative 4-cycle, and u, v must not be adjacent.  Then every
+    new negative 4-cycle is u-v-y-x with y a neighbour of v, and it is
+    negative iff the 2-path y-x-u has sign -s * sign(vy): one bitset test
+    per neighbour y of v.
+    """
+    pu, nu = pos[u], neg[u]
+    same, other = (pos[v], neg[v]) if s > 0 else (neg[v], pos[v])
+    # y with sign(vy) == s needs a negative 2-path y-x-u, the other
+    # neighbours a positive one: the same test with pu and nu swapped
+    for ys, a, b in ((same, pu, nu), (other, nu, pu)):
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            if (a & neg[y]) | (b & pos[y]):
+                return True
+    return False
 
 
 def is_ck_negative_free(g: SignedGraph, k: int) -> bool:

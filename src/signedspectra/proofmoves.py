@@ -35,7 +35,12 @@ from typing import Iterator
 import numpy as np
 
 from .core import SignedGraph
-from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
+from .cycles import (
+    _c4_negative_free_bits,
+    _closes_negative_c4,
+    is_ck_negative_free,
+    shortest_negative_cycle,
+)
 from .spectra import SpectrumReport, eigenvalues_sym, nonneg_eigenvector_form
 from .switching import is_balanced
 
@@ -252,15 +257,20 @@ def _candidates(rows: list[list[int]]) -> Iterator[tuple[MoveKind, tuple]]:
 
 
 def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
-    """Rejection-sample an unbalanced signed graph with no negative C4.
+    """Sample an unbalanced signed graph with no negative C4.
 
     Each trial draws every pair in (u, v) order: one ``rng.random()`` for
     presence (below ``SAMPLE_EDGE_PROB``) and, for a present edge, one for
-    its sign (negative below ``SAMPLE_NEG_PROB``).  Negative-C4
-    freeness is tested first, on neighbour bitsets filled while drawing;
-    only a trial that passes becomes a SignedGraph and has its balance
-    checked.  Both tests are pure, so their order changes neither the
-    draws nor the returned graph.
+    its sign (negative below ``SAMPLE_NEG_PROB``).  A drawn edge that would
+    close a negative 4-cycle with the edges kept so far is skipped, its
+    draws still consumed, so every trial is negative-C4-free by
+    construction and only a balanced trial is rejected.  A trial whose
+    whole draw has no negative C4 skips nothing.
+
+    This is the negative-C4-free process over a fixed pair order, not
+    G(n, SAMPLE_EDGE_PROB) conditioned on having no negative C4: an edge
+    is kept when it closes nothing with earlier pairs, so the result is
+    biased towards early pairs.
     """
     if n < 3:
         raise ValueError("need n >= 3 for an unbalanced graph")
@@ -271,11 +281,12 @@ def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
         neg = [0] * n
         for u, v, bu, bv in pairs:
             if rand() < SAMPLE_EDGE_PROB:
-                bits = neg if rand() < SAMPLE_NEG_PROB else pos
+                s = -1 if rand() < SAMPLE_NEG_PROB else 1
+                if _closes_negative_c4(pos, neg, u, v, s):
+                    continue
+                bits = neg if s < 0 else pos
                 bits[u] |= bv
                 bits[v] |= bu
-        if not _c4_negative_free_bits(pos, neg):
-            continue
         table = {
             (u, v): 1 if pos[u] & bv else -1 for u, v, _, bv in pairs if (pos[u] | neg[u]) & bv
         }

@@ -8,10 +8,11 @@ import pytest
 import signedspectra
 from signedspectra import SignedGraph, proofmoves
 from signedspectra.cli import build_parser, main, parse_partition
+from signedspectra.cycles import is_ck_negative_free
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import greedy_ascent
 from signedspectra.spectra import char_poly_exact
-from signedspectra.switching import switching_equivalent
+from signedspectra.switching import is_balanced, switching_equivalent
 
 
 def run(capsys, *argv):
@@ -285,15 +286,25 @@ def test_search_subcommand(capsys):
 
 
 def test_search_sampler_give_up_is_an_error_line(monkeypatch, capsys):
-    # 10 trials instead of 10^5: the order-17 start sampler gives up at once
-    monkeypatch.setattr(proofmoves, "SAMPLE_TRIALS", 10)
+    # no trials at all: the start sampler gives up at once
+    monkeypatch.setattr(proofmoves, "SAMPLE_TRIALS", 0)
     code, out, err = run(capsys, "search", "--n", "17", "--seed", "1")
     assert code == 1
     assert out == ""
     assert err == (
         "error: rejection sampling found no unbalanced graph of order 17 without a "
-        "negative 4-cycle in 10 trials\n"
+        "negative 4-cycle in 0 trials\n"
     )
+
+
+def test_search_at_order_17_prints_an_unbalanced_c4_negative_free_graph(capsys):
+    code, out, err = run(capsys, "search", "--n", "17", "--seed", "1")
+    assert code == 0 and err == ""
+    body = "".join(line + "\n" for line in out.splitlines() if not line.startswith("#"))
+    final = SignedGraph.from_sg(body)
+    assert final.n == 17
+    assert not is_balanced(final).balanced
+    assert is_ck_negative_free(final, 4)
 
 
 def flat_ints(operands):

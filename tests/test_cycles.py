@@ -4,6 +4,8 @@ import pytest
 
 from signedspectra import SignedGraph, complete_signed
 from signedspectra.cycles import (
+    _c4_negative_free_bits,
+    _closes_negative_c4,
     cycle_sign,
     double_cover,
     find_negative_ck,
@@ -11,6 +13,7 @@ from signedspectra.cycles import (
     shortest_negative_cycle,
 )
 from signedspectra.families import extremal_graph, near_extremal_graph
+from signedspectra.proofmoves import random_unbalanced_c4free
 from signedspectra.switching import is_balanced, switch
 
 from conftest import (
@@ -95,6 +98,48 @@ def test_c4_two_path_criterion_matches_permutation_oracle():
         g = random_signed_graph(rng, rng.randint(0, 6), edge_prob=rng.choice((0.3, 0.6, 0.9)))
         expected = not any(s < 0 for _, s in brute_cycles_permutations(g, 4))
         assert is_ck_negative_free(g, 4) == expected
+
+
+def sign_bitsets(g):
+    pos = [0] * g.n
+    neg = [0] * g.n
+    for u, v, s in g.edges():
+        bits = pos if s > 0 else neg
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return pos, neg
+
+
+def test_closing_edge_test_matches_the_whole_graph_test():
+    # on a negative-C4-free graph, uv of sign s closes a negative 4-cycle
+    # iff the graph with uv added fails the whole-graph bitset test
+    rng = random.Random(41)
+    hosts = [
+        random_unbalanced_c4free(n, random.Random(seed)) for n in range(4, 13) for seed in range(4)
+    ]
+    while len(hosts) < 100:
+        g = random_signed_graph(
+            rng, rng.randint(4, 12), edge_prob=rng.choice((0.2, 0.3, 0.5)), neg_prob=0.3
+        )
+        if is_ck_negative_free(g, 4):
+            hosts.append(g)
+    seen = set()
+    for g in hosts:
+        pos, neg = sign_bitsets(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v or g.has_edge(u, v):
+                    continue
+                for s in (1, -1):
+                    bits = pos if s > 0 else neg
+                    bits[u] |= 1 << v
+                    bits[v] |= 1 << u
+                    expected = not _c4_negative_free_bits(pos, neg)
+                    bits[u] ^= 1 << v
+                    bits[v] ^= 1 << u
+                    assert _closes_negative_c4(pos, neg, u, v, s) == expected, (g.to_sg(), u, v, s)
+                    seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_ck_negative_free():

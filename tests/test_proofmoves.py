@@ -165,6 +165,49 @@ def test_random_start_generator():
         g = random_unbalanced_c4free(6, rng)
         assert not is_balanced(g).balanced
         assert is_ck_negative_free(g, 4)
+    for n in range(3, 31):
+        for seed in range(10):
+            g = random_unbalanced_c4free(n, random.Random(seed))
+            assert g.n == n
+            assert not is_balanced(g).balanced
+            assert is_ck_negative_free(g, 4)
+
+
+def whole_trial_sampler(n, rng):
+    """The sampler that rejected every trial with a negative C4; returns the
+    graph and the number of trials it drew."""
+    for trial in range(1, 100001):
+        table = {}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.35:
+                    table[(u, v)] = -1 if rng.random() < 0.3 else 1
+        g = SignedGraph(n, table)
+        if is_ck_negative_free(g, 4) and not is_balanced(g).balanced:
+            return g, trial
+    raise RuntimeError("no start")
+
+
+def test_sampler_keeps_every_first_trial_the_whole_trial_sampler_accepts():
+    # a whole draw without a negative C4 skips no edge, so where the old
+    # sampler accepts its first trial both return the same graph and leave
+    # the generator in the same state
+    compared = moved = 0
+    for n in range(3, 13):
+        for seed in range(10):
+            rng = random.Random(seed)
+            for _ in range(5):
+                old_rng = random.Random()
+                old_rng.setstate(rng.getstate())
+                old, trials = whole_trial_sampler(n, old_rng)
+                g = random_unbalanced_c4free(n, rng)
+                if trials == 1:
+                    assert g == old
+                    assert rng.getstate() == old_rng.getstate()
+                    compared += 1
+                else:
+                    moved += 1
+    assert compared >= 40 and moved >= 40
 
 
 def test_greedy_ascent_trajectory():
@@ -188,19 +231,21 @@ def test_greedy_ascent_often_reaches_the_extremal_graph():
     assert hits >= 1
 
 
-# (n, seed) -> (start .sg digest, steps, final .sg digest), recorded from the
-# sampler that tested balance before negative C4s; the order-12 and order-13
-# entries from the ascent that built a SignedGraph for every tried move.  Any
+# (n, seed) -> (start .sg digest, steps, final .sg digest).  The sampler
+# skips each drawn edge that would close a negative 4-cycle; (10, 2) and
+# (11, 3) are recorded from the sampler before that, which accepted their
+# first whole trial, so they also check that the draws did not change.  Any
 # change to the sampler's random draws moves the start graph and fails this
 # test.
 PINNED_ASCENTS = {
-    (8, 0): ("e886b62de0205462", 11, "f0d6b869d165cc97"),
-    (9, 1): ("12909c9b51d0dd75", 19, "41b489f0fd3a6758"),
+    (8, 0): ("daec7ae04d6250bd", 10, "763966067a4921ce"),
+    (9, 1): ("5aad3903e8b3dce4", 14, "b927b0f568bce3bd"),
     (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d"),
     (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a"),
-    (12, 4): ("59b297eea65a5adc", 41, "5491984a069cdaf3"),
-    (12, 5): ("b55abe5ea96f37b4", 34, "b93bcf62e66c4432"),
-    (13, 6): ("a03273eef1765a5e", 41, "ec201f2a187eff2d"),
+    (12, 4): ("afc9c39cf90c6ba0", 30, "816c4c2f3d28c069"),
+    (12, 5): ("a0ae2838e43243e4", 31, "3c8f1159fb7b6f9d"),
+    (13, 6): ("f36cb69597f755d8", 44, "8d865e5d0dbb3bd1"),
+    (17, 1): ("c0fc614313474020", 77, "dc04e57fa30c4694"),
 }
 
 

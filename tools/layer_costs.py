@@ -17,11 +17,12 @@ the census kernel ``_census_one_graph`` (GF(2) class filter and
 eigensolve) per graph of ``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
-K_{5,5} has 2 (5!)^2 automorphisms), and ``greedy_ascent`` at order 12 per
-seed in ASCENT_SEEDS (start sampling included).  It prints one JSON object: per-call
-median and quartiles in microseconds over SAMPLES samples, each sample
-the mean of a batch of calls sized to take about 20 ms.  Uses the
-standard library and the package only.
+K_{5,5} has 2 (5!)^2 automorphisms), ``greedy_ascent`` at order 12 per
+seed in ASCENT_SEEDS (start sampling included) and the start sampler
+``random_unbalanced_c4free`` at order 16 per seed in SAMPLER_SEEDS.  It
+prints one JSON object: per-call median and quartiles in microseconds over
+SAMPLES samples, each sample the mean of a batch of calls sized to take
+about 20 ms.  Uses the standard library and the package only.
 
 Given the root of a second source checkout, it loads that checkout's
 package too, under another module name, and times both in one process:
@@ -51,6 +52,7 @@ G10_WIDTH = Fraction(1e-12)
 BATCH_S = 0.02
 SAMPLES = 15
 ASCENT_SEEDS = (1, 2, 3)
+SAMPLER_SEEDS = (0, 1, 2)
 
 
 def load_checkout(root: str, name: str):
@@ -158,6 +160,10 @@ def rows(ss) -> dict:
     out["greedy_ascent.n12"] = (
         lambda: [ss.greedy_ascent(12, seed) for seed in ASCENT_SEEDS],
         len(ASCENT_SEEDS),
+    )
+    out["random_unbalanced_c4free.n16"] = (
+        lambda: [ss.random_unbalanced_c4free(16, random.Random(seed)) for seed in SAMPLER_SEEDS],
+        len(SAMPLER_SEEDS),
     )
     return out
 
