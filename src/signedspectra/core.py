@@ -94,6 +94,15 @@ def _bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int], list[tuple[
     return parent, order, forest
 
 
+def _bitsets(n: int, edges) -> list[int]:
+    """The one neighbour-bitset builder: bit v of ``adj[u]`` is set iff uv is an edge."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 class SignedGraph:
     """Immutable simple graph on vertices 0..n-1 with signs in {-1, +1}.
 

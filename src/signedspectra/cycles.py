@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SignedGraph
+from .core import SignedGraph, _bitsets
 
 __all__ = [
     "CycleWitness",
@@ -184,12 +184,9 @@ def is_ck_negative_free(g: SignedGraph, k: int) -> bool:
     """
     if k != 4:
         return find_negative_ck(g, k) is None
-    pos = [0] * g.n
-    neg = [0] * g.n
-    for u, v, s in g.edges():
-        bits = pos if s > 0 else neg
-        bits[u] |= 1 << v
-        bits[v] |= 1 << u
+    signed = g.edges()
+    pos = _bitsets(g.n, [(u, v) for u, v, s in signed if s > 0])
+    neg = _bitsets(g.n, [(u, v) for u, v, s in signed if s < 0])
     return _c4_negative_free_bits(pos, neg)
 
 

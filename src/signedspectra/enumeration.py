@@ -28,13 +28,13 @@ c components has exactly 2^(m-n+c) classes, one per pattern.
 ``verify_max_index`` runs the full census for one order as linear algebra
 over GF(2).  With the forest positive, a class x is balanced iff x = 0,
 and a 4-cycle C is negative iff the parity of x on C's cotree edges is 1
-(Zaslavsky, "Signed graphs", 1982).  The unbalanced classes with no
-negative 4-cycle are therefore exactly the nonzero vectors in the kernel
-of the 4-cycle rows, so class and eligible counts are powers of two and
-only the kernel vectors are eigensolved, in one stacked LAPACK call per
-graph.  The classes that attain the maximum index exactly are the
-witnesses, and the report's verdict states whether every witness is
-switching isomorphic to the extremal graph.
+(Zaslavsky, "Signed graphs", 1982).  So x negates the 4-cycles in the XOR
+of its columns, one column per cotree edge (the bitset of the 4-cycles
+through it), and the eligible classes are the nonzero kernel vectors.
+Class and eligible counts are powers of two, and only the kernel vectors
+are eigensolved, in one stacked LAPACK call per graph.  The classes that
+attain the maximum index exactly are the witnesses, and the verdict
+states whether each is switching isomorphic to the extremal graph.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from itertools import product
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest
+from .core import SignedGraph, _bfs_forest, _bitsets
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, index
-from .switching import _bitsets, _leaves, _twin_classes, switching_isomorphic
+from .switching import _leaves, _twin_classes, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -170,44 +170,44 @@ def switching_classes(g: SignedGraph) -> list[SignedGraph]:
     return [_signed_by_pattern(g.n, edges, cotree, bits) for bits in range(1 << len(cotree))]
 
 
-def _c4_rows(n: int, edges: tuple[tuple[int, int], ...], cotree: list[tuple[int, int]]) -> list[int]:
-    """One bitset per 4-cycle of the underlying graph: its cotree edges.
+def _c4_columns(n: int, edges: tuple[tuple[int, int], ...], cotree: list[tuple[int, int]]) -> list[int]:
+    """One bitset per cotree edge: bit j is set iff the edge lies on 4-cycle j.
 
-    With the forest positive, pattern x makes the cycle negative iff
-    ``r & x`` has odd popcount.  Each 4-cycle a-b-c-d is listed once, from
-    its least vertex a with neighbors b < d on the cycle.
+    Each 4-cycle a-b-c-d is numbered once, from its least vertex a with
+    neighbours b < d on the cycle; the vertices c > a are one AND.
     """
-    col = {e: 1 << i for i, e in enumerate(cotree)}
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def bit(u: int, v: int) -> int:
-        return col.get((u, v) if u < v else (v, u), 0)
-
-    rows = []
+    adj = _bitsets(n, edges)
+    at = [[-1] * n for _ in range(n)]  # forest edges write to the spare last column
+    for i, (u, v) in enumerate(cotree):
+        at[u][v] = at[v][u] = i
+    cols = [0] * (len(cotree) + 1)
+    row = 1
     for a in range(n):
-        up = sorted(w for w in adj[a] if w > a)
+        up = [b for b in range(a + 1, n) if adj[a] >> b & 1]
         for j, b in enumerate(up):
             for d in up[j + 1 :]:
-                for c in adj[b] & adj[d]:
-                    if c > a:
-                        rows.append(bit(a, b) ^ bit(b, c) ^ bit(c, d) ^ bit(d, a))
-    return rows
+                cs = adj[b] & adj[d] & ~((2 << a) - 1)
+                while cs:
+                    c = (cs & -cs).bit_length() - 1
+                    cs &= cs - 1
+                    cols[at[a][b]] |= row
+                    cols[at[b][c]] |= row
+                    cols[at[c][d]] |= row
+                    cols[at[a][d]] |= row
+                    row <<= 1
+    return cols[:-1]
 
 
-def _kernel_basis(rows: list[int], k: int) -> list[int]:
-    """Basis of {x in GF(2)^k : r & x has even popcount for every row r}.
+def _kernel_vectors(cols: list[int]) -> list[int]:
+    """The nonzero x whose columns ``cols[i]`` (bit i of x set) XOR to zero, ascending.
 
     Columns are eliminated one at a time, each tracking the set of
     original columns it sums; a column that reduces to zero yields that
-    set as a kernel vector.
+    set as a basis vector, and the kernel is the span of the basis.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    basis = []
-    for i in range(k):
-        col = sum(1 << j for j, r in enumerate(rows) if (r >> i) & 1)
+    span = [0]
+    for i, col in enumerate(cols):
         combo = 1 << i
         while col:
             top = col.bit_length() - 1
@@ -218,8 +218,8 @@ def _kernel_basis(rows: list[int], k: int) -> list[int]:
             col ^= pcol
             combo ^= pcombo
         else:
-            basis.append(combo)
-    return basis
+            span += [x ^ combo for x in span]
+    return sorted(span)[1:]
 
 
 # -- the census ----------------------------------------------------------------
@@ -274,10 +274,7 @@ def _eligible_indices(n: int, edges: tuple, cotree: list) -> list[tuple[float, i
     matrices.  Its bits are those of ``spectra.eigenvalues_sym`` per matrix:
     the same LAPACK routine runs on the same float64 input, matrix by matrix.
     """
-    span = [0]
-    for b in _kernel_basis(_c4_rows(n, edges, cotree), len(cotree)):
-        span += [x ^ b for x in span]
-    patterns = sorted(span)[1:]
+    patterns = _kernel_vectors(_c4_columns(n, edges, cotree))
     if not patterns:
         return []
     # every edge has u < v: fill the upper triangles, then add the transposes
@@ -328,7 +325,7 @@ def verify_max_index(
 
     For each underlying graph in catalog order, counts its classes and
     eligible classes (unbalanced, no negative 4-cycle) from the GF(2)
-    kernel of its 4-cycle rows and eigensolves only the kernel vectors,
+    kernel of its 4-cycle columns and eigensolves only the kernel vectors,
     folding the result into the running maximum; the classes within
     ``FLOAT_MARGIN`` of it are compared by exact characteristic polynomials
     and every exact maximizer is checked against the extremal graph.
@@ -485,14 +482,16 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
 def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:
     """Whether a resumed record can be what :func:`_census_one_graph` gave.
 
-    ``classes`` is 2^|cotree| of the task, ``eligible + 1`` a power of two
-    no larger, ``keep`` a list of ``[lam, pattern]`` with a float lam and
-    ``0 < pattern < classes``, and ``best`` the float maximum of the kept
-    lam (None when ``keep`` is empty).
+    ``classes`` is 2^|cotree| of the task, ``eligible`` its count of
+    eligible patterns, ``keep`` a list of ``[lam, pattern]`` with a float
+    lam and distinct eligible patterns (lam is not recomputed), and
+    ``best`` the float maximum of the kept lam (None when ``keep`` is empty).
     """
-    if type(classes) is not int or classes != 1 << len(_cotree(n, edges)):
+    cotree = _cotree(n, edges)
+    if type(classes) is not int or classes != 1 << len(cotree):
         return False
-    if type(eligible) is not int or eligible < 0 or eligible & (eligible + 1) or eligible >= classes:
+    unseen = set(_kernel_vectors(_c4_columns(n, edges, cotree)))
+    if type(eligible) is not int or eligible != len(unseen):
         return False
     if type(keep) is not list:
         return False
@@ -500,8 +499,9 @@ def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:
         if not (isinstance(entry, list) and len(entry) == 2):
             return False
         lam, pattern = entry
-        if type(lam) is not float or type(pattern) is not int or not 0 < pattern < classes:
+        if type(lam) is not float or type(pattern) is not int or pattern not in unseen:
             return False
+        unseen.remove(pattern)
     if not keep:
         return best is None
     return type(best) is float and best == max(lam for lam, _ in keep)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest
+from .core import SignedGraph, _bfs_forest, _bitsets
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -182,15 +182,6 @@ def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) 
             out.append(cell)
         cells = out
     return cells
-
-
-def _bitsets(n: int, edges) -> list[int]:
-    """Neighbour bitsets: bit v of ``adj[u]`` is set iff uv is an edge."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
 
 
 def _relabelled(order: list[int], edges) -> tuple[tuple[int, int], ...]:

@@ -4,7 +4,7 @@ Oracles here deliberately avoid the library's production algorithms: cycle
 enumeration is plain path DFS (the library's shortest-cycle search goes
 through the double cover), switching orbits are flood-filled over bit-packed
 signings (the library counts classes via cotree patterns), and the census
-worker (GF(2) kernel of the 4-cycle rows) is checked against a per-class
+worker (GF(2) kernel of the 4-cycle columns) is checked against a per-class
 filter.  The eigensolver (LAPACK eigh) is checked in test_spectra against
 exact roots of integer characteristic polynomials, not against a second
 float solver.  Exact characteristic polynomials (multimodular

@@ -135,7 +135,8 @@ def test_twin_pruned_walk_matches_the_unpruned_oracle():
     from itertools import islice
 
     from signedspectra.enumeration import _canonical_edges
-    from signedspectra.switching import _bitsets, _leaves, _twin_classes
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _leaves, _twin_classes
 
     def unpruned_keys(n, edges):
         return (key for _, key in _leaves(_bitsets(n, edges), edges, [[v] for v in range(n)]))
@@ -176,7 +177,8 @@ def test_twin_pruned_walk_has_one_leaf_on_complete_graphs(n):
     # a count, not a timing: the unpruned walk has n! leaves
     from itertools import islice
 
-    from signedspectra.switching import _bitsets, _leaves, _twin_classes
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _leaves, _twin_classes
 
     edges = frozenset(combinations(range(n), 2))
     adj = _bitsets(n, edges)
@@ -402,6 +404,23 @@ def test_verify_census_order7():
     assert report.verdict
 
 
+def test_census_integer_outputs_are_pinned_at_order_7():
+    # per task: class count, eligible count and the sorted eligible patterns
+    # (the kernel's span), so a rewrite of the kernel keeps every span
+    import hashlib
+
+    from signedspectra.enumeration import _census_one_graph, _cotree, _eligible_indices
+
+    out = []
+    for g in enumerate_underlying(7):
+        edges = tuple(sorted(g.edge_set()))
+        classes, eligible, _, _ = _census_one_graph(7, edges)
+        patterns = sorted(bits for _, bits in _eligible_indices(7, edges, _cotree(7, edges)))
+        out.append([classes, eligible, patterns])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "fe110529cad4b8bf437304174996d052440251cfff60f587dfb19f8c876e4d87"
+
+
 def test_verify_census_torn_checkpoint_record(tmp_path):
     # a crash mid-write leaves a torn last line: it is dropped and recomputed
     ck = tmp_path / "census5.jsonl"
@@ -490,6 +509,12 @@ BAD_RECORDS = {
     "pattern-zero": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0, 0]])],
     "keep-above-best": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[3.0, 1]])],
     "keep-entry-not-a-pair": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0]])],
+    # task 19 has one eligible class, pattern 2; pattern 1 makes a 4-cycle negative
+    "pattern-not-eligible": [dict(GOOD_RECORD, i=19, classes=4, eligible=1, best=9.0, keep=[[9.0, 1]])],
+    "pattern-repeated": [
+        dict(GOOD_RECORD, i=19, classes=4, eligible=1, best=2.0, keep=[[2.0, 2], [2.0, 2]])
+    ],
+    "eligible-not-the-kernel-count": [dict(GOOD_RECORD, i=33, classes=64, eligible=3)],
 }
 
 

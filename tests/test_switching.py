@@ -298,7 +298,8 @@ def _signed_twins(g: SignedGraph, u: int, v: int) -> bool:
 
 
 def test_signed_twin_classes_match_the_pairwise_definition():
-    from signedspectra.switching import _bitsets, _twin_classes
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _twin_classes
 
     rng = random.Random(66)
     transpositions = {1: 0, -1: 0}
@@ -339,7 +340,8 @@ def test_signed_twin_classes_match_the_pairwise_definition():
 @pytest.mark.parametrize("m", range(2, 10))
 def test_signed_twin_walk_leaf_count_on_complete_bipartite(m):
     # a count, not a timing: the unpruned walk has 2 (m!)^2 leaves on K_{m,m}
-    from signedspectra.switching import _bitsets, _leaves, _twin_classes
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _leaves, _twin_classes
 
     edges = frozenset((i, m + j) for i in range(m) for j in range(m))
     adj = _bitsets(2 * m, edges)

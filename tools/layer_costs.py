@@ -22,13 +22,15 @@ seed in ASCENT_SEEDS (start sampling included) and the start sampler
 ``random_unbalanced_c4free`` at order 16 per seed in SAMPLER_SEEDS.  It
 prints one JSON object: per-call median and quartiles in microseconds over
 SAMPLES samples, each sample the mean of a batch of calls sized to take
-about 20 ms.  Uses the standard library and the package only.
+about 20 ms, and that batch size.  Uses the standard library and the
+package only.
 
 Given the root of a second source checkout, it loads that checkout's
 package too, under another module name, and times both in one process:
 each row alternates samples between the two, in turn first, so drift of
-the machine's speed falls on both alike.  Each row then holds one entry
-per side, ``this`` and ``other``.
+the machine's speed falls on both alike.  Each side sizes its own batch,
+so a sample takes about 20 ms (or one call) on either side, however far
+apart their speeds are.  Each row then holds one entry per side, ``this`` and ``other``.
 """
 
 from __future__ import annotations
@@ -71,31 +73,33 @@ def per_call_us(calls: dict, samples: int) -> dict:
     """Median and quartiles of the per-call time in microseconds, per side.
 
     ``calls`` maps a side to ``(call, count)``, where ``call`` makes
-    ``count`` calls of the function being measured.  Every side runs
-    batches of the size the first side needs for about BATCH_S, and the
-    sides alternate sample by sample.
+    ``count`` calls of the function being measured.  Each side runs
+    batches of the size its own calibration says takes about BATCH_S, and
+    the sides alternate sample by sample.
     """
-    for call, _ in calls.values():
+    batch = {}
+    for side, (call, _) in calls.items():
         call()  # warm caches and lazy set-up
-    first, _ = next(iter(calls.values()))
-    t0 = time.perf_counter()
-    for _ in range(5):
-        first()
-    batch = max(1, int(BATCH_S * 5 / (time.perf_counter() - t0)))
+        t0 = time.perf_counter()
+        for _ in range(5):
+            call()
+        batch[side] = max(1, int(BATCH_S * 5 / (time.perf_counter() - t0)))
     runs: dict = {side: [] for side in calls}
     order = list(calls)
     for _ in range(samples):
         for side in order:
             call, count = calls[side]
             t0 = time.perf_counter()
-            for _ in range(batch):
+            for _ in range(batch[side]):
                 call()
-            runs[side].append((time.perf_counter() - t0) / (batch * count) * 1e6)
+            runs[side].append((time.perf_counter() - t0) / (batch[side] * count) * 1e6)
         order.reverse()
     out = {}
     for side, times in runs.items():
         q1, med, q3 = statistics.quantiles(times, n=4)
-        out[side] = {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch}
+        out[side] = {
+            "median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch[side]
+        }
     return out
 
 
