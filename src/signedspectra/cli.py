@@ -42,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str) -> SignedGraph:
-    return SignedGraph.load(path)
-
-
 def _emit_graph(g: SignedGraph, out: str | None) -> None:
     if out:
         g.save(out)
@@ -93,7 +89,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load_graph(args.file)
+    g = SignedGraph.load(args.file)
     rep = eigenvalues_sym(g.adjacency_matrix())
     record = {
         "n": g.n,
@@ -107,12 +103,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _load_graph(args.file)
+    g = SignedGraph.load(args.file)
     bal = is_balanced(g)
     record = {
         "n": g.n,
         "balanced": bal.balanced,
-        "c4_negative_free": is_ck_negative_free(g, 4) if g.n >= 3 else True,
+        "c4_negative_free": is_ck_negative_free(g, 4),
         "shortest_negative_cycle": _cycle_json(shortest_negative_cycle(g)),
     }
     if bal.balanced:
@@ -124,7 +120,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    g = _load_graph(args.file)
+    g = SignedGraph.load(args.file)
     part = parse_partition(args.partition, g.n)
     res = quotient_matrix(g.adjacency_matrix(), part)
     if res.is_equitable:
@@ -140,7 +136,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    g = _load_graph(args.file)
+    g = SignedGraph.load(args.file)
     switched, rep = nonneg_eigenvector_form(g)
     sys.stdout.write(switched.to_sg())
     print(f"# lambda1 {rep.lambda1!r}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 The sign of a cycle is its edge signs multiplied together; a cycle is negative
 exactly when it carries an odd number of negative edges.  Fixed-length
-negative cycles are found by exhaustive path extension; the shortest
-negative cycle is found through the parity double cover, where a negative
-closed walk through v corresponds to a path between the two lifts of v.
+negative cycles are found by exhaustive path extension; the least shortest
+negative cycle is found by breadth-first search in the parity double
+cover, held implicitly as neighbour lists of lifts, where a negative
+closed walk through v is a walk between the two lifts of v;
+:func:`double_cover` builds that cover as a graph.
 
 Freeness from negative 4-cycles has an exact shortcut: a graph has a
 negative 4-cycle iff some vertex pair u != w is joined by both a positive
@@ -18,7 +20,6 @@ testing, one bitset test per neighbour of an endpoint.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,7 +78,6 @@ def cycle_sign(g: SignedGraph, seq: Sequence[int]) -> int:
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     """Rotate/reflect so the minimum vertex leads and its smaller neighbor follows."""
     vs = list(seq)
-    k = len(vs)
     i = vs.index(min(vs))
     vs = vs[i:] + vs[:i]
     if vs[-1] < vs[1]:
@@ -212,73 +212,54 @@ def double_cover(g: SignedGraph) -> SignedGraph:
     return SignedGraph(2 * n, table)
 
 
-def _extract_negative_cycle(g: SignedGraph, walk: list[int]) -> list[int]:
-    """Reduce a closed negative walk to a simple negative cycle, no longer.
-
-    Splitting a closed walk at a repeated vertex yields two closed walks
-    whose signs multiply to the original, so one part of a negative walk is
-    always negative; excising the positive part strictly shortens the walk.
-    """
-    # walk is closed with walk[0] == walk[-1]
-    while True:
-        seen: dict[int, int] = {}
-        cut = None
-        for i, v in enumerate(walk[:-1]):
-            if v in seen:
-                cut = (seen[v], i)
-                break
-            seen[v] = i
-        if cut is None:
-            return walk[:-1]
-        i, j = cut
-        inner = walk[i : j + 1]
-        s = 1
-        for a, b in zip(inner, inner[1:]):
-            s *= g.sign(a, b)
-        if s < 0:
-            walk = inner
-        else:
-            walk = walk[:i] + walk[j:]
-
-
 def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
-    """A negative cycle of minimum length, or None when g is balanced.
+    """The least shortest negative cycle, or None when g is balanced.
 
-    For every vertex v, a breadth-first search in the double cover from the
-    even lift of v to its odd lift finds the shortest negative closed walk
-    through v; the global minimum over v, reduced to a simple cycle, is a
-    shortest negative cycle.  Ties break to the lexicographically least
-    canonical witness.
+    "Least" is lexicographic on :func:`canonical_cycle` forms.  The parity
+    double cover is held implicitly: lift p of v is ``2 * v + p``, and an
+    edge keeps the parity when positive and flips it when negative.  A BFS
+    from the even lift of v reaches its odd lift after d(v) steps, the
+    length of the shortest negative closed walk through v; each BFS stops
+    once it cannot beat the least d so far.  A negative closed walk of the
+    least length L is a simple cycle, since splitting it at a repeated
+    vertex would leave a shorter negative closed walk.
+
+    No vertex below the least v with d(v) = L lies on a negative L-cycle,
+    so the witness is the lexicographically least walk of length L from
+    the even lift of v to its odd lift, taken one smallest neighbour at a
+    time.  Swapping parities is an automorphism of the cover, so a lift's
+    distance to the odd lift of v is its twin's (``x ^ 1``) distance from
+    the even lift in the BFS of v.
     """
     n = g.n
-    cover = double_cover(g)
-    cadj = cover.adjacency_lists()
-    best: tuple[int, tuple[int, ...]] | None = None
+    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    for u, v, s in g.edges():  # sorted, so every list ascends
+        flip = s < 0
+        for p in (0, 1):
+            adj[2 * u + p].append(2 * v + (p ^ flip))
+            adj[2 * v + p].append(2 * u + (p ^ flip))
+    best, start, dist = n + 1, -1, []  # a negative cycle has at most n edges
     for v in range(n):
-        # BFS from v (even lift) to v + n (odd lift)
-        parent = [-1] * (2 * n)
-        parent[v] = v
-        q = deque([v])
-        found = False
-        while q and not found:
-            cur = q.popleft()
-            for w in cadj[cur]:
-                if parent[w] == -1:
-                    parent[w] = cur
-                    if w == v + n:
-                        found = True
-                        break
-                    q.append(w)
-        if not found:
-            continue
-        lifted = [v + n]
-        while lifted[-1] != v:
-            lifted.append(parent[lifted[-1]])
-        walk = [x % n for x in lifted]
-        cyc = _extract_negative_cycle(g, walk)
-        key = (len(cyc), canonical_cycle(cyc))
-        if best is None or key < best:
-            best = key
-    if best is None:
+        seen = [-1] * (2 * n)
+        seen[2 * v] = 0
+        frontier, depth = [2 * v], 0
+        while frontier and depth + 1 < best:
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if seen[y] < 0:
+                        seen[y] = depth
+                        nxt.append(y)
+            if seen[2 * v + 1] >= 0:
+                best, start, dist = depth, v, seen
+                break
+            frontier = nxt
+    if start < 0:
         return None
-    return CycleWitness(best[1], -1)
+    walk, x = [start], 2 * start
+    for left in range(best - 1, 0, -1):
+        # the smallest neighbour that is `left` steps from the odd lift of start
+        x = next(y for y in adj[x] if dist[y ^ 1] == left)
+        walk.append(x >> 1)
+    return CycleWitness(tuple(walk), -1)

@@ -330,8 +330,10 @@ def verify_max_index(
     ``FLOAT_MARGIN`` of it are compared by exact characteristic polynomials
     and every exact maximizer is checked against the extremal graph.
     ``graphs`` overrides the built-in enumeration (required past
-    ``MAX_BUILTIN_ORDER``, with ``long_run``); ``progress`` writes JSON
-    lines to stderr every 100000 classes.
+    ``MAX_BUILTIN_ORDER``, with ``long_run``); a catalog that repeats a
+    sorted edge list raises ValueError naming both positions, counted
+    from 1 (relabelled isomorphic copies are not detected).  ``progress``
+    writes JSON lines to stderr every 100000 classes.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
     Its first line is the header ``{census_n, tasks, tol, format,
@@ -358,6 +360,11 @@ def verify_max_index(
         if g.n != n:
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
     tasks = [tuple(sorted(g.edge_set())) for g in underlying]
+    first: dict[tuple, int] = {}
+    for i, edges in enumerate(tasks):
+        j = first.setdefault(edges, i)
+        if j != i:
+            raise ValueError(f"catalog graphs {j + 1} and {i + 1} have the same edge list")
 
     header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))

@@ -17,8 +17,8 @@ float adjacency matrix, skipping the checks whose answer is already known:
 
 - adding a positive edge removes no cycle, so the host's negative cycle
   survives: no balance test, only the negative-C4 test;
-- deleting a negative edge off the host's shortest negative cycle keeps
-  that cycle, and a deletion creates no 4-cycle: neither test;
+- deleting a negative edge off the host's least shortest negative cycle
+  keeps that cycle, and a deletion creates no 4-cycle: neither test;
 - negating a pair of negative edges or rotating a positive edge can do
   both: the negative-C4 test runs on edited bitsets, and only a move that
   passes it becomes a SignedGraph for the balance test.
@@ -217,8 +217,9 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     """All single moves considered by the greedy ascent, in operand order.
 
     Additions over all non-adjacent pairs; deletions of negative edges not
-    on the shortest negative cycle; sign flips of pairs of negative edges;
-    rotations of positive edges to non-adjacent targets.
+    on the least shortest negative cycle (the witness of
+    :func:`shortest_negative_cycle`); sign flips of pairs of negative
+    edges; rotations of positive edges to non-adjacent targets.
     """
     snc = shortest_negative_cycle(g)
     protected = set(snc.edges()) if snc is not None else set()
@@ -234,7 +235,7 @@ def _candidates(rows: list[list[int]]) -> Iterator[tuple[MoveKind, tuple]]:
 
     ``rows[u][v]`` is the host's sign of edge uv (0 for a non-edge).  Every
     negative edge comes out as a deletion: the caller drops those on the
-    shortest negative cycle.  Operands come out in the canonical form of
+    least shortest negative cycle.  Operands come out in the canonical form of
     the ``Move`` constructors.
     """
     n = len(rows)
@@ -369,9 +370,9 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     Candidates are popped lazily from a heap and decided on the host's
     state (see the module docstring for the checks each kind skips); only
     negate-pair and rotate moves that pass the negative-C4 test, and the
-    accepted move, become SignedGraphs.  The host's shortest negative
-    cycle, which only deletions need, is found when a step pops its first
-    deletion.
+    accepted move, become SignedGraphs.  The host's least shortest
+    negative cycle, whose edges deletions may not take, is found when a
+    step pops its first deletion.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")

@@ -1,11 +1,12 @@
 """Shared builders and independent brute-force oracles.
 
 Oracles here deliberately avoid the library's production algorithms: cycle
-enumeration is plain path DFS (the library's shortest-cycle search goes
-through the double cover), switching orbits are flood-filled over bit-packed
-signings (the library counts classes via cotree patterns), and the census
-worker (GF(2) kernel of the 4-cycle columns) is checked against a per-class
-filter.  The eigensolver (LAPACK eigh) is checked in test_spectra against
+enumeration is plain path DFS, and the least shortest negative cycle is the
+minimum over every cycle it lists (the library's search walks the parity
+double cover and never lists cycles), switching orbits are flood-filled over
+bit-packed signings (the library counts classes via cotree patterns), and the
+census worker (GF(2) kernel of the 4-cycle columns) is checked against a
+per-class filter.  The eigensolver (LAPACK eigh) is checked in test_spectra against
 exact roots of integer characteristic polynomials, not against a second
 float solver.  Exact characteristic polynomials (multimodular
 Faddeev-LeVerrier) are checked against determinants by fraction-free
@@ -102,6 +103,16 @@ def brute_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> bool:
 def brute_shortest_negative_length(g: SignedGraph):
     neg = [len(c) for c, s in brute_cycles_dfs(g) if s < 0]
     return min(neg) if neg else None
+
+
+def brute_least_negative_cycle(g: SignedGraph):
+    """The least negative cycle by (length, canonical vertex tuple), or None.
+
+    brute_cycles_dfs lists each cycle in canonical form: least vertex
+    first, then its smaller neighbour.
+    """
+    neg = [c for c, s in brute_cycles_dfs(g) if s < 0]
+    return min(neg, key=lambda c: (len(c), c), default=None)
 
 
 def _edge_list(g: SignedGraph):

@@ -61,6 +61,18 @@ def test_check_extremal5(tmp_path, capsys):
     assert record["balance_witness"]["sign"] == -1
 
 
+def test_check_order_two_negative_edge(tmp_path, capsys):
+    # below order 4 there is no 4-cycle, so the bitset test answers true by itself
+    target = tmp_path / "k2.sg"
+    target.write_text("2 1\n1 2 -\n")
+    code, out, _ = run(capsys, "check", str(target))
+    assert code == 0
+    assert out == (
+        '{"n": 2, "balanced": true, "c4_negative_free": true, '
+        '"shortest_negative_cycle": null, "bisigning": [1, -1]}\n'
+    )
+
+
 def test_quotient_subcommand(tmp_path, capsys):
     target = tmp_path / "g.sg"
     extremal_graph(5).save(target)
@@ -162,6 +174,18 @@ def test_verify_exit_code_on_failed_verdict(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--n", "5", "--graphs", str(catalog))
     assert code == 3
     assert json.loads(out)["verdict"] is False
+
+
+def test_verify_refuses_a_catalog_that_repeats_a_graph(tmp_path, capsys):
+    from signedspectra.enumeration import encode_graph6
+
+    line = encode_graph6(extremal_graph(5)) + "\n"
+    catalog = tmp_path / "twice.g6"
+    catalog.write_text(line * 2)
+    code, out, err = run(capsys, "verify", "--n", "5", "--graphs", str(catalog))
+    assert code == 1
+    assert out == ""
+    assert "catalog graphs 1 and 2 have the same edge list" in err
 
 
 @pytest.mark.parametrize("tol", ["1e-9", "-1", "0", "nan", "inf"])

@@ -4,6 +4,7 @@ import pytest
 
 from signedspectra import SignedGraph, complete_signed
 from signedspectra.cycles import (
+    CycleWitness,
     _c4_negative_free_bits,
     _closes_negative_c4,
     cycle_sign,
@@ -18,6 +19,7 @@ from signedspectra.switching import is_balanced, switch
 
 from conftest import (
     brute_cycles_permutations,
+    brute_least_negative_cycle,
     brute_shortest_negative_length,
     random_fundamental_cycle,
     random_signed_graph,
@@ -176,6 +178,28 @@ def test_shortest_negative_cycle_matches_bruteforce():
         else:
             assert got is not None and got.length == expected
             assert cycle_sign(g, got.vertices) == -1
+
+
+def test_shortest_negative_cycle_is_the_least_canonical_witness():
+    # ties break to the least (length, canonical tuple) over every negative cycle
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(3000):
+        g = random_signed_graph(rng, rng.randint(3, 9))
+        want = brute_least_negative_cycle(g)
+        got = shortest_negative_cycle(g)
+        assert (None if got is None else got.vertices) == want, g.to_sg()
+        checked += want is not None
+    assert checked > 1500
+
+
+def test_shortest_negative_cycle_least_witness_on_a_tie():
+    # negative triangles 0-1-7 and 0-6-7 tie on length; 0-1-7 is the least
+    g = SignedGraph.from_sg(
+        "8 20\n1 2 -\n1 4 -\n1 5 -\n1 7 +\n1 8 +\n2 3 +\n2 4 +\n2 6 +\n2 8 +\n3 4 +\n"
+        "3 6 -\n3 7 +\n4 5 +\n4 6 -\n4 7 -\n4 8 +\n5 6 +\n6 7 +\n6 8 -\n7 8 -\n"
+    )
+    assert shortest_negative_cycle(g) == CycleWitness((0, 1, 7), -1)
 
 
 def test_shortest_negative_cycle_lower_bounds_fixed_length_search():

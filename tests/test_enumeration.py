@@ -457,6 +457,12 @@ def test_verify_census_checkpoint_headerless_file_refused(tmp_path, text):
     assert ck.read_text() == text
 
 
+def test_verify_refuses_a_catalog_that_repeats_a_graph():
+    gs = enumerate_underlying(5)
+    with pytest.raises(ValueError, match="catalog graphs 1 and 35 have the same edge list"):
+        verify_max_index(5, graphs=gs * 2)
+
+
 def test_verify_census_checkpoint_fingerprint(tmp_path):
     # same order and catalog length, one graph different: no shared checkpoint
     gs = enumerate_underlying(5)
@@ -464,6 +470,12 @@ def test_verify_census_checkpoint_fingerprint(tmp_path):
     verify_max_index(5, graphs=gs, checkpoint=str(ck))
     with pytest.raises(ValueError):
         verify_max_index(5, graphs=gs[:-1] + gs[:1], checkpoint=str(ck))
+    # gs[:1] repeats a graph, which is refused before the checkpoint is read;
+    # a relabelled one-edge graph is new to the catalog, so the fingerprint decides
+    moved = gs[1].relabel([4, 3, 2, 1, 0])
+    assert moved.edge_set() not in [g.edge_set() for g in gs]
+    with pytest.raises(ValueError, match="different census"):
+        verify_max_index(5, graphs=gs[:-1] + [moved], checkpoint=str(ck))
     # a file in the old format (witnesses as .sg text) is not resumed either
     old = tmp_path / "old.jsonl"
     old.write_text(

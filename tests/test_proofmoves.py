@@ -236,12 +236,14 @@ def test_greedy_ascent_often_reaches_the_extremal_graph():
 # (11, 3) are recorded from the sampler before that, which accepted their
 # first whole trial, so they also check that the draws did not change.  Any
 # change to the sampler's random draws moves the start graph and fails this
-# test.
+# test.  (11, 16) pops a deletion whose host has more than one shortest
+# negative cycle, so it pins the tie rule of shortest_negative_cycle too.
 PINNED_ASCENTS = {
     (8, 0): ("daec7ae04d6250bd", 10, "763966067a4921ce"),
     (9, 1): ("5aad3903e8b3dce4", 14, "b927b0f568bce3bd"),
     (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d"),
     (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a"),
+    (11, 16): ("e6b065b37cee1aad", 23, "3a9b3ba9a09430be"),
     (12, 4): ("afc9c39cf90c6ba0", 30, "816c4c2f3d28c069"),
     (12, 5): ("a0ae2838e43243e4", 31, "3c8f1159fb7b6f9d"),
     (13, 6): ("f36cb69597f755d8", 44, "8d865e5d0dbb3bd1"),

@@ -18,12 +18,13 @@ eigensolve) per graph of ``enumerate_underlying(7)``, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
 K_{5,5} has 2 (5!)^2 automorphisms), ``greedy_ascent`` at order 12 per
-seed in ASCENT_SEEDS (start sampling included) and the start sampler
-``random_unbalanced_c4free`` at order 16 per seed in SAMPLER_SEEDS.  It
-prints one JSON object: per-call median and quartiles in microseconds over
-SAMPLES samples, each sample the mean of a batch of calls sized to take
-about 20 ms, and that batch size.  Uses the standard library and the
-package only.
+seed in ASCENT_SEEDS (start sampling included),
+``shortest_negative_cycle`` per start of those ascents and the start
+sampler ``random_unbalanced_c4free`` at order 16 per seed in
+SAMPLER_SEEDS.  It prints one JSON object: per-call median and quartiles
+in microseconds over SAMPLES samples, each sample the mean of a batch of
+calls sized to take about 20 ms, and that batch size.  Uses the standard
+library and the package only.
 
 Given the root of a second source checkout, it loads that checkout's
 package too, under another module name, and times both in one process:
@@ -164,6 +165,11 @@ def rows(ss) -> dict:
     out["greedy_ascent.n12"] = (
         lambda: [ss.greedy_ascent(12, seed) for seed in ASCENT_SEEDS],
         len(ASCENT_SEEDS),
+    )
+    starts = [ss.random_unbalanced_c4free(12, random.Random(seed)) for seed in ASCENT_SEEDS]
+    out["shortest_negative_cycle.n12"] = (
+        lambda: [ss.shortest_negative_cycle(g) for g in starts],
+        len(starts),
     )
     out["random_unbalanced_c4free.n16"] = (
         lambda: [ss.random_unbalanced_c4free(16, random.Random(seed)) for seed in SAMPLER_SEEDS],
