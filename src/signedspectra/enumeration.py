@@ -11,6 +11,17 @@ class only the number of chosen members matters, and the first j members
 are taken for every j.  That is prod(|class| + 1) neighborhoods instead of
 2^(k-1).
 
+Only children whose new vertex has the largest degree are labelled, the
+cheap half of McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 1998): with s neighbours picked, the new vertex
+needs s >= every parent degree and s > the degree of every picked vertex
+(which rises by one).  This loses no graph.  Take any graph G on k vertices
+and a vertex w of largest degree.  G - w is isomorphic to some parent P,
+and a product of twin transpositions, each an automorphism of P, maps the
+image of N(w) onto one of the neighbourhoods P is extended by.  So that
+child is isomorphic to G, and its new vertex plays w, so it has the
+largest degree and is kept.  Canonical forms still remove the duplicates.
+
 The canonical form is the minimum relabeled edge list over the leaves of
 the refine-and-individualize search tree of :mod:`signedspectra.switching`,
 walked with twin pruning: a node individualizes one vertex per twin class
@@ -114,8 +125,14 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
     for k in range(2, n + 1):
         nxt: dict[tuple, frozenset] = {}
         for edges in reps.values():
-            classes = _twin_classes(_bitsets(k - 1, edges))
+            adj = _bitsets(k - 1, edges)
+            top = max(row.bit_count() for row in adj)
+            classes = _twin_classes(adj)
+            degrees = [adj[cls[0]].bit_count() for cls in classes]
             for counts in product(*(range(len(cls) + 1) for cls in classes)):
+                s = sum(counts)
+                if s < top or any(j and s <= d for j, d in zip(counts, degrees)):
+                    continue  # the new vertex would not have the largest degree
                 new_edges = edges | {
                     (u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j]
                 }
@@ -331,8 +348,10 @@ def verify_max_index(
     and every exact maximizer is checked against the extremal graph.
     ``graphs`` overrides the built-in enumeration (required past
     ``MAX_BUILTIN_ORDER``, with ``long_run``); a catalog that repeats a
-    sorted edge list raises ValueError naming both positions, counted
-    from 1 (relabelled isomorphic copies are not detected).  ``progress``
+    sorted edge list, or holds two isomorphic graphs (equal
+    :func:`_canonical_edges`), raises ValueError naming both positions,
+    counted from 1.  The built-in catalog is canonical by construction and
+    is not keyed again.  ``progress``
     writes JSON lines to stderr every 100000 classes.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
@@ -361,10 +380,15 @@ def verify_max_index(
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
     tasks = [tuple(sorted(g.edge_set())) for g in underlying]
     first: dict[tuple, int] = {}
+    canonical: dict[tuple, int] = {}
     for i, edges in enumerate(tasks):
         j = first.setdefault(edges, i)
         if j != i:
             raise ValueError(f"catalog graphs {j + 1} and {i + 1} have the same edge list")
+        if graphs is not None:
+            j = canonical.setdefault(_canonical_edges(n, frozenset(edges)), i)
+            if j != i:
+                raise ValueError(f"catalog graphs {j + 1} and {i + 1} are isomorphic")
 
     header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))

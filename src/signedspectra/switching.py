@@ -152,35 +152,53 @@ def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
     return is_balanced(SignedGraph(a.n, product)).balanced
 
 
-def _refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
-    """Coarsest equitable refinement of the ordered partition ``cells``.
+def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Coarsest equitable refinement of the ordered partition ``cells``, in place.
 
-    ``adj[v]`` is the neighbour bitset of v.  Each queued splitter W splits
-    every cell in place into fragments by neighbour count in W, ascending,
-    and queues them.  No decision reads a vertex label, so relabelling the
-    graph relabels the result.  Cells left out of ``splitters`` must
-    already be equitable splitters, as all but [v] are after v is
+    ``adj[v]`` is the neighbour bitset of v, and each cell is the bitset of
+    its vertices: a cell's members are always in ascending order (the unit
+    partition is, a split keeps their order and individualizing drops one),
+    so the bitset loses nothing.  Each queued splitter W, the bitset of its
+    cell when queued, splits every non-singleton cell into fragments by
+    neighbour count in W, ascending, and queues them.  The members' counts
+    are read one by one only in a cell that meets the vertices with two or
+    more neighbours in W, or that holds some but not all of the vertices
+    with one or more.  No decision reads a vertex label, so relabelling
+    the graph relabels the result.  Cells left out of ``splitters`` must
+    already be equitable splitters, as all but {v} are after v is
     individualized in an equitable partition.
     """
     queue = deque(splitters)
     while queue and len(cells) < len(adj):
-        bits = 0
-        for v in queue.popleft():
-            bits |= 1 << v
-        out = []
-        for cell in cells:
-            if len(cell) > 1:
-                counts = [(adj[v] & bits).bit_count() for v in cell]
-                if len(set(counts)) > 1:
-                    parts: dict[int, list[int]] = {}
-                    for v, c in zip(cell, counts):
-                        parts.setdefault(c, []).append(v)
-                    for c in sorted(parts):
-                        out.append(parts[c])
-                        queue.append(parts[c])
-                    continue
-            out.append(cell)
-        cells = out
+        bits = queue.popleft()
+        once = twice = 0  # the vertices with at least one and at least two neighbours in W
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            twice |= once & row
+            once |= row
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            i += 1
+            if not cell & (cell - 1):
+                continue
+            if not cell & twice and cell & once in (0, cell):
+                continue  # every member has no neighbour in W, or every member has one
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = (adj[low.bit_length() - 1] & bits).bit_count()
+                parts[c] = parts.get(c, 0) | low
+            if len(parts) > 1:
+                frags = [parts[c] for c in sorted(parts)]
+                cells[i - 1 : i] = frags
+                queue.extend(frags)
+                i += len(frags) - 1
     return cells
 
 
@@ -226,6 +244,9 @@ def _leaves(adj: list[int], edges, classes: list[list[int]]):
     2014), each only when the search reaches it, in cell order.  Yields
     ``(order, key)`` per leaf: vertex ``order[k]`` goes to position k, and
     ``key`` is the sorted relabelled ``edges``.  The tree ignores labels.
+    A node's partition is a list of cell bitsets (see :func:`_refine`); a
+    child splits the target cell into {v} and the rest, in a new list, so
+    the pushed parent is never changed.
 
     With singleton classes this is the whole tree.  With twin classes, two
     members u, v of a target cell are both unindividualized, so (u v) fixes
@@ -234,29 +255,31 @@ def _leaves(adj: list[int], edges, classes: list[list[int]]):
     of twins.
     """
     n = len(adj)
-    member = [0] * n
-    for c, cls in enumerate(classes):
+    twins = [0] * n  # twins[v]: the bitset of v's class
+    for cls in classes:
+        bits = sum(1 << v for v in cls)
         for v in cls:
-            member[v] = c
-    unit = [list(range(n))] if n else []
-    cells = _refine(adj, unit, unit)
-    stack: list[tuple[list[list[int]], int, int]] = []
+            twins[v] = bits
+    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+    stack: list[tuple[list[int], int, int]] = []
     while True:
         if len(cells) == n:
-            order = [cell[0] for cell in cells]
+            order = [cell.bit_length() - 1 for cell in cells]
             yield order, _relabelled(order, edges)
         else:
-            i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-            first: dict[int, int] = {}
-            for v in cells[i]:
-                first.setdefault(member[v], v)
-            for v in reversed(first.values()):  # so children are searched in cell order
-                stack.append((cells, i, v))
+            i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+            first = []
+            rest = cells[i]
+            while rest:
+                low = rest & -rest
+                first.append(low)
+                rest &= ~twins[low.bit_length() - 1]
+            for low in reversed(first):  # so children are searched in cell order
+                stack.append((cells, i, low))
         if not stack:
             return
-        parent, i, v = stack.pop()
-        rest = [w for w in parent[i] if w != v]
-        cells = _refine(adj, parent[:i] + [[v], rest] + parent[i + 1 :], [[v]])
+        parent, i, low = stack.pop()
+        cells = _refine(adj, parent[:i] + [low, parent[i] ^ low] + parent[i + 1 :], [low])
 
 
 def _vertex_invariants(g: SignedGraph) -> list[tuple[int, int]]:

@@ -13,21 +13,27 @@ Faddeev-LeVerrier) are checked against determinants by fraction-free
 elimination.  Switching isomorphism is checked against every relabeling,
 not against the library's canonical labeller.  Real-root isolation (integer
 pseudo-remainders) is checked against a Sturm chain built by Euclidean
-division over the rationals.
+division over the rationals.  The labeller's bitset refinement is checked
+against a refinement over vertex lists that rebuilds the partition per
+splitter, and the underlying-graph catalog against twin-orbit generation
+that labels every child, not only those whose new vertex has the largest
+degree.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
-from signedspectra.enumeration import FLOAT_MARGIN, switching_classes
+from signedspectra.core import _bitsets
+from signedspectra.enumeration import FLOAT_MARGIN, _canonical_edges, switching_classes
 from signedspectra.spectra import eigenvalues_sym
-from signedspectra.switching import is_balanced, switching_equivalent
+from signedspectra.switching import _twin_classes, is_balanced, switching_equivalent
 
 
 def random_signed_graph(
@@ -336,3 +342,50 @@ def brute_sturm_count(chain: list[list], lo: Fraction, hi: Fraction) -> int:
         return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
 
     return changes(lo) - changes(hi)
+
+
+def reference_refine(adj: list[int], cells: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement over vertex lists: each splitter rebuilds the whole partition.
+
+    Each queued splitter W splits every cell into fragments by neighbour
+    count in W, ascending, each fragment in the cell's order, and queues
+    them; the same ordered partition the library's bitset cells must give.
+    """
+    queue = deque(splitters)
+    while queue and len(cells) < len(adj):
+        bits = 0
+        for v in queue.popleft():
+            bits |= 1 << v
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                counts = [(adj[v] & bits).bit_count() for v in cell]
+                if len(set(counts)) > 1:
+                    parts: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        parts.setdefault(c, []).append(v)
+                    for c in sorted(parts):
+                        out.append(parts[c])
+                        queue.append(parts[c])
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def unfiltered_underlying(n: int) -> list[tuple]:
+    """Canonical edge lists of order n, by twin-orbit extension labelling every child.
+
+    Sorted as the catalog is: by edge count, then edge list.
+    """
+    reps = {(): frozenset()}
+    for k in range(2, n + 1):
+        nxt = {}
+        for edges in reps.values():
+            classes = _twin_classes(_bitsets(k - 1, edges))
+            for counts in product(*(range(len(cls) + 1) for cls in classes)):
+                picked = {(u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j]}
+                key = _canonical_edges(k, edges | picked)
+                nxt.setdefault(key, frozenset(key))
+        reps = nxt
+    return sorted(reps, key=lambda t: (len(t), t))

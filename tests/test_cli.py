@@ -188,6 +188,19 @@ def test_verify_refuses_a_catalog_that_repeats_a_graph(tmp_path, capsys):
     assert "catalog graphs 1 and 2 have the same edge list" in err
 
 
+def test_verify_refuses_a_catalog_with_isomorphic_graphs(tmp_path, capsys):
+    from signedspectra.enumeration import encode_graph6
+
+    g = extremal_graph(5)
+    assert g.relabel([1, 2, 3, 4, 0]).edge_set() != g.edge_set()
+    catalog = tmp_path / "relabelled.g6"
+    catalog.write_text(encode_graph6(g) + "\n" + encode_graph6(g.relabel([1, 2, 3, 4, 0])) + "\n")
+    code, out, err = run(capsys, "verify", "--n", "5", "--graphs", str(catalog))
+    assert code == 1
+    assert out == ""
+    assert "catalog graphs 1 and 2 are isomorphic" in err
+
+
 @pytest.mark.parametrize("tol", ["1e-9", "-1", "0", "nan", "inf"])
 def test_verify_bad_tolerance_is_a_usage_error(capsys, tol):
     # the verdict is exact, so verify has no --tol at all, not even the old default

@@ -23,7 +23,13 @@ from signedspectra.families import extremal_graph
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import is_balanced, switching_equivalent, switching_isomorphic
 
-from conftest import brute_census_one_graph, brute_switching_orbit_count, twin_rich_graphs
+from conftest import (
+    brute_census_one_graph,
+    brute_switching_orbit_count,
+    reference_refine,
+    twin_rich_graphs,
+    unfiltered_underlying,
+)
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
@@ -172,6 +178,62 @@ def test_twin_pruned_walk_matches_the_unpruned_oracle():
     assert pruned_some > 500
 
 
+def test_bitset_refinement_matches_the_list_oracle():
+    # the same ordered partition at the root and after each first-level individualization
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _refine
+
+    def as_lists(cells):
+        return [[v for v in range(n) if cell >> v & 1] for cell in cells]
+
+    cases = [
+        (G.number_of_nodes(), frozenset((min(e), max(e)) for e in G.edges()))
+        for G in nx.graph_atlas_g()
+        if 1 <= G.number_of_nodes() <= 7
+    ]
+    rng = random.Random(66)
+    for n in range(8, 13):  # larger cells, as in the census's twin-rich graphs
+        cases += [(n, edges) for _ in range(5) for edges in twin_rich_graphs(rng, n)]
+    checked = 0
+    for n, edges in cases:
+        adj = _bitsets(n, edges)
+        unit = list(range(n))
+        ref = reference_refine(adj, [unit], [unit])
+        cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
+        assert as_lists(cells) == ref, (n, edges)
+        i = next((i for i, cell in enumerate(ref) if len(cell) > 1), None)
+        if i is None:
+            continue
+        for v in ref[i]:
+            rest = [w for w in ref[i] if w != v]
+            child_ref = reference_refine(adj, ref[:i] + [[v], rest] + ref[i + 1 :], [[v]])
+            child = _refine(adj, cells[:i] + [1 << v, cells[i] ^ 1 << v] + cells[i + 1 :], [1 << v])
+            assert as_lists(child) == child_ref, (n, edges, v)
+            checked += 1
+    assert checked > 1000
+
+
+def test_degree_filter_loses_no_graph():
+    # every graph has a vertex of largest degree, so labelling only such children is complete
+    for n in range(1, 8):
+        catalog = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)]
+        assert catalog == unfiltered_underlying(n)
+
+
+def test_degree_filter_labels_few_children_at_order_7(monkeypatch):
+    # labelling every twin-orbit child took 7,194 canonical forms for the 1,044 graphs
+    from signedspectra import enumeration
+
+    calls = []
+    canonical = enumeration._canonical_edges
+    monkeypatch.setattr(enumeration, "_UNDERLYING_CACHE", {})
+    monkeypatch.setattr(
+        enumeration, "_canonical_edges", lambda n, edges: calls.append(n) or canonical(n, edges)
+    )
+    assert len(enumerate_underlying(7)) == KNOWN_COUNTS[7]
+    assert len(calls) <= 2088
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_twin_pruned_walk_has_one_leaf_on_complete_graphs(n):
     # a count, not a timing: the unpruned walk has n! leaves
@@ -194,6 +256,7 @@ def test_catalog_hashes_are_pinned():
         5: "e7e1fe09230452bdeb2f50c658b0dbf5ba6b73dae4a584795d09251bbea6c4cd",
         6: "ec80cd21f88b91ed07a90807374df0a1e0a97009c31f36355c4ee0851fddd162",
         7: "20cef58bf53f62fea2446517f7e68a4b101cd95fc5379ab57982bc97af548f35",
+        8: "78362082d50ce2900390e7b112db0a0b061df7493c8d92cff392a73bf599934f",
     }
     for n, digest in pinned.items():
         tasks = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)]
@@ -463,6 +526,12 @@ def test_verify_refuses_a_catalog_that_repeats_a_graph():
         verify_max_index(5, graphs=gs * 2)
 
 
+def test_verify_refuses_a_catalog_with_isomorphic_graphs():
+    gs = enumerate_underlying(5)
+    with pytest.raises(ValueError, match="catalog graphs 2 and 35 are isomorphic"):
+        verify_max_index(5, graphs=gs + [gs[1].relabel([4, 3, 2, 1, 0])])
+
+
 def test_verify_census_checkpoint_fingerprint(tmp_path):
     # same order and catalog length, one graph different: no shared checkpoint
     gs = enumerate_underlying(5)
@@ -470,12 +539,13 @@ def test_verify_census_checkpoint_fingerprint(tmp_path):
     verify_max_index(5, graphs=gs, checkpoint=str(ck))
     with pytest.raises(ValueError):
         verify_max_index(5, graphs=gs[:-1] + gs[:1], checkpoint=str(ck))
-    # gs[:1] repeats a graph, which is refused before the checkpoint is read;
-    # a relabelled one-edge graph is new to the catalog, so the fingerprint decides
+    # gs[:1] repeats a graph, which is refused before the checkpoint is read,
+    # as is a relabelled copy; the one-edge graph relabelled in its own place
+    # is a catalog of the same graphs with other edge lists, so the fingerprint decides
     moved = gs[1].relabel([4, 3, 2, 1, 0])
     assert moved.edge_set() not in [g.edge_set() for g in gs]
     with pytest.raises(ValueError, match="different census"):
-        verify_max_index(5, graphs=gs[:-1] + [moved], checkpoint=str(ck))
+        verify_max_index(5, graphs=gs[:1] + [moved] + gs[2:], checkpoint=str(ck))
     # a file in the old format (witnesses as .sg text) is not resumed either
     old = tmp_path / "old.jsonl"
     old.write_text(
