@@ -8,7 +8,7 @@ perturbation moves, and an exhaustive census that verifies the extremal
 characterization at small orders.
 """
 
-from .core import Sign, SignedEdge, SignedGraph, SgFormatError, complete_signed, new_graph
+from .core import SignedGraph, SgFormatError, complete_signed, new_graph
 from .cycles import (
     CycleWitness,
     cycle_sign,

@@ -21,39 +21,16 @@ UTF-8 with LF line endings.  Example, the all-negative triangle::
 
 from __future__ import annotations
 
-import enum
-from collections import deque
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "Sign",
-    "SignedEdge",
     "SignedGraph",
     "SgFormatError",
     "new_graph",
     "complete_signed",
 ]
-
-
-class Sign(enum.IntEnum):
-    """Edge sign; behaves as the integer +1 or -1."""
-
-    POSITIVE = 1
-    NEGATIVE = -1
-
-    @property
-    def symbol(self) -> str:
-        return "+" if self is Sign.POSITIVE else "-"
-
-
-class SignedEdge(NamedTuple):
-    """An edge {u, v} with u < v and its sign."""
-
-    u: int
-    v: int
-    sign: int
 
 
 class SgFormatError(ValueError):
@@ -68,29 +45,36 @@ def _canon(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The one spanning-forest builder: BFS over ascending neighbour lists.
+def _bfs_forest(adj: list[int]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The one spanning-forest builder: BFS over the neighbour bitsets of :func:`_bitsets`.
 
     Returns (parent, order, forest_edges), roots with parent -1.  Roots are the
     lowest unreached vertices, so each tree is a run of ``order`` from its root.
+    ``order`` is also the queue: a vertex's unreached neighbours are one AND,
+    appended lowest first.
     """
     parent = [-2] * len(adj)
     order: list[int] = []
     forest: list[tuple[int, int]] = []
+    seen = i = 0
     for root in range(len(adj)):
         if parent[root] != -2:
             continue
         parent[root] = -1
         order.append(root)
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    order.append(w)
-                    forest.append((u, w) if u < w else (w, u))
-                    q.append(w)
+        seen |= 1 << root
+        while i < len(order):
+            u = order[i]
+            i += 1
+            new = adj[u] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                parent[w] = u
+                order.append(w)
+                forest.append((u, w) if u < w else (w, u))
     return parent, order, forest
 
 
@@ -107,7 +91,8 @@ class SignedGraph:
     """Immutable simple graph on vertices 0..n-1 with signs in {-1, +1}.
 
     Edge-modifying methods (:meth:`set_edge`, :meth:`remove_edge`,
-    :meth:`induced_subgraph`) return new graphs.
+    :meth:`induced_subgraph`) return new graphs.  The constructor refuses
+    a vertex pair given twice, in either orientation.
     """
 
     __slots__ = ("_n", "_edges", "_hash")
@@ -121,7 +106,10 @@ class SignedGraph:
                 self._check_pair(n, u, v)
                 if s not in (-1, 1):
                     raise ValueError(f"sign must be -1 or +1, got {s!r}")
-                table[_canon(u, v)] = int(s)
+                key = _canon(u, v)
+                if key in table:
+                    raise ValueError(f"vertex pair ({u},{v}) given twice")
+                table[key] = int(s)
         self._n = n
         self._edges = table
         self._hash: int | None = None
@@ -154,9 +142,9 @@ class SignedGraph:
     def m(self) -> int:
         return len(self._edges)
 
-    def edges(self) -> list[SignedEdge]:
-        """All edges in canonical (u, v) order, sorted."""
-        return [SignedEdge(u, v, s) for (u, v), s in sorted(self._edges.items())]
+    def edges(self) -> list[tuple[int, int, int]]:
+        """All edges as plain ``(u, v, s)`` tuples with u < v, sorted."""
+        return [(u, v, s) for (u, v), s in sorted(self._edges.items())]
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Underlying edge set (signs dropped)."""
@@ -261,7 +249,7 @@ class SignedGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as ascending vertex lists, ordered by minimum: the BFS trees."""
-        parent, order, _ = _bfs_forest(self.adjacency_lists())
+        parent, order, _ = _bfs_forest(_bitsets(self._n, self._edges))
         starts = [k for k, v in enumerate(order) if parent[v] == -1] + [self._n]
         return [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
 

@@ -152,15 +152,10 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
 def _cotree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Edges outside the canonical BFS forest, in sorted edge order.
 
-    ``edges`` are sorted pairs u < v, so the neighbour lists come out
-    ascending.  Bit i of a sign pattern negates ``cotree[i]``; this fixes
-    the pattern numbering shared by :func:`switching_classes` and the census.
+    Bit i of a sign pattern negates ``cotree[i]``; this fixes the pattern
+    numbering shared by :func:`switching_classes` and the census.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    forest = set(_bfs_forest(adj)[2])
+    forest = set(_bfs_forest(_bitsets(n, edges))[2])
     return [e for e in edges if e not in forest]
 
 

@@ -338,31 +338,24 @@ def _half_tol(tol: float) -> Fraction:
 
 
 def _refine(sf: list[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
-    """Bisect the interval iv, which holds exactly one simple root of sf, to given width."""
+    """Bisect the interval iv, which holds exactly one simple root of sf, to given width.
+
+    The root lies in the half-open (lo, hi], so once the sign at hi is
+    nonzero a midpoint with that sign has the root below it.
+    """
     lo, hi, e = iv
     fb = _sign_at(sf, hi, e)
     if fb == 0:
         return hi, hi, e
-    fa = _sign_at(sf, lo, e)
-    while fa == 0:
-        # lo itself is a root outside (lo, hi]; shrink until its sign shows
-        mid, e = lo + hi, e + 1
-        fm = _sign_at(sf, mid, e)
-        if fm == 0:
-            return mid, mid, e
-        if fm != fb:
-            lo, hi, fa = mid, 2 * hi, fm
-        else:
-            lo, hi, fb = 2 * lo, mid, fm
     while (hi - lo) * width.denominator > width.numerator << e:
         mid, e = lo + hi, e + 1
         fm = _sign_at(sf, mid, e)
         if fm == 0:
             return mid, mid, e
-        if fa != fm:
+        if fm == fb:
             lo, hi = 2 * lo, mid
         else:
-            lo, hi, fa = mid, 2 * hi, fm
+            lo, hi = mid, 2 * hi
     return lo, hi, e
 
 

@@ -61,7 +61,7 @@ class BalanceResult:
 
 def _forest_signs(g: SignedGraph) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child)."""
-    parent, order, forest = _bfs_forest(g.adjacency_lists())
+    parent, order, forest = _bfs_forest(_bitsets(g.n, g.edge_set()))
     s = [1] * g.n
     for v in order:
         if parent[v] >= 0:
@@ -327,13 +327,13 @@ def switching_isomorphic(
     sign_b = {}
     for u, v, s in b.edges():
         sign_b[u, v] = sign_b[v, u] = s
-    parent, order, forest = _bfs_forest(a.adjacency_lists())
+    a_edges = a.edge_set()
+    adj = _bitsets(a.n, a_edges)
+    parent, order, forest = _bfs_forest(adj)
     tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
     forest_set = set(forest)
     signed = a.edges()
     cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
-    a_edges = a.edge_set()
-    adj = _bitsets(a.n, a_edges)
     neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
     for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg)):
         if key != target:

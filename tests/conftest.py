@@ -17,7 +17,8 @@ division over the rationals.  The labeller's bitset refinement is checked
 against a refinement over vertex lists that rebuilds the partition per
 splitter, and the underlying-graph catalog against twin-orbit generation
 that labels every child, not only those whose new vertex has the largest
-degree.
+degree.  The spanning forest is checked against a BFS over neighbour lists
+with a queue (the library walks neighbour bitsets).
 """
 
 from __future__ import annotations
@@ -187,27 +188,32 @@ def signing_bitmask(g: SignedGraph) -> int:
     return mask
 
 
-def random_fundamental_cycle(rng: random.Random, g: SignedGraph):
-    """A random cycle (vertex tuple) from a BFS tree plus one cotree edge."""
-    from collections import deque
-
-    adj = g.adjacency_lists()
-    parent = [-2] * g.n
-    for root in range(g.n):
+def reference_bfs_forest(adj: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """``core._bfs_forest`` over ascending neighbour lists and a queue, not bitsets."""
+    parent = [-2] * len(adj)
+    order: list[int] = []
+    forest: list[tuple[int, int]] = []
+    for root in range(len(adj)):
         if parent[root] != -2:
             continue
         parent[root] = -1
+        order.append(root)
         q = deque([root])
         while q:
             u = q.popleft()
             for w in adj[u]:
                 if parent[w] == -2:
                     parent[w] = u
+                    order.append(w)
+                    forest.append((u, w) if u < w else (w, u))
                     q.append(w)
-    tree = set()
-    for v in range(g.n):
-        if parent[v] >= 0:
-            tree.add((min(v, parent[v]), max(v, parent[v])))
+    return parent, order, forest
+
+
+def random_fundamental_cycle(rng: random.Random, g: SignedGraph):
+    """A random cycle (vertex tuple) from a BFS tree plus one cotree edge."""
+    parent, _, forest = reference_bfs_forest(g.adjacency_lists())
+    tree = set(forest)
     cotree = [e for e in _edge_list(g) if e not in tree]
     if not cotree:
         return None

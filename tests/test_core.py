@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedspectra import SgFormatError, SignedGraph, complete_signed, new_graph
+from signedspectra.core import _bfs_forest, _bitsets
 from signedspectra.cycles import is_ck_negative_free
 from signedspectra.families import extremal_graph, near_extremal_graph
 from signedspectra.spectra import index
 from signedspectra.switching import is_balanced
 
-from conftest import random_signed_graph
+from conftest import random_signed_graph, reference_bfs_forest
 
 
 def test_new_graph_empty():
@@ -121,6 +122,34 @@ def test_components_are_pinned():
     g = SignedGraph(6, {(0, 3): 1, (3, 1): -1, (2, 4): 1})
     assert g.components() == [[0, 1, 3], [2, 4], [5]]
     assert new_graph(0).components() == []
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+def test_a_vertex_pair_given_twice_is_refused(pair):
+    u, v = pair
+    with pytest.raises(ValueError, match=rf"vertex pair \({v},{u}\) given twice"):
+        SignedGraph(2, {(u, v): 1, (v, u): -1})
+
+
+def test_bfs_forest_matches_the_list_reference():
+    # edgeless, sparse (mostly disconnected) and dense draws of every order 0..20
+    rng = random.Random(22)
+    for n in range(21):
+        for p in (0.0, 0.05, 0.15, 0.5, 0.9):
+            g = random_signed_graph(rng, n, edge_prob=p)
+            assert _bfs_forest(_bitsets(n, g.edge_set())) == reference_bfs_forest(g.adjacency_lists())
+
+
+def test_edges_are_plain_sorted_triples():
+    rng = random.Random(23)
+    for n in range(12):
+        g = random_signed_graph(rng, n, edge_prob=0.6)
+        edges = g.edges()
+        assert len(edges) == g.m and edges == sorted(edges)
+        for e in edges:
+            assert type(e) is tuple and len(e) == 3
+            u, v, s = e
+            assert u < v and s == g.sign(u, v)
 
 
 def test_adjacency_invariants_random():

@@ -308,12 +308,21 @@ def test_roots_on_bisection_midpoints_are_hit_exactly(p, root):
 
 def test_a_root_on_the_lower_end_of_an_isolating_interval():
     # x(x - 1): (-3, 3] splits at its midpoint 0, a root, so (0, 3] starts at a
-    # root of the square-free part and refinement first moves that end
+    # root of the square-free part, outside the half-open interval
     p = poly(1, 0) * poly(1, -1)
     assert isolate_real_roots(p) == [(-3, 0), (0, 3)]
     lo, hi = largest_real_root_interval(p, Fraction(1, 10**15))
     assert lo <= 1 <= hi and hi - lo <= Fraction(1, 10**15)
     assert real_roots(p) == [0.0, pytest.approx(1.0, abs=1e-12)]
+
+
+@pytest.mark.parametrize("width", [Fraction(5), Fraction(1), Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 10**15)])
+def test_top_interval_starting_at_a_root_is_bracketed_within_the_width(width):
+    # x(x - 3): the top interval (0, 5] has the root 0 at its lower end
+    p = poly(1, -3, 0)
+    assert isolate_real_roots(p)[-1] == (0, 5)
+    lo, hi = largest_real_root_interval(p, width)
+    assert lo <= 3 <= hi and hi - lo <= width
 
 
 signed_linear_factors = st.lists(
