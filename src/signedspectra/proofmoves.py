@@ -11,6 +11,11 @@ adding a positive edge, and so on).  When x is entrywise nonnegative every
 move below has delta >= 0, which is what makes a greedy ascent on these
 moves monotone.
 
+Each ascent step scores all its candidates at once: one array expression per
+move kind over the operand columns built from the host's sign matrix, then
+one ``lexsort`` best first.  A candidate becomes a ``(kind, operands)`` pair
+only when the step reaches it, and most steps accept one of the first few.
+
 The greedy ascent keeps its host unbalanced and free of negative 4-cycles,
 and decides each tried move on the host's sign table, neighbour bitsets and
 float adjacency matrix, skipping the checks whose answer is already known:
@@ -27,14 +32,13 @@ float adjacency matrix, skipping the checks whose answer is already known:
 from __future__ import annotations
 
 import enum
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import SignedGraph, _bitsets
 from .cycles import (
     _c4_negative_free_bits,
     _closes_negative_c4,
@@ -164,19 +168,28 @@ def _edited_graph(g: SignedGraph, move: Move) -> SignedGraph:
     return g
 
 
+def _deltas(kind: MoveKind, s, x, c):
+    """x' (A* - A) x of ``kind``'s moves, elementwise over the operand columns ``c``.
+
+    ``c`` holds a move's operands flattened (a vertex pair, two pairs, or
+    pivot, old, new) and ``s`` the host's sign of the pair ``(c[0], c[1])``,
+    the edge a deletion or rotation takes.  Scalars or arrays alike: each
+    formula is one fixed sequence of IEEE operations, so an array of deltas
+    has the bits of the deltas computed one at a time.
+    """
+    if kind is MoveKind.ADD_POSITIVE_EDGE:
+        return 2.0 * x[c[0]] * x[c[1]]
+    if kind is MoveKind.DELETE_EDGE:
+        return -2.0 * s * x[c[0]] * x[c[1]]
+    if kind is MoveKind.NEGATE_EDGE_PAIR:
+        return 4.0 * (x[c[0]] * x[c[1]] + x[c[2]] * x[c[3]])
+    return 2.0 * s * x[c[0]] * (x[c[2]] - x[c[1]])
+
+
 def _closed_form_delta(g, kind: MoveKind, ops: tuple, x) -> float:
     """x' (A* - A) x for the move ``(kind, ops)`` on g (anything with ``sign(u, v)``)."""
-    if kind is MoveKind.ADD_POSITIVE_EDGE:
-        (u, v), = ops
-        return float(2.0 * x[u] * x[v])
-    if kind is MoveKind.DELETE_EDGE:
-        (u, v), = ops
-        return float(-2.0 * g.sign(u, v) * x[u] * x[v])
-    if kind is MoveKind.NEGATE_EDGE_PAIR:
-        (u, v), (w, t) = ops
-        return float(4.0 * (x[u] * x[v] + x[w] * x[t]))
-    pivot, old, new = ops
-    return float(2.0 * g.sign(pivot, old) * x[pivot] * (x[new] - x[old]))
+    c = ops if kind is MoveKind.ROTATE_EDGE else sum(ops, ())
+    return float(_deltas(kind, g.sign(c[0], c[1]), x, c))
 
 
 def apply_move(
@@ -223,38 +236,74 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     """
     snc = shortest_negative_cycle(g)
     protected = set(snc.edges()) if snc is not None else set()
+    moves = []
+    for kind, cols in zip(MoveKind, _operand_columns(g.adjacency_matrix())):
+        for c in zip(*(col.tolist() for col in cols)):
+            ops = _operands(kind, c)
+            if kind is not MoveKind.DELETE_EDGE or ops[0] not in protected:
+                moves.append(Move(kind, ops))
+    return moves
+
+
+def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per move kind, in ``MoveKind`` order, the operand columns of its candidates.
+
+    ``A`` is the host's sign matrix.  Entry i of a kind's columns is the
+    flattened operands (as in :func:`_deltas`) of the kind's i-th move in
+    :func:`candidate_moves`'s order; every negative edge comes out as a
+    deletion, and the caller drops those on the least shortest negative
+    cycle.  Rotations run over each positive edge uv as (u, v) then (v, u),
+    targets ascending.
+    """
+    n = len(A)
+    upper = ~np.tri(n, dtype=bool)  # the pairs u < v, row by row
+    nu, nv = np.nonzero(upper & (A < 0))
+    first, second = np.nonzero(~np.tri(len(nu), dtype=bool))
+    pu, pv = np.nonzero(upper & (A > 0))
+    pivot = np.column_stack((pu, pv)).ravel()
+    old = np.column_stack((pv, pu)).ravel()
+    arc, new = np.nonzero((A[pivot] == 0) & (np.arange(n) != pivot[:, None]))
     return [
-        Move(kind, ops)
-        for kind, ops in _candidates(g.adjacency_matrix().tolist())
-        if kind is not MoveKind.DELETE_EDGE or ops[0] not in protected
+        np.nonzero(upper & (A == 0)),
+        (nu, nv),
+        (nu[first], nv[first], nu[second], nv[second]),
+        (pivot[arc], old[arc], new),
     ]
 
 
-def _candidates(rows: list[list[int]]) -> Iterator[tuple[MoveKind, tuple]]:
-    """``(kind, operands)`` of each move of :func:`candidate_moves`, in its order.
+def _operands(kind: MoveKind, c) -> tuple:
+    """The ``Move`` operands of the flattened operand row ``c`` of ``kind``."""
+    if kind is MoveKind.NEGATE_EDGE_PAIR:
+        return ((c[0], c[1]), (c[2], c[3]))
+    if kind is MoveKind.ROTATE_EDGE:
+        return (c[0], c[1], c[2])
+    return ((c[0], c[1]),)
 
-    ``rows[u][v]`` is the host's sign of edge uv (0 for a non-edge).  Every
-    negative edge comes out as a deletion: the caller drops those on the
-    least shortest negative cycle.  Operands come out in the canonical form of
-    the ``Move`` constructors.
+
+def _ranked_candidates(A: np.ndarray, x: np.ndarray) -> Iterator[tuple[MoveKind, tuple, float]]:
+    """``(kind, operands, delta)`` of every candidate, best first, decoded as reached.
+
+    The order is that of the keys ``(-delta, kind.value, operands)``: one
+    ``lexsort`` on ``-delta``, the kind's index in ``MoveKind`` (whose
+    ``.value`` strings sort in enum order) and the operand columns, padded
+    with 0 to four (a kind's operand tuples have one length, so their order
+    is the columns' order).  ``lexsort`` is stable, so equal deltas, ``-0.0``
+    and ``0.0`` among them, fall through to the kind and the operands.
     """
-    n = len(rows)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for u, v in pairs:
-        if not rows[u][v]:
-            yield MoveKind.ADD_POSITIVE_EDGE, ((u, v),)
-    negatives = [(u, v) for u, v in pairs if rows[u][v] < 0]
-    for e in negatives:
-        yield MoveKind.DELETE_EDGE, (e,)
-    for i, e in enumerate(negatives):
-        for f in negatives[i + 1 :]:
-            yield MoveKind.NEGATE_EDGE_PAIR, (e, f)
-    for u, v in pairs:
-        if rows[u][v] > 0:
-            for pivot, old in ((u, v), (v, u)):
-                for new in range(n):
-                    if new != pivot and new != old and not rows[pivot][new]:
-                        yield MoveKind.ROTATE_EDGE, (pivot, old, new)
+    blocks = _operand_columns(A)
+    delta = np.concatenate(
+        [_deltas(kind, A[c[0], c[1]], x, c) for kind, c in zip(MoveKind, blocks)]
+    )
+    rank = np.repeat(np.arange(len(blocks)), [len(c[0]) for c in blocks])
+    cols = np.zeros((len(rank), 4), dtype=np.intp)
+    row = 0
+    for c in blocks:
+        cols[row : row + len(c[0]), : len(c)] = np.transpose(c)
+        row += len(c[0])
+    kinds = tuple(MoveKind)
+    for i in np.lexsort((*cols.T[::-1], rank, -delta)).tolist():
+        kind = kinds[rank[i]]
+        yield kind, _operands(kind, cols[i].tolist()), float(delta[i])
 
 
 def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
@@ -320,15 +369,16 @@ _MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
 
 
 class _Host:
-    """One ascent step's host, built once: its sign table, float adjacency
-    matrix and positive/negative neighbour bitsets."""
+    """One ascent step's host, built once: its sign matrix and table, float
+    adjacency matrix and positive/negative neighbour bitsets."""
 
     def __init__(self, g: SignedGraph):
-        A = g.adjacency_matrix()
-        self.rows = A.tolist()
-        self.matrix = A.astype(float)
-        self.pos = [sum(1 << w for w, s in enumerate(row) if s > 0) for row in self.rows]
-        self.neg = [sum(1 << w for w, s in enumerate(row) if s < 0) for row in self.rows]
+        self.signs = g.adjacency_matrix()
+        self.rows = self.signs.tolist()
+        self.matrix = self.signs.astype(float)
+        edges = list(g.edges())
+        self.pos = _bitsets(g.n, [(u, v) for u, v, s in edges if s > 0])
+        self.neg = _bitsets(g.n, [(u, v) for u, v, s in edges if s < 0])
 
     def sign(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -367,12 +417,14 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     maximum or after max_steps moves; the returned trajectory is strictly
     increasing.
 
-    Candidates are popped lazily from a heap and decided on the host's
-    state (see the module docstring for the checks each kind skips); only
-    negate-pair and rotate moves that pass the negative-C4 test, and the
-    accepted move, become SignedGraphs.  The host's least shortest
-    negative cycle, whose edges deletions may not take, is found when a
-    step pops its first deletion.
+    Each step scores every candidate in one array pass and ranks them with
+    one ``lexsort`` on exactly that key; candidates are decoded one at a
+    time as the step reaches them and decided on the host's state (see the
+    module docstring for the checks each kind skips).  Only negate-pair and
+    rotate moves that pass the negative-C4 test, and the accepted move,
+    become SignedGraphs.  The host's least shortest negative cycle, whose
+    edges deletions may not take, is found when a step reaches its first
+    deletion.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
@@ -384,18 +436,9 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     deltas: list[float] = []
     for _ in range(max_steps):
         host = _Host(g)
-        x = report.x.tolist()
-        heap = [
-            (-_closed_form_delta(host, kind, ops, x), kind.value, ops, kind)
-            for kind, ops in _candidates(host.rows)
-        ]
-        # keys are unique (no two moves share kind and operands), so the pops
-        # come in sorted order and the trailing kind is never compared
-        heapq.heapify(heap)
         accepted = None
-        protected = None  # most steps accept a move before popping any deletion
-        while heap:
-            neg_delta, _, ops, kind = heapq.heappop(heap)
+        protected = None  # most steps accept a move before reaching any deletion
+        for kind, ops, delta in _ranked_candidates(host.signs, report.x):
             if kind is MoveKind.DELETE_EDGE:
                 if protected is None:
                     # never None: every host is unbalanced
@@ -410,7 +453,7 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
                 continue
             lam = host.lambda1_after(edits)
             if lam > report.lambda1 + STRICT_GAIN:
-                accepted = (_edited_graph(g, mv), lam, mv, -neg_delta)
+                accepted = (_edited_graph(g, mv), lam, mv, delta)
                 break
         if accepted is None:
             break

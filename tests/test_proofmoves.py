@@ -12,6 +12,7 @@ from signedspectra.proofmoves import (
     Move,
     MoveKind,
     _closed_form_delta,
+    _ranked_candidates,
     apply_move,
     candidate_moves,
     greedy_ascent,
@@ -231,37 +232,48 @@ def test_greedy_ascent_often_reaches_the_extremal_graph():
     assert hits >= 1
 
 
-# (n, seed) -> (start .sg digest, steps, final .sg digest).  The sampler
-# skips each drawn edge that would close a negative 4-cycle; (10, 2) and
+# (n, seed) -> (start .sg digest, steps, final .sg digest, digest of
+# repr(trajectory), digest of repr(deltas)).  The last two were recorded from
+# the ascent that popped its candidates from a heap of scored tuples, so they
+# pin every index and delta of the one-lexsort ranking, bit for bit.  The
+# sampler skips each drawn edge that would close a negative 4-cycle; (10, 2) and
 # (11, 3) are recorded from the sampler before that, which accepted their
 # first whole trial, so they also check that the draws did not change.  Any
 # change to the sampler's random draws moves the start graph and fails this
 # test.  (11, 16) pops a deletion whose host has more than one shortest
 # negative cycle, so it pins the tie rule of shortest_negative_cycle too.
 PINNED_ASCENTS = {
-    (8, 0): ("daec7ae04d6250bd", 10, "763966067a4921ce"),
-    (9, 1): ("5aad3903e8b3dce4", 14, "b927b0f568bce3bd"),
-    (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d"),
-    (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a"),
-    (11, 16): ("e6b065b37cee1aad", 23, "3a9b3ba9a09430be"),
-    (12, 4): ("afc9c39cf90c6ba0", 30, "816c4c2f3d28c069"),
-    (12, 5): ("a0ae2838e43243e4", 31, "3c8f1159fb7b6f9d"),
-    (13, 6): ("f36cb69597f755d8", 44, "8d865e5d0dbb3bd1"),
-    (17, 1): ("c0fc614313474020", 77, "dc04e57fa30c4694"),
+    (8, 0): ("daec7ae04d6250bd", 10, "763966067a4921ce", "8e30d0e1082406e1", "532a5c9eec6471bb"),
+    (9, 1): ("5aad3903e8b3dce4", 14, "b927b0f568bce3bd", "d76eb16186ddaae8", "ce251fc80efb317d"),
+    (10, 2): ("afb1d932078fb8ea", 23, "0c225b9edc1dd33d", "3bf2319d941df0e8", "f5ee843f7d19f988"),
+    (11, 3): ("caf7b4e8aafdd410", 29, "f1bce1730804f06a", "390cb1ec8bd385c2", "ddeac3feb0b5d516"),
+    (11, 16): ("e6b065b37cee1aad", 23, "3a9b3ba9a09430be", "996fc45d225f38eb", "ea71320b24974163"),
+    (12, 4): ("afc9c39cf90c6ba0", 30, "816c4c2f3d28c069", "e40b7cc5b9ca0203", "d5065c67667e7a9f"),
+    (12, 5): ("a0ae2838e43243e4", 31, "3c8f1159fb7b6f9d", "0afe1a7942a6c863", "80c874a8c9d6aecb"),
+    (13, 6): ("f36cb69597f755d8", 44, "8d865e5d0dbb3bd1", "709775974cf94ba6", "a77cb54d1807797e"),
+    (17, 1): ("c0fc614313474020", 77, "dc04e57fa30c4694", "c3999548f678e19f", "db262fb60f512268"),
 }
 
 
+def text_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def sg_digest(g):
-    return hashlib.sha256(g.to_sg().encode()).hexdigest()[:16]
+    return text_digest(g.to_sg())
 
 
 @pytest.mark.parametrize("n, seed", sorted(PINNED_ASCENTS))
 def test_sampler_and_ascent_are_pinned(n, seed):
-    start_digest, steps, final_digest = PINNED_ASCENTS[(n, seed)]
+    start_digest, steps, final_digest, trajectory_digest, deltas_digest = (
+        PINNED_ASCENTS[(n, seed)]
+    )
     assert sg_digest(random_unbalanced_c4free(n, random.Random(seed))) == start_digest
     result = greedy_ascent(n, seed)
     assert result.steps == steps == len(result.deltas)
     assert sg_digest(result.graph) == final_digest
+    assert text_digest(repr(result.trajectory)) == trajectory_digest
+    assert text_digest(repr(result.deltas)) == deltas_digest
 
 
 def reference_ascent(n, seed, max_steps=500):
@@ -315,3 +327,66 @@ def test_additions_and_deletions_keep_the_constraints_they_skip(n):
                     assert cert.still_c4_negative_free, mv
                 kinds.add(mv.kind)
     assert kinds == {MoveKind.ADD_POSITIVE_EDGE, MoveKind.DELETE_EDGE}
+
+
+def reference_candidates(rows):
+    """``(kind, operands)`` of every ascent candidate on the sign table ``rows``,
+    every negative edge as a deletion: the plain-Python generator the ranking
+    and ``candidate_moves`` are checked against."""
+    n = len(rows)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in pairs:
+        if not rows[u][v]:
+            yield MoveKind.ADD_POSITIVE_EDGE, ((u, v),)
+    negatives = [(u, v) for u, v in pairs if rows[u][v] < 0]
+    for e in negatives:
+        yield MoveKind.DELETE_EDGE, (e,)
+    for i, e in enumerate(negatives):
+        for f in negatives[i + 1 :]:
+            yield MoveKind.NEGATE_EDGE_PAIR, (e, f)
+    for u, v in pairs:
+        if rows[u][v] > 0:
+            for pivot, old in ((u, v), (v, u)):
+                for new in range(n):
+                    if new != pivot and new != old and not rows[pivot][new]:
+                        yield MoveKind.ROTATE_EDGE, (pivot, old, new)
+
+
+def test_ranked_candidates_are_the_sorted_scored_reference():
+    # the ranking stands in for sorting (-delta, kind.value, operands): the
+    # kind's index in MoveKind must sort as its .value does
+    assert [k.value for k in MoveKind] == sorted(k.value for k in MoveKind)
+    hosts = ties_within = ties_across = 0
+    for n in range(5, 17):
+        for seed in range(6):
+            # random starts and graphs part way up an ascent, whose symmetry
+            # gives exactly equal deltas
+            for g in (
+                random_unbalanced_c4free(n, random.Random(seed)),
+                greedy_ascent(n, seed, max_steps=n).graph,
+            ):
+                g, rep = nonneg_eigenvector_form(g)
+                A = g.adjacency_matrix()
+                reference = list(reference_candidates(A.tolist()))
+                expected = sorted(
+                    (-_closed_form_delta(g, kind, ops, rep.x), kind.value, ops)
+                    for kind, ops in reference
+                )
+                ranked = list(_ranked_candidates(A, rep.x))
+                assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
+                # bit-equal deltas, the sign of a zero included
+                assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
+                snc = shortest_negative_cycle(g)
+                assert [(mv.kind, mv.operands) for mv in candidate_moves(g)] == [
+                    (kind, ops)
+                    for kind, ops in reference
+                    if kind is not MoveKind.DELETE_EDGE or ops[0] not in snc.edges()
+                ]
+                kinds_at = {}
+                for k, _, d in ranked:
+                    kinds_at.setdefault(d, []).append(k)
+                ties_within += any(len(ks) > len(set(ks)) for ks in kinds_at.values())
+                ties_across += any(len(set(ks)) > 1 for ks in kinds_at.values())
+                hosts += 1
+    assert hosts == 144
+    assert ties_within and ties_across
