@@ -15,13 +15,7 @@ import sys
 from . import __version__
 from .core import SgFormatError, SignedGraph
 from .cycles import is_ck_negative_free, shortest_negative_cycle
-from .enumeration import (
-    MAX_BUILTIN_ORDER,
-    GraphListError,
-    ingest_graph_list,
-    verify_c4free_bounds,
-    verify_max_index,
-)
+from .enumeration import GraphListError, ingest_graph_list, verify_c4free_bounds, verify_max_index
 from .families import FAMILY_ALIASES, FAMILY_TAGS, FamilySpec
 from .proofmoves import greedy_ascent
 from .spectra import (
@@ -147,13 +141,7 @@ def cmd_verify(args) -> int:
     graphs = None
     if args.graphs:
         graphs = ingest_graph_list(args.graphs)
-    report = verify_max_index(
-        args.n,
-        graphs=graphs,
-        checkpoint=args.checkpoint,
-        progress=args.progress,
-        long_run=args.long_run,
-    )
+    report = verify_max_index(args.n, graphs=graphs, checkpoint=args.checkpoint, progress=args.progress)
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -243,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--long-run",
         action="store_true",
-        help=f"opt in to censuses past the built-in orders (n > {MAX_BUILTIN_ORDER})",
+        help="accepted and ignored; kept so existing scripts still parse",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -80,7 +80,7 @@ __all__ = [
     "has_c4",
 ]
 
-MAX_BUILTIN_ORDER = 8
+MAX_BUILTIN_ORDER = 9
 # checkpoint layout; records carry (lam, pattern) pairs since format 2 and
 # are strict JSON (best is null, not -Infinity, when nothing is kept) since 3
 CHECKPOINT_FORMAT = 3
@@ -109,22 +109,23 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
     """All non-isomorphic simple graphs on n vertices, as all-positive graphs.
 
     Deterministic order: ascending edge count, then canonical edge list.
-    Built-in enumeration is capped at n = 8 (12346 graphs); larger orders
-    must come from :func:`ingest_graph_list`.
+    Built-in enumeration is capped at n = 9 (274668 graphs), the census's
+    only order limit; larger orders must come from :func:`ingest_graph_list`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_BUILTIN_ORDER:
         raise ValueError(
-            f"built-in enumeration is capped at n = {MAX_BUILTIN_ORDER}; "
-            "ingest an external graph list for larger orders"
+            f"built-in enumeration is capped at n = {MAX_BUILTIN_ORDER}; a census of a "
+            "larger order reads an external catalog (graphs=, or verify --graphs)"
         )
     if n in _UNDERLYING_CACHE:
         return [g for g in _UNDERLYING_CACHE[n]]
-    reps: dict[tuple, frozenset] = {(): frozenset()}  # n = 1
+    reps: set[tuple] = {()}  # canonical edge lists at n = 1
     for k in range(2, n + 1):
-        nxt: dict[tuple, frozenset] = {}
-        for edges in reps.values():
+        nxt: set[tuple] = set()
+        for key in reps:
+            edges = frozenset(key)
             adj = _bitsets(k - 1, edges)
             top = max(row.bit_count() for row in adj)
             classes = _twin_classes(adj)
@@ -136,9 +137,7 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
                 new_edges = edges | {
                     (u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j]
                 }
-                key = _canonical_edges(k, new_edges)
-                if key not in nxt:
-                    nxt[key] = frozenset(key)
+                nxt.add(_canonical_edges(k, new_edges))
         reps = nxt
     keys = sorted(reps, key=lambda t: (len(t), t))
     out = tuple(SignedGraph(n, {e: 1 for e in key}) for key in keys)
@@ -331,7 +330,6 @@ def verify_max_index(
     graphs: list[SignedGraph] | None = None,
     checkpoint: str | None = None,
     progress: bool = False,
-    long_run: bool = False,
 ) -> CensusReport:
     """Census all switching classes of order n and locate the maximum index.
 
@@ -341,13 +339,14 @@ def verify_max_index(
     folding the result into the running maximum; the classes within
     ``FLOAT_MARGIN`` of it are compared by exact characteristic polynomials
     and every exact maximizer is checked against the extremal graph.
-    ``graphs`` overrides the built-in enumeration (required past
-    ``MAX_BUILTIN_ORDER``, with ``long_run``); a catalog that repeats a
-    sorted edge list, or holds two isomorphic graphs (equal
-    :func:`_canonical_edges`), raises ValueError naming both positions,
-    counted from 1.  The built-in catalog is canonical by construction and
-    is not keyed again.  ``progress``
-    writes JSON lines to stderr every 100000 classes.
+    ``graphs`` overrides the built-in enumeration, whose cap in
+    :func:`enumerate_underlying` is the only order limit: past it, passing
+    a catalog is the opt-in.  Each catalog graph is keyed once by
+    :func:`_canonical_edges`; two with one key raise ValueError naming both
+    positions, counted from 1, as having the same edge list or as
+    isomorphic.  The built-in catalog is canonical by construction and is
+    not keyed again.  ``progress`` writes JSON lines to stderr every
+    100000 classes.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
     Its first line is the header ``{census_n, tasks, tol, format,
@@ -362,28 +361,18 @@ def verify_max_index(
     """
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
-    if n > MAX_BUILTIN_ORDER and not long_run:
-        raise ValueError(
-            f"the census at n = {n} is past the built-in orders (n <= {MAX_BUILTIN_ORDER}) "
-            "and long-running; pass long_run=True, or --long-run on the command line "
-            "(checkpointing recommended)"
-        )
     t0 = time.perf_counter()
     underlying = graphs if graphs is not None else enumerate_underlying(n)
     for g in underlying:
         if g.n != n:
             raise ValueError(f"graph of order {g.n} in a census of order {n}")
     tasks = [tuple(sorted(g.edge_set())) for g in underlying]
-    first: dict[tuple, int] = {}
     canonical: dict[tuple, int] = {}
-    for i, edges in enumerate(tasks):
-        j = first.setdefault(edges, i)
+    for i, edges in enumerate(tasks if graphs is not None else []):
+        j = canonical.setdefault(_canonical_edges(n, frozenset(edges)), i)
         if j != i:
-            raise ValueError(f"catalog graphs {j + 1} and {i + 1} have the same edge list")
-        if graphs is not None:
-            j = canonical.setdefault(_canonical_edges(n, frozenset(edges)), i)
-            if j != i:
-                raise ValueError(f"catalog graphs {j + 1} and {i + 1} are isomorphic")
+            how = "have the same edge list" if tasks[j] == edges else "are isomorphic"
+            raise ValueError(f"catalog graphs {j + 1} and {i + 1} {how}")
 
     header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))

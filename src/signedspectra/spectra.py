@@ -60,14 +60,17 @@ class SpectrumReport:
 def eigenvalues_sym(M) -> SpectrumReport:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Rejects non-square, empty and non-symmetric input (max asymmetry above
-    1e-12).
+    Rejects non-square, empty, non-finite and non-symmetric input (max
+    asymmetry above 1e-12).  NaN fails every comparison, so it would pass
+    the symmetry test; it is refused first.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         raise ValueError("empty matrix has no spectrum")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     if float(np.abs(A - A.T).max(initial=0.0)) > 1e-12:
         raise ValueError("matrix is not symmetric")
 
@@ -97,6 +100,8 @@ def rayleigh(M, y) -> float:
     """Rayleigh quotient y'My / y'y; never exceeds the top eigenvalue."""
     A = np.asarray(M, dtype=float)
     v = np.asarray(y, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(v).all()):
+        raise ValueError("matrix or vector has a NaN or infinite entry")
     nv = float(v @ v)
     if nv == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector")

@@ -32,6 +32,8 @@ from conftest import (
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
 
 
 def to_nx(g: SignedGraph) -> nx.Graph:
@@ -44,8 +46,8 @@ def to_nx(g: SignedGraph) -> nx.Graph:
 def test_counts_match_the_classical_sequence():
     for n, count in KNOWN_COUNTS.items():
         assert len(enumerate_underlying(n)) == count
-    with pytest.raises(ValueError):
-        enumerate_underlying(9)
+    with pytest.raises(ValueError, match="--graphs"):
+        enumerate_underlying(10)
     with pytest.raises(ValueError):
         enumerate_underlying(0)
 
@@ -418,10 +420,8 @@ def test_kernel_census_matches_brute_filter_oracle_on_deep_stacks():
     # cubic graphs stack every nonzero pattern in one eigensolve
     from signedspectra.enumeration import _census_one_graph
 
-    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     heawood = [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]
-    for n, edges, eligible, kept in ((10, petersen, 63, 15), (14, heawood, 255, 21)):
+    for n, edges, eligible, kept in ((10, PETERSEN, 63, 15), (14, heawood, 255, 21)):
         task = (n, tuple(sorted((min(e), max(e)) for e in edges)))
         census = _census_one_graph(*task)
         assert census == brute_census_one_graph(*task)
@@ -626,10 +626,16 @@ def test_verify_rejects_small_orders():
         verify_max_index(4)
 
 
-def test_verify_requires_long_run_opt_in_past_builtin_order():
-    k9 = complete_signed(9, 1)
-    with pytest.raises(ValueError, match="long_run"):
-        verify_max_index(9, graphs=[k9])
+def test_verify_takes_a_catalog_past_builtin_order_without_opt_in():
+    # the catalog is the opt-in: the Petersen graph has no 4-cycle, so every
+    # unbalanced class of its 2^(15 - 10 + 1) is eligible; its 15 single
+    # negated edges tie for the maximum, far below the extremal index
+    report = verify_max_index(10, graphs=[SignedGraph(10, {e: 1 for e in PETERSEN})])
+    assert (report.underlying_count, report.class_count, report.eligible_count) == (1, 64, 63)
+    assert report.max_lambda1 == pytest.approx(2.7784571182583893, abs=1e-9)
+    assert report.reference_lambda1 > 7
+    assert len(report.witnesses) == 15
+    assert report.verdict is False
 
 
 def test_c4free_bounds_all_small_orders():

@@ -73,6 +73,20 @@ def test_eigenvalues_sym_rejects_bad_input():
         eigenvalues_sym(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused(bad):
+    # NaN fails every comparison, so the symmetry test alone lets it through
+    M = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        eigenvalues_sym(M)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        eigenvalues_sym(np.diag([bad, 0.0]))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        rayleigh(M, np.ones(2))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        rayleigh(np.eye(2), np.array([1.0, bad]))
+
+
 def test_spectrum_report_invariants():
     rng = random.Random(42)
     for _ in range(40):
