@@ -93,20 +93,20 @@ CHECKPOINT_FORMAT = 3
 # n = 40.  The tests compare every eligible class's float index with its
 # exact root at n = 5..7 (worst error 2.7e-15).
 FLOAT_MARGIN = 1e-9
-_UNDERLYING_CACHE: dict[int, tuple[SignedGraph, ...]] = {}
+_UNDERLYING_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
 
 # -- canonical forms -----------------------------------------------------------
 
 
-def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """Minimum relabeled edge list over the twin-pruned leaves of the labeller's tree."""
     adj = _bitsets(n, edges)
     return min(key for _, key in _leaves(adj, edges, _twin_classes(adj)))
 
 
-def enumerate_underlying(n: int) -> list[SignedGraph]:
-    """All non-isomorphic simple graphs on n vertices, as all-positive graphs.
+def enumerate_underlying(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All non-isomorphic simple graphs on n vertices, as canonical sorted edge lists.
 
     Deterministic order: ascending edge count, then canonical edge list.
     Built-in enumeration is capped at n = 9 (274668 graphs), the census's
@@ -120,13 +120,12 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
             "larger order reads an external catalog (graphs=, or verify --graphs)"
         )
     if n in _UNDERLYING_CACHE:
-        return [g for g in _UNDERLYING_CACHE[n]]
+        return list(_UNDERLYING_CACHE[n])
     reps: set[tuple] = {()}  # canonical edge lists at n = 1
     for k in range(2, n + 1):
         nxt: set[tuple] = set()
         for key in reps:
-            edges = frozenset(key)
-            adj = _bitsets(k - 1, edges)
+            adj = _bitsets(k - 1, key)
             top = max(row.bit_count() for row in adj)
             classes = _twin_classes(adj)
             degrees = [adj[cls[0]].bit_count() for cls in classes]
@@ -134,15 +133,11 @@ def enumerate_underlying(n: int) -> list[SignedGraph]:
                 s = sum(counts)
                 if s < top or any(j and s <= d for j, d in zip(counts, degrees)):
                     continue  # the new vertex would not have the largest degree
-                new_edges = edges | {
-                    (u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j]
-                }
-                nxt.add(_canonical_edges(k, new_edges))
+                picked = tuple((u, k - 1) for cls, j in zip(classes, counts) for u in cls[:j])
+                nxt.add(_canonical_edges(k, key + picked))
         reps = nxt
-    keys = sorted(reps, key=lambda t: (len(t), t))
-    out = tuple(SignedGraph(n, {e: 1 for e in key}) for key in keys)
-    _UNDERLYING_CACHE[n] = out
-    return list(out)
+    _UNDERLYING_CACHE[n] = tuple(sorted(reps, key=lambda t: (len(t), t)))
+    return list(_UNDERLYING_CACHE[n])
 
 
 # -- switching classes ---------------------------------------------------------
@@ -161,10 +156,8 @@ def _cotree(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]
 def _signed_by_pattern(
     n: int, edges: tuple[tuple[int, int], ...], cotree: list[tuple[int, int]], bits: int
 ) -> SignedGraph:
-    table = {e: 1 for e in edges}
-    for i, e in enumerate(cotree):
-        if (bits >> i) & 1:
-            table[e] = -1
+    table = dict.fromkeys(edges, 1)
+    table.update((e, -1) for i, e in enumerate(cotree) if bits >> i & 1)
     return SignedGraph(n, table)
 
 
@@ -341,12 +334,11 @@ def verify_max_index(
     and every exact maximizer is checked against the extremal graph.
     ``graphs`` overrides the built-in enumeration, whose cap in
     :func:`enumerate_underlying` is the only order limit: past it, passing
-    a catalog is the opt-in.  Each catalog graph is keyed once by
-    :func:`_canonical_edges`; two with one key raise ValueError naming both
-    positions, counted from 1, as having the same edge list or as
-    isomorphic.  The built-in catalog is canonical by construction and is
-    not keyed again.  ``progress`` writes JSON lines to stderr every
-    100000 classes.
+    a catalog is the opt-in.  Each graph of ``graphs`` must have order n and
+    is keyed once by :func:`_canonical_edges`; two with one key raise
+    ValueError naming both positions, counted from 1, as having the same edge
+    list or as isomorphic.  The built-in catalog's edge lists are the tasks.
+    ``progress`` writes JSON lines to stderr every 100000 classes.
 
     ``checkpoint`` names a JSON-lines file used to resume interrupted runs.
     Its first line is the header ``{census_n, tasks, tol, format,
@@ -362,17 +354,19 @@ def verify_max_index(
     if n < 5:
         raise ValueError(f"the census needs n >= 5, got {n}")
     t0 = time.perf_counter()
-    underlying = graphs if graphs is not None else enumerate_underlying(n)
-    for g in underlying:
-        if g.n != n:
-            raise ValueError(f"graph of order {g.n} in a census of order {n}")
-    tasks = [tuple(sorted(g.edge_set())) for g in underlying]
-    canonical: dict[tuple, int] = {}
-    for i, edges in enumerate(tasks if graphs is not None else []):
-        j = canonical.setdefault(_canonical_edges(n, frozenset(edges)), i)
-        if j != i:
-            how = "have the same edge list" if tasks[j] == edges else "are isomorphic"
-            raise ValueError(f"catalog graphs {j + 1} and {i + 1} {how}")
+    if graphs is None:
+        tasks = enumerate_underlying(n)
+    else:
+        for g in graphs:
+            if g.n != n:
+                raise ValueError(f"graph of order {g.n} in a census of order {n}")
+        tasks = [tuple(sorted(g.edge_set())) for g in graphs]
+        canonical: dict[tuple, int] = {}
+        for i, edges in enumerate(tasks):
+            j = canonical.setdefault(_canonical_edges(n, edges), i)
+            if j != i:
+                how = "have the same edge list" if tasks[j] == edges else "are isomorphic"
+                raise ValueError(f"catalog graphs {j + 1} and {i + 1} {how}")
 
     header = _checkpoint_header(n, tasks) if checkpoint else {}
     resuming = bool(checkpoint and os.path.exists(checkpoint) and os.path.getsize(checkpoint))
@@ -423,7 +417,7 @@ def verify_max_index(
     )
     return CensusReport(
         n=n,
-        underlying_count=len(underlying),
+        underlying_count=len(tasks),
         class_count=class_count,
         eligible_count=eligible_count,
         max_lambda1=best,
@@ -535,15 +529,20 @@ def _record(fh, i: int, res: tuple) -> None:
 # -- unsigned C4-free spectral bounds -------------------------------------------
 
 
+def _has_c4(adj: list[int]) -> bool:
+    """True iff two vertices share two neighbours in the bitsets ``adj``: a 4-cycle."""
+    return any((a & b).bit_count() >= 2 for i, a in enumerate(adj) for b in adj[i + 1 :])
+
+
 def has_c4(g: SignedGraph) -> bool:
     """True iff the underlying graph contains a 4-cycle (signs ignored)."""
-    adj = _bitsets(g.n, g.edge_set())
-    return any((adj[u] & adj[w]).bit_count() >= 2 for u in range(g.n) for w in range(u + 1, g.n))
+    return _has_c4(_bitsets(g.n, g.edge_set()))
 
 
 def verify_c4free_bounds(n: int) -> bool:
-    """Check the parity spectral bound, exactly, on every C4-free graph of order n."""
-    return all(c4free_bound_check(g) for g in enumerate_underlying(n) if not has_c4(g))
+    """Check the parity spectral bound exactly on each C4-free edge list of the order-n catalog."""
+    c4free = (e for e in enumerate_underlying(n) if not _has_c4(_bitsets(n, e)))
+    return all(c4free_bound_check(SignedGraph(n, dict.fromkeys(e, 1))) for e in c4free)
 
 
 # -- graph catalog ingestion -----------------------------------------------------

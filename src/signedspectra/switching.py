@@ -235,10 +235,12 @@ def _twin_classes(adj: list[int], neg: list[int] | None = None) -> list[list[int
     return classes
 
 
-def _leaves(adj: list[int], edges, classes: list[list[int]]):
+def _leaves(adj: list[int], edges, classes: list[list[int]], start: list[int] | None = None):
     """Leaves of the labeller's search tree, pruned by ``classes``.
 
-    The root refines the unit partition; a node's children individualize
+    The root refines ``start``, an ordered partition given as cell bitsets
+    whose order and cells ignore labels (default: the unit partition, which
+    canonical forms use); a node's children individualize
     the first vertex of each class in its first non-singleton cell and
     refine again (McKay and Piperno, "Practical graph isomorphism, II",
     2014), each only when the search reaches it, in cell order.  Yields
@@ -260,7 +262,8 @@ def _leaves(adj: list[int], edges, classes: list[list[int]]):
         bits = sum(1 << v for v in cls)
         for v in cls:
             twins[v] = bits
-    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+    start = start or [(1 << n) - 1]
+    cells = _refine(adj, list(start), start) if n else []
     stack: list[tuple[list[int], int, int]] = []
     while True:
         if len(cells) == n:
@@ -282,15 +285,19 @@ def _leaves(adj: list[int], edges, classes: list[list[int]]):
         cells = _refine(adj, parent[:i] + [low, parent[i] ^ low] + parent[i + 1 :], [low])
 
 
-def _vertex_invariants(g: SignedGraph) -> list[tuple[int, int]]:
-    """Sorted pairs (degree, (A^3)_vv) over the vertices of g.
+def _vertex_invariants(g: SignedGraph) -> dict[tuple[int, int], int]:
+    """The bitset of the vertices of g per pair (degree, (A^3)_vv), by ascending pair.
 
     Relabelling permutes them, and switching keeps them: with D the
     diagonal switching matrix, (DAD)^3 = D A^3 D has the diagonal of A^3.
+    So the values are an ordered partition that ignores labels.
     """
     A = g.adjacency_matrix()
     closed_walks = ((A @ A) * A).sum(axis=1)
-    return sorted(zip(np.abs(A).sum(axis=1).tolist(), closed_walks.tolist()))
+    cells: dict[tuple[int, int], int] = {}
+    for v, pair in enumerate(zip(np.abs(A).sum(axis=1).tolist(), closed_walks.tolist())):
+        cells[pair] = cells.get(pair, 0) | 1 << v
+    return dict(sorted(cells.items()))
 
 
 def switching_isomorphic(
@@ -300,14 +307,16 @@ def switching_isomorphic(
 
     Relabelling and switching preserve balance and the multiset of
     per-vertex (degree, (A^3)_vv) pairs, so graphs that differ in either
-    are answered at once.  Otherwise each leaf lam of a whose relabelled
-    edge list equals that of b's first leaf mu gives an underlying
-    isomorphism pi[lam[k]] = mu[k].  pi works iff the product signing
+    are answered at once.  Otherwise both trees start from the ordered
+    partition of the vertices by that pair.  Each leaf lam of a whose
+    relabelled edge list equals that of b's first leaf mu gives an
+    underlying isomorphism pi[lam[k]] = mu[k].  pi works iff the product signing
     tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's edges is balanced
     (Zaslavsky, "Signed graphs", 1982): tau is propagated along a's BFS
     forest and checked on every cotree edge.
 
-    As the tree ignores labels, its unpruned leaves give every isomorphism.
+    As the tree ignores labels, its unpruned leaves give every isomorphism
+    that keeps the pairs, which every switching isomorphism does.
     a's tree is pruned by its signed twin classes.  Every unpruned leaf is
     a kept leaf composed with signed-twin transpositions, each a switching
     automorphism of a, so a kept leaf's pi works iff each of its images
@@ -319,11 +328,14 @@ def switching_isomorphic(
         raise ValueError(f"orders differ: {a.n} != {b.n}")
     if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
         return False, None
-    if _vertex_invariants(a) != _vertex_invariants(b):
+    cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
+    sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
+    if sizes[0] != sizes[1]:
         return False, None
     # the first leaf does not depend on the classes; one class keeps only the first child
     b_edges = b.edge_set()
-    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))]))
+    start_b = list(cells_b.values())
+    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))], start_b))
     sign_b = {}
     for u, v, s in b.edges():
         sign_b[u, v] = sign_b[v, u] = s
@@ -335,7 +347,7 @@ def switching_isomorphic(
     signed = a.edges()
     cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
     neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
-    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg)):
+    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg), list(cells_a.values())):
         if key != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))

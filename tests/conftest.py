@@ -32,9 +32,19 @@ from itertools import combinations, permutations, product
 from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
 from signedspectra.core import _bitsets
-from signedspectra.enumeration import FLOAT_MARGIN, _canonical_edges, switching_classes
+from signedspectra.enumeration import (
+    FLOAT_MARGIN,
+    _canonical_edges,
+    enumerate_underlying,
+    switching_classes,
+)
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import _twin_classes, is_balanced, switching_equivalent
+
+
+def catalog_graphs(n: int) -> list[SignedGraph]:
+    """The built-in catalog of order n as all-positive graphs, for tests that need graphs."""
+    return [SignedGraph(n, dict.fromkeys(edges, 1)) for edges in enumerate_underlying(n)]
 
 
 def random_signed_graph(

@@ -26,6 +26,7 @@ from signedspectra.switching import is_balanced, switching_equivalent, switching
 from conftest import (
     brute_census_one_graph,
     brute_switching_orbit_count,
+    catalog_graphs,
     reference_refine,
     twin_rich_graphs,
     unfiltered_underlying,
@@ -74,7 +75,7 @@ def test_enumeration_matches_brute_filter_oracle():
 
 
 def test_representatives_pairwise_non_isomorphic():
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
             if gs[i].m != gs[j].m:
@@ -135,7 +136,7 @@ def test_canonical_keys_match_the_graph_atlas():
             for G in atlas[n]
         ]
         assert len(set(keys)) == len(keys) == KNOWN_COUNTS[n]
-        assert set(keys) == {tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)}
+        assert set(keys) == set(enumerate_underlying(n))
 
 
 def test_twin_pruned_walk_matches_the_unpruned_oracle():
@@ -218,8 +219,7 @@ def test_bitset_refinement_matches_the_list_oracle():
 def test_degree_filter_loses_no_graph():
     # every graph has a vertex of largest degree, so labelling only such children is complete
     for n in range(1, 8):
-        catalog = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)]
-        assert catalog == unfiltered_underlying(n)
+        assert enumerate_underlying(n) == unfiltered_underlying(n)
 
 
 def test_degree_filter_labels_few_children_at_order_7(monkeypatch):
@@ -261,13 +261,12 @@ def test_catalog_hashes_are_pinned():
         8: "78362082d50ce2900390e7b112db0a0b061df7493c8d92cff392a73bf599934f",
     }
     for n, digest in pinned.items():
-        tasks = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(n)]
-        assert _checkpoint_header(n, tasks)["catalog"] == digest
+        assert _checkpoint_header(n, enumerate_underlying(n))["catalog"] == digest
 
 
 def test_enumeration_is_deterministic():
-    a = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(6)]
-    b = [tuple(sorted(g.edge_set())) for g in enumerate_underlying(6)]
+    a = enumerate_underlying(6)
+    b = enumerate_underlying(6)
     assert a == b
     assert a == sorted(a, key=lambda t: (len(t), t))
 
@@ -282,7 +281,7 @@ def test_switching_class_counts():
 
 
 def test_switching_class_count_identity_connected():
-    for g in enumerate_underlying(5):
+    for g in catalog_graphs(5):
         if len(g.components()) != 1:
             continue
         classes = switching_classes(g)
@@ -292,7 +291,7 @@ def test_switching_class_count_identity_connected():
 
 def test_census_soundness_pairwise_inequivalent():
     for n in (3, 4, 5):
-        for g in enumerate_underlying(n):
+        for g in catalog_graphs(n):
             classes = switching_classes(g)
             for i in range(len(classes)):
                 for j in range(i + 1, len(classes)):
@@ -317,7 +316,7 @@ def test_balanced_classes_max_is_complete_graph():
     # balanced classes share spectra with their underlying graphs
     n = 5
     best = -math.inf
-    for g in enumerate_underlying(n):
+    for g in catalog_graphs(n):
         for h in switching_classes(g):
             if is_balanced(h).balanced:
                 best = max(best, eigenvalues_sym(h.adjacency_matrix()).lambda1)
@@ -330,7 +329,7 @@ def test_dropping_the_c4_filter_raises_the_maximum():
     for n in (5, 6):
         unrestricted = -math.inf
         restricted = -math.inf
-        for g in enumerate_underlying(n):
+        for g in catalog_graphs(n):
             for h in switching_classes(g):
                 if is_balanced(h).balanced:
                     continue
@@ -375,8 +374,8 @@ def test_kernel_census_matches_brute_filter_oracle():
     from signedspectra.enumeration import _census_one_graph
 
     for n in (4, 5, 6):
-        for g in enumerate_underlying(n):
-            task = (n, tuple(sorted(g.edge_set())))
+        for edges in enumerate_underlying(n):
+            task = (n, edges)
             assert _census_one_graph(*task) == brute_census_one_graph(*task), task
 
 
@@ -389,8 +388,7 @@ def test_float_index_is_within_1e_12_of_the_exact_root():
     from signedspectra.spectra import char_poly_exact
 
     for n in (5, 6, 7):
-        for g in enumerate_underlying(n):
-            edges = tuple(sorted(g.edge_set()))
+        for edges in enumerate_underlying(n):
             cotree = _cotree(n, edges)
             for lam, bits in _eligible_indices(n, edges, cotree):
                 h = _signed_by_pattern(n, edges, cotree, bits)
@@ -439,7 +437,7 @@ def test_census_witnesses_match_exact_brute_oracle(n):
 
     brute = [
         h.to_sg()
-        for g in enumerate_underlying(n)
+        for g in catalog_graphs(n)
         for h in switching_classes(g)
         if not is_balanced(h).balanced
         and is_ck_negative_free(h, 4)
@@ -475,8 +473,7 @@ def test_census_integer_outputs_are_pinned_at_order_7():
     from signedspectra.enumeration import _census_one_graph, _cotree, _eligible_indices
 
     out = []
-    for g in enumerate_underlying(7):
-        edges = tuple(sorted(g.edge_set()))
+    for edges in enumerate_underlying(7):
         classes, eligible, _, _ = _census_one_graph(7, edges)
         patterns = sorted(bits for _, bits in _eligible_indices(7, edges, _cotree(7, edges)))
         out.append([classes, eligible, patterns])
@@ -521,20 +518,20 @@ def test_verify_census_checkpoint_headerless_file_refused(tmp_path, text):
 
 
 def test_verify_refuses_a_catalog_that_repeats_a_graph():
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     with pytest.raises(ValueError, match="catalog graphs 1 and 35 have the same edge list"):
         verify_max_index(5, graphs=gs * 2)
 
 
 def test_verify_refuses_a_catalog_with_isomorphic_graphs():
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     with pytest.raises(ValueError, match="catalog graphs 2 and 35 are isomorphic"):
         verify_max_index(5, graphs=gs + [gs[1].relabel([4, 3, 2, 1, 0])])
 
 
 def test_verify_census_checkpoint_fingerprint(tmp_path):
     # same order and catalog length, one graph different: no shared checkpoint
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     ck = tmp_path / "census.jsonl"
     verify_max_index(5, graphs=gs, checkpoint=str(ck))
     with pytest.raises(ValueError):
@@ -643,6 +640,49 @@ def test_c4free_bounds_all_small_orders():
         assert verify_c4free_bounds(n)
 
 
+C4FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 8, 5: 18, 6: 44, 7: 117, 8: 351}
+
+
+def brute_has_c4(g: SignedGraph) -> bool:
+    """A 4-cycle by trying every 4 vertices in each of their three cyclic orders."""
+    return any(
+        all(g.has_edge(q[i], q[(i + 1) % 4]) for i in range(4))
+        for a, b, c, d in combinations(range(g.n), 4)
+        for q in ((a, b, c, d), (a, b, d, c), (a, c, b, d))
+    )
+
+
+def test_c4free_bounds_check_every_c4free_graph(monkeypatch):
+    # all([]) is True: a filter that dropped every graph would pass the test above
+    from signedspectra import enumeration
+
+    checked = []
+    check = enumeration.c4free_bound_check
+    monkeypatch.setattr(enumeration, "c4free_bound_check", lambda g: checked.append(g) or check(g))
+    for n, count in C4FREE_COUNTS.items():
+        checked.clear()
+        assert verify_c4free_bounds(n)
+        assert len(checked) == count, n
+        assert len({tuple(sorted(g.edge_set())) for g in checked}) == count
+        assert not any(has_c4(g) for g in checked)
+
+
+def test_has_c4_matches_a_brute_search_on_the_catalog():
+    for n in range(1, 8):
+        for g in catalog_graphs(n):
+            assert has_c4(g) == brute_has_c4(g), g.to_sg()
+
+
+def test_catalog_entries_are_canonical_edge_lists():
+    from signedspectra import enumeration
+    from signedspectra.enumeration import _canonical_edges
+
+    for n in range(1, 7):
+        for edges in enumerate_underlying(n):
+            assert type(edges) is tuple and _canonical_edges(n, edges) == edges
+    assert all(type(e) is tuple for cat in enumeration._UNDERLYING_CACHE.values() for e in cat)
+
+
 def test_has_c4():
     assert has_c4(complete_signed(4, 1))
     assert not has_c4(complete_signed(3, 1))
@@ -697,7 +737,7 @@ def test_graph6_errors_carry_line_numbers():
 
 
 def test_ingest_graph6_catalog(tmp_path):
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     path = tmp_path / "all5.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in gs))
     parsed = ingest_graph_list(path)
@@ -741,7 +781,7 @@ def test_ingest_truncated_record(tmp_path):
 
 
 def test_verify_with_ingested_graphs(tmp_path):
-    gs = enumerate_underlying(5)
+    gs = catalog_graphs(5)
     path = tmp_path / "all5.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in gs))
     report = verify_max_index(5, graphs=ingest_graph_list(path))

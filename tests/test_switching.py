@@ -355,3 +355,27 @@ def test_signed_twin_walk_leaf_count_on_complete_bipartite(m):
         a = SignedGraph(2 * m, {e: -1 if e == (0, m) else 1 for e in edges})
         b = SignedGraph(2 * m, {e: -1 if e in ((0, m), (0, m + 1)) else 1 for e in edges})
         assert switching_isomorphic(a, b) == (False, None)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_invariant_partition_bounds_the_walk_on_k11_minus_a_path(seed):
+    # a count, not a timing: from the unit partition a's tree has over 1000
+    # leaves at every seed (80,640 at seed 29, seconds per call); from the
+    # (degree, (A^3)_vv) cells it has at most 36 (12 at seed 29)
+    from itertools import islice
+
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _leaves, _twin_classes, _vertex_invariants
+
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(11), 2) if e not in ((3, 6), (4, 6))]
+    a = SignedGraph(11, {e: rng.choice((1, -1)) for e in edges})
+    perm = list(range(11))
+    rng.shuffle(perm)
+    b = switch(a.relabel(perm), [v for v in range(11) if rng.random() < 0.5])
+    adj = _bitsets(11, edges)
+    classes = _twin_classes(adj, _bitsets(11, [(u, v) for u, v, s in a.edges() if s < 0]))
+    start = list(_vertex_invariants(a).values())
+    assert sum(1 for _ in islice(_leaves(adj, edges, classes, start), 1001)) <= 36
+    found, pi = switching_isomorphic(a, b)
+    assert found and switching_equivalent(a.relabel(pi), b)

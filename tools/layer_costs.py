@@ -15,11 +15,15 @@ and ``compare_largest_real_roots`` per consecutive pair of those
 polynomials.  It also times the whole catalog build
 ``enumerate_underlying(7)`` (its per-process cache cleared before each
 call), the canonical form ``_canonical_edges`` and the census kernel
-``_census_one_graph`` (GF(2) class filter and eigensolve) per graph of
-that catalog, and
+``_census_one_graph`` (GF(2) class filter and eigensolve) per sorted edge
+list of that catalog (its entries are edge lists, or SignedGraphs in
+checkouts that predate that form), and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
-K_{5,5} has 2 (5!)^2 automorphisms), ``greedy_ascent`` at order 12 per
+K_{5,5} has 2 (5!)^2 automorphisms), of K_11 minus the path 3-6-4 with
+seeded signs against a relabelled and switched copy (seed 29; its
+underlying graph has many automorphisms, its signing few),
+``greedy_ascent`` at order 12 per
 seed in ASCENT_SEEDS (start sampling included),
 ``shortest_negative_cycle`` per start of those ascents and the start
 sampler ``random_unbalanced_c4free`` at order 16 per seed in
@@ -46,6 +50,7 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 
@@ -122,6 +127,21 @@ def random_signed_graph(ss, rng: random.Random, n: int, edge_prob: float):
     return ss.SignedGraph(n, table)
 
 
+def k11_minus_path(ss, seed: int):
+    """K_11 minus the path 3-6-4 with signs drawn in edge order, and a relabelled, switched copy."""
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(11), 2) if e not in ((3, 6), (4, 6))]
+    a = ss.SignedGraph(11, {e: rng.choice((1, -1)) for e in edges})
+    perm = list(range(11))
+    rng.shuffle(perm)
+    return a, ss.switching.switch(a.relabel(perm), [v for v in range(11) if rng.random() < 0.5])
+
+
+def edge_list(entry) -> tuple:
+    """The sorted edge list of a catalog entry, an edge list or (in older checkouts) a SignedGraph."""
+    return entry if isinstance(entry, tuple) else tuple(sorted(entry.edge_set()))
+
+
 def rows(ss) -> dict:
     """Row name -> ``(call, count)``, with inputs built by the package ss from fixed seeds."""
     out = {}
@@ -157,12 +177,11 @@ def rows(ss) -> dict:
         return ss.enumeration.enumerate_underlying(n)
 
     out["enumerate_underlying.n7"] = (lambda: fresh_catalog(7), 1)
-    catalog = [frozenset(g.edge_set()) for g in ss.enumeration.enumerate_underlying(7)]
+    tasks = [edge_list(e) for e in ss.enumeration.enumerate_underlying(7)]
     out["_canonical_edges.n7"] = (
-        lambda: [ss.enumeration._canonical_edges(7, e) for e in catalog],
-        len(catalog),
+        lambda: [ss.enumeration._canonical_edges(7, t) for t in tasks],
+        len(tasks),
     )
-    tasks = [tuple(sorted(e)) for e in catalog]
     out["_census_one_graph.n7"] = (
         lambda: [ss.enumeration._census_one_graph(7, t) for t in tasks],
         len(tasks),
@@ -170,6 +189,8 @@ def rows(ss) -> dict:
     one = complete_bipartite(ss, 5, {(0, 5)})
     two = complete_bipartite(ss, 5, {(0, 5), (0, 6)})
     out["switching_isomorphic.k55"] = (lambda: ss.switching.switching_isomorphic(one, two), 1)
+    a, b = k11_minus_path(ss, 29)
+    out["switching_isomorphic.k11p"] = (lambda: ss.switching.switching_isomorphic(a, b), 1)
     out["greedy_ascent.n12"] = (
         lambda: [ss.greedy_ascent(12, seed) for seed in ASCENT_SEEDS],
         len(ASCENT_SEEDS),
