@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .core import SgFormatError, SignedGraph
 from .cycles import is_ck_negative_free, shortest_negative_cycle
-from .enumeration import GraphListError, ingest_graph_list, verify_c4free_bounds, verify_max_index
+from .enumeration import ingest_graph_list, verify_c4free_bounds, verify_max_index
 from .families import FAMILY_ALIASES, FAMILY_TAGS, FamilySpec
 from .proofmoves import greedy_ascent
 from .spectra import (
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (SgFormatError, GraphListError, OSError) as exc:
+    except (SgFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -11,7 +11,9 @@ The on-disk text format ``.sg`` is line based:
     then m:  ``u v s``      (1-based endpoints with u < v, s is ``+`` or ``-``)
 
 Lines starting with ``#`` are comments; blank lines are ignored.  Files are
-UTF-8 with LF line endings.  Example, the all-negative triangle::
+UTF-8 with LF line endings.  Graph catalogs of many records
+(``enumeration.ingest_graph_list``) use the same line grammar.  Example, the
+all-negative triangle::
 
     3 3
     1 2 -
@@ -34,11 +36,47 @@ __all__ = [
 
 
 class SgFormatError(ValueError):
-    """Raised on malformed ``.sg`` input; carries the 1-based line number."""
+    """Raised on malformed ``.sg`` or graph-catalog input; carries the 1-based line number.
+
+    ``enumeration.GraphListError`` is this class.
+    """
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _sg_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of ``.sg`` text that are not blank or comments, numbered from 1."""
+    lines = ((i, raw.strip()) for i, raw in enumerate(text.splitlines(), 1))
+    return [(i, ln) for i, ln in lines if ln and ln[0] != "#"]
+
+
+def _sg_header(lineno: int, line: str) -> tuple[int, int]:
+    """The ``n m`` header of an ``.sg`` record."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise SgFormatError(lineno, f"expected header 'n m', got {line!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SgFormatError(lineno, f"non-integer header {line!r}") from None
+    if n < 0 or m < 0:
+        raise SgFormatError(lineno, f"negative counts in header {line!r}")
+    return n, m
+
+
+def _sg_pair(lineno: int, line: str, parts: list[str], n: int, seen) -> tuple[int, int]:
+    """The 0-based pair of the edge line ``u v ...`` of an order-n record, if not in ``seen``."""
+    try:
+        u1, v1 = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SgFormatError(lineno, f"non-integer endpoints in {line!r}") from None
+    if not (1 <= u1 < v1 <= n):
+        raise SgFormatError(lineno, f"need 1 <= u < v <= {n}, got u={u1} v={v1}")
+    if (u1 - 1, v1 - 1) in seen:
+        raise SgFormatError(lineno, f"duplicate edge {u1} {v1}")
+    return u1 - 1, v1 - 1
 
 
 def _canon(u: int, v: int) -> tuple[int, int]:
@@ -280,51 +318,22 @@ class SignedGraph:
     @classmethod
     def from_sg(cls, text: str) -> "SignedGraph":
         """Parse the ``.sg`` text format; raises SgFormatError with a line number."""
-        header: tuple[int, int] | None = None
+        lines = _sg_lines(text)
+        if not lines:
+            raise SgFormatError(1, "empty input, missing 'n m' header")
+        n, m = _sg_header(*lines[0])
         table: dict[tuple[int, int], int] = {}
-        n = 0
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.rstrip("\r").strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in lines[1:]:
             parts = line.split()
-            if header is None:
-                if len(parts) != 2:
-                    raise SgFormatError(lineno, f"expected header 'n m', got {line!r}")
-                try:
-                    n, m = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise SgFormatError(lineno, f"non-integer header {line!r}") from None
-                if n < 0 or m < 0:
-                    raise SgFormatError(lineno, f"negative counts in header {line!r}")
-                header = (n, m)
-                continue
             if len(parts) != 3:
                 raise SgFormatError(lineno, f"expected 'u v s', got {line!r}")
-            try:
-                u1, v1 = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise SgFormatError(lineno, f"non-integer endpoints in {line!r}") from None
-            if not (1 <= u1 < v1 <= n):
-                raise SgFormatError(lineno, f"need 1 <= u < v <= {n}, got u={u1} v={v1}")
-            if parts[2] == "+":
-                s = 1
-            elif parts[2] == "-":
-                s = -1
-            else:
+            key = _sg_pair(lineno, line, parts, n, table)
+            if parts[2] not in ("+", "-"):
                 raise SgFormatError(lineno, f"sign must be '+' or '-', got {parts[2]!r}")
-            key = (u1 - 1, v1 - 1)
-            if key in table:
-                raise SgFormatError(lineno, f"duplicate edge {u1} {v1}")
-            table[key] = s
-        if header is None:
-            raise SgFormatError(1, "empty input, missing 'n m' header")
-        if len(table) != header[1]:
-            raise SgFormatError(
-                lineno if text else 1,
-                f"header declares {header[1]} edges, found {len(table)}",
-            )
-        return cls._wrap(header[0], table)
+            table[key] = 1 if parts[2] == "+" else -1
+        if len(table) != m:
+            raise SgFormatError(lines[-1][0], f"header declares {m} edges, found {len(table)}")
+        return cls._wrap(n, table)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

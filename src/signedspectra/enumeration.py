@@ -61,7 +61,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest, _bitsets
+from .core import SgFormatError, SignedGraph, _bfs_forest, _bitsets, _sg_header, _sg_lines, _sg_pair
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, index
@@ -548,12 +548,7 @@ def verify_c4free_bounds(n: int) -> bool:
 # -- graph catalog ingestion -----------------------------------------------------
 
 
-class GraphListError(ValueError):
-    """Malformed graph catalog input; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+GraphListError = SgFormatError  # catalogs and .sg files share one grammar and one error
 
 
 def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
@@ -569,12 +564,12 @@ def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
-        raise GraphListError(lineno, "empty graph6 record")
+        raise SgFormatError(lineno, "empty graph6 record")
     data = []
     for ch in s:
         b = ord(ch)
         if not 63 <= b <= 126:
-            raise GraphListError(lineno, f"byte {b} out of graph6 range 63..126")
+            raise SgFormatError(lineno, f"byte {b} out of graph6 range 63..126")
         data.append(b - 63)
     if data[0] <= 62:
         n = data[0]
@@ -583,12 +578,12 @@ def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         bits_at = 4
     else:
-        raise GraphListError(lineno, "unsupported graph6 order encoding")
+        raise SgFormatError(lineno, "unsupported graph6 order encoding")
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
     body = data[bits_at:]
     if len(body) != need:
-        raise GraphListError(
+        raise SgFormatError(
             lineno, f"graph6 body for n={n} needs {need} bytes, found {len(body)}"
         )
     table = {}
@@ -604,7 +599,7 @@ def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
     if npairs % 6:
         tail = body[-1] & ((1 << (6 - npairs % 6)) - 1)
         if tail:
-            raise GraphListError(lineno, "nonzero padding bits in graph6 record")
+            raise SgFormatError(lineno, "nonzero padding bits in graph6 record")
     return SignedGraph(n, table)
 
 
@@ -634,58 +629,33 @@ def ingest_graph_list(path) -> list[SignedGraph]:
 
     Accepts either graph6 (one record per line) or sign-less ``.sg``
     records (header ``n m`` followed by m lines ``u v``, 1-based, possibly
-    repeated for several graphs).  An edge line may carry a sign ``+`` or
-    ``-``, which is ignored, so signed ``.sg`` files serve as catalogs too;
-    any other third token is refused.  Blank lines and ``#`` comments are
-    skipped.  Malformed records raise GraphListError with the line number.
+    repeated for several graphs).  The ``.sg`` records use the grammar of
+    :meth:`SignedGraph.from_sg`, with one difference: an edge line's sign
+    ``+`` or ``-`` is optional and ignored, so signed ``.sg`` files serve as
+    catalogs too; any other third token is refused.  Blank lines and ``#``
+    comments are skipped.  Malformed records raise SgFormatError (also
+    exported as GraphListError) with the line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    content = [
-        (i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip() and not ln.strip().startswith("#")
-    ]
+        content = _sg_lines(fh.read())
     if not content:
         return []
-    first = content[0][1]
-    parts = first.split()
-    sg_mode = len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)
+    parts = content[0][1].split()
+    if not (len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)):
+        return [decode_graph6(ln, lineno) for lineno, ln in content]
     out: list[SignedGraph] = []
-    if not sg_mode:
-        for lineno, ln in content:
-            out.append(decode_graph6(ln, lineno))
-        return out
     i = 0
     while i < len(content):
         lineno, ln = content[i]
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphListError(lineno, f"expected header 'n m', got {ln!r}")
-        try:
-            gn, gm = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphListError(lineno, f"non-integer header {ln!r}") from None
-        if gn < 0 or gm < 0:
-            raise GraphListError(lineno, f"negative counts in header {ln!r}")
-        i += 1
-        table = {}
-        for k in range(gm):
-            if i >= len(content):
-                raise GraphListError(
-                    lineno, f"record declares {gm} edges, file ends after {k}"
-                )
-            elineno, eln = content[i]
+        gn, gm = _sg_header(lineno, ln)
+        table: dict[tuple[int, int], int] = {}
+        for elineno, eln in content[i + 1 : i + 1 + gm]:
             eparts = eln.split()
             if len(eparts) not in (2, 3) or eparts[2:] not in ([], ["+"], ["-"]):
-                raise GraphListError(elineno, f"expected 'u v' or 'u v +|-', got {eln!r}")
-            try:
-                u1, v1 = int(eparts[0]), int(eparts[1])
-            except ValueError:
-                raise GraphListError(elineno, f"non-integer endpoints in {eln!r}") from None
-            if not (1 <= u1 < v1 <= gn):
-                raise GraphListError(elineno, f"need 1 <= u < v <= {gn}, got {eln!r}")
-            if (u1 - 1, v1 - 1) in table:
-                raise GraphListError(elineno, f"duplicate edge {u1} {v1}")
-            table[(u1 - 1, v1 - 1)] = 1
-            i += 1
+                raise SgFormatError(elineno, f"expected 'u v' or 'u v +|-', got {eln!r}")
+            table[_sg_pair(elineno, eln, eparts, gn, table)] = 1
+        if len(table) < gm:
+            raise SgFormatError(lineno, f"record declares {gm} edges, file ends after {len(table)}")
         out.append(SignedGraph(gn, table))
+        i += 1 + gm
     return out

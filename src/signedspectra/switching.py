@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -202,12 +203,20 @@ def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]
     return cells
 
 
+@lru_cache(maxsize=1)  # a table per order would pile up across the orders of one process
+def _pairs(n: int) -> list[list[tuple[int, int]]]:
+    """``_pairs(n)[a][b]`` is (min(a, b), max(a, b)), one tuple per pair for all keys of order n."""
+    upper = [[(a, b) for b in range(n)] for a in range(n)]
+    return [[upper[min(a, b)][max(a, b)] for b in range(n)] for a in range(n)]
+
+
 def _relabelled(order: list[int], edges) -> tuple[tuple[int, int], ...]:
-    """Sorted edge list after moving vertex ``order[k]`` to position k."""
+    """Sorted edge list of :func:`_pairs` tuples after moving vertex ``order[k]`` to position k."""
     pos = [0] * len(order)
     for k, v in enumerate(order):
         pos[v] = k
-    return tuple(sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges))
+    pairs = _pairs(len(order))
+    return tuple(sorted(pairs[pos[u]][pos[v]] for u, v in edges))
 
 
 def _twin_classes(adj: list[int], neg: list[int] | None = None) -> list[list[int]]:

@@ -201,6 +201,7 @@ def test_sg_comments_and_blank_lines():
         ("3 1\n1 2 *\n", 2),
         ("3 2\n1 2 +\n1 2 -\n", 3),
         ("3 2\n1 2 +\n", 2),
+        ("3 2\n1 2 +\n# end\n", 2),
     ],
 )
 def test_sg_errors_carry_line_numbers(text, line):

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
-from signedspectra import SignedGraph, complete_signed
+from signedspectra import SgFormatError, SignedGraph, complete_signed
 from signedspectra.enumeration import (
     GraphListError,
     decode_graph6,
@@ -683,6 +683,11 @@ def test_catalog_entries_are_canonical_edge_lists():
     assert all(type(e) is tuple for cat in enumeration._UNDERLYING_CACHE.values() for e in cat)
 
 
+def test_catalog_keys_share_one_tuple_per_vertex_pair():
+    cat = enumerate_underlying(7)
+    assert len({id(p) for key in cat for p in key}) <= 21
+
+
 def test_has_c4():
     assert has_c4(complete_signed(4, 1))
     assert not has_c4(complete_signed(3, 1))
@@ -764,6 +769,32 @@ def test_ingest_sg_edge_sign_is_ignored_and_checked(tmp_path):
     with pytest.raises(GraphListError) as err:
         ingest_graph_list(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "record,line",
+    [
+        ("3 x\n", 2),  # non-integer header
+        ("3 -1\n", 2),  # negative count
+        ("3 1\n1 x +\n", 3),  # non-integer endpoint
+        ("3 1\n2 1 +\n", 3),  # u > v
+        ("3 1\n2 2 +\n", 3),  # u = v
+        ("3 1\n1 4 +\n", 3),  # v > n
+        ("3 2\n1 2 +\n1 2 -\n", 4),  # repeated pair
+    ],
+)
+def test_sg_files_and_catalogs_refuse_a_bad_line_alike(tmp_path, record, line):
+    # line 1 is a comment for from_sg and an edgeless graph for the catalog, so both
+    # read the bad record from line 2
+    with pytest.raises(SgFormatError) as as_file:
+        SignedGraph.from_sg("# one graph\n" + record)
+    path = tmp_path / "bad.sgl"
+    path.write_text("1 0\n" + record)
+    with pytest.raises(SgFormatError) as as_catalog:
+        ingest_graph_list(path)
+    assert as_file.value.line == as_catalog.value.line == line
+    assert str(as_file.value) == str(as_catalog.value)
+    assert GraphListError is SgFormatError
 
 
 def test_ingest_empty_file(tmp_path):
