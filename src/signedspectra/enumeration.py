@@ -551,77 +551,61 @@ def verify_c4free_bounds(n: int) -> bool:
 GraphListError = SgFormatError  # catalogs and .sg files share one grammar and one error
 
 
+def _graph6_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs of order n in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
 def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
     """Decode one graph6 record into an all-positive signed graph.
 
-    Bit-exact format: every byte stores the value byte - 63 in 6 bits.
-    The order n is one byte for n <= 62; a leading '~' marks a three-byte
-    (18-bit, big-endian) order.  The upper triangle bits x(0,1), x(0,2),
-    x(1,2), x(0,3), ... follow in column-major order, packed big-endian
-    six per byte and zero-padded to a byte boundary.
+    Bit-exact format (McKay's nauty ``formats.txt``): every byte stores the
+    value byte - 63 in 6 bits.  The order n is one byte for n <= 62; a
+    leading '~' marks a three-byte (18-bit, big-endian) order.  The body
+    packs one bit per pair of :func:`_graph6_pairs`, big-endian six per byte
+    and zero-padded to a byte boundary; it is read as one integer.  A record
+    is one token: graph6 bytes are never whitespace.  Refusals, in order: a
+    byte outside 63..126, an unsupported order, a body of the wrong length
+    (checked from n alone, before any pair is listed), nonzero padding.
     """
-    s = record.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
+    s = record.strip().removeprefix(">>graph6<<")
     if not s:
         raise SgFormatError(lineno, "empty graph6 record")
-    data = []
-    for ch in s:
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise SgFormatError(lineno, f"byte {b} out of graph6 range 63..126")
-        data.append(b - 63)
+    data = [ord(ch) - 63 for ch in s]
+    for b in data:
+        if not 0 <= b <= 63:
+            raise SgFormatError(lineno, f"byte {b + 63} out of graph6 range 63..126")
     if data[0] <= 62:
-        n = data[0]
-        bits_at = 1
+        n, body = data[0], data[1:]
     elif len(data) >= 4 and data[0] == 63 and data[1] <= 62:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        bits_at = 4
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
     else:
         raise SgFormatError(lineno, "unsupported graph6 order encoding")
     npairs = n * (n - 1) // 2
-    need = (npairs + 5) // 6
-    body = data[bits_at:]
+    pad = -npairs % 6
+    need = (npairs + pad) // 6
     if len(body) != need:
-        raise SgFormatError(
-            lineno, f"graph6 body for n={n} needs {need} bytes, found {len(body)}"
-        )
-    table = {}
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[idx // 6]
-            bit = (byte >> (5 - idx % 6)) & 1
-            if bit:
-                table[(u, v)] = 1
-            idx += 1
-    # padding bits must be zero
-    if npairs % 6:
-        tail = body[-1] & ((1 << (6 - npairs % 6)) - 1)
-        if tail:
-            raise SgFormatError(lineno, "nonzero padding bits in graph6 record")
-    return SignedGraph(n, table)
+        raise SgFormatError(lineno, f"graph6 body for n={n} needs {need} bytes, found {len(body)}")
+    x = int("0" + "".join([f"{b:06b}" for b in body]), 2)
+    if x & ((1 << pad) - 1):
+        raise SgFormatError(lineno, "nonzero padding bits in graph6 record")
+    bits = f"{x >> pad:0{npairs}b}"
+    return SignedGraph(n, {p: 1 for p, bit in zip(_graph6_pairs(n), bits) if bit == "1"})
 
 
 def encode_graph6(g: SignedGraph) -> str:
-    """Encode the underlying graph of g as a graph6 record."""
+    """Encode the underlying graph of g as a graph6 record (see :func:`decode_graph6`)."""
     n = g.n
     if n > 258047:
         raise ValueError("graph too large for the supported graph6 encodings")
-    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        body.append(val)
-    return "".join(chr(63 + x) for x in head + body)
+    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    edges = g.edge_set()
+    npairs = n * (n - 1) // 2
+    pad = -npairs % 6
+    x = int("0" + "".join("01"[p in edges] for p in _graph6_pairs(n)), 2) << pad
+    packed = f"{x:0{npairs + pad}b}"
+    body = [int(packed[i : i + 6], 2) for i in range(0, npairs + pad, 6)]
+    return "".join(chr(63 + b) for b in head + body)
 
 
 def ingest_graph_list(path) -> list[SignedGraph]:
@@ -629,10 +613,12 @@ def ingest_graph_list(path) -> list[SignedGraph]:
 
     Accepts either graph6 (one record per line) or sign-less ``.sg``
     records (header ``n m`` followed by m lines ``u v``, 1-based, possibly
-    repeated for several graphs).  The ``.sg`` records use the grammar of
-    :meth:`SignedGraph.from_sg`, with one difference: an edge line's sign
-    ``+`` or ``-`` is optional and ignored, so signed ``.sg`` files serve as
-    catalogs too; any other third token is refused.  Blank lines and ``#``
+    repeated for several graphs).  The first content line tells them apart:
+    one token means graph6, whose bytes are never whitespace; anything else
+    is ``.sg``, whose header is two tokens.  The ``.sg`` records use the
+    grammar of :meth:`SignedGraph.from_sg`, with one difference: an edge
+    line's sign ``+`` or ``-`` is optional and ignored, so signed ``.sg``
+    files serve as catalogs too; any other third token is refused.  Blank lines and ``#``
     comments are skipped.  Malformed records raise SgFormatError (also
     exported as GraphListError) with the line number.
     """
@@ -640,8 +626,7 @@ def ingest_graph_list(path) -> list[SignedGraph]:
         content = _sg_lines(fh.read())
     if not content:
         return []
-    parts = content[0][1].split()
-    if not (len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)):
+    if len(content[0][1].split()) == 1:
         return [decode_graph6(ln, lineno) for lineno, ln in content]
     out: list[SignedGraph] = []
     i = 0

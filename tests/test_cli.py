@@ -201,6 +201,41 @@ def test_verify_refuses_a_catalog_with_isomorphic_graphs(tmp_path, capsys):
     assert "catalog graphs 1 and 2 are isomorphic" in err
 
 
+@pytest.mark.parametrize("header", ["3 x", "3 1 +"])
+def test_verify_reads_a_catalog_with_a_bad_first_header_as_sg(tmp_path, capsys, header):
+    catalog = tmp_path / "bad.sgl"
+    catalog.write_text(header + "\n1 2\n")
+    code, out, err = run(capsys, "verify", "--n", "3", "--graphs", str(catalog))
+    assert code == 2
+    assert out == ""
+    assert "line 1:" in err and "header" in err and "graph6" not in err
+
+
+def test_verify_on_dumps_of_the_builtin_catalog_matches_the_builtin_census(tmp_path, capsys):
+    from signedspectra.enumeration import encode_graph6, enumerate_underlying
+
+    def report(*argv):
+        code, out, _ = run(capsys, "verify", "--n", "7", *argv)
+        assert code == 0
+        record = json.loads(out)
+        del record["seconds"]
+        return record
+
+    catalog = enumerate_underlying(7)
+    g6 = tmp_path / "all7.g6"
+    g6.write_text("".join(encode_graph6(SignedGraph(7, dict.fromkeys(e, 1))) + "\n" for e in catalog))
+    sg = tmp_path / "all7.sgl"
+    sg.write_text("".join(f"7 {len(e)}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in e) for e in catalog))
+    checkpoint = tmp_path / "census-7.ckpt"
+    builtin = report("--checkpoint", str(checkpoint))
+    written = checkpoint.read_bytes()
+    for dump in (g6, sg):
+        assert report("--graphs", str(dump)) == builtin
+        # a dump hashes to the built-in catalog, so the built-in run's checkpoint resumes
+        assert report("--graphs", str(dump), "--checkpoint", str(checkpoint)) == builtin
+        assert checkpoint.read_bytes() == written
+
+
 @pytest.mark.parametrize("tol", ["1e-9", "-1", "0", "nan", "inf"])
 def test_verify_bad_tolerance_is_a_usage_error(capsys, tol):
     # the verdict is exact, so verify has no --tol at all, not even the old default

@@ -1,8 +1,9 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import networkx as nx
 import pytest
@@ -700,9 +701,12 @@ def test_has_c4():
 
 def test_graph6_against_networkx():
     rng = random.Random(61)
-    for _ in range(100):
-        n = rng.randint(0, 20)
-        G = nx.gnp_random_graph(n, rng.random(), seed=rng.randint(0, 10**9))
+    # 100 random orders up to 20, drawn lazily, then the '~' long form from n = 63
+    orders = chain((rng.randint(0, 20) for _ in range(100)), (62, 63, 64, 100))
+    graphs = [nx.gnp_random_graph(n, rng.random(), seed=rng.randint(0, 10**9)) for n in orders]
+    graphs += nx.graph_atlas_g()  # every graph with n <= 7
+    for G in graphs:
+        n = G.number_of_nodes()
         record = nx.to_graph6_bytes(G, header=False).decode().strip()
         mine = decode_graph6(record)
         assert mine.n == n
@@ -731,14 +735,41 @@ def test_graph6_multibyte_order():
 
 def test_graph6_errors_carry_line_numbers():
     with pytest.raises(GraphListError) as err:
-        decode_graph6("B" + chr(30), lineno=7)
+        decode_graph6("B" + chr(33), lineno=7)
     assert err.value.line == 7
-    with pytest.raises(GraphListError):
-        decode_graph6("C~~")  # trailing garbage
-    with pytest.raises(GraphListError):
-        decode_graph6("C")  # truncated body
-    with pytest.raises(GraphListError):
-        decode_graph6("B@")  # nonzero padding bits
+    assert str(err.value) == "line 7: byte 33 out of graph6 range 63..126"
+    # chr(30) is whitespace to str.strip, so "B" + chr(30) is a record with no body
+    with pytest.raises(GraphListError) as err:
+        decode_graph6("B" + chr(30), lineno=7)
+    assert str(err.value) == "line 7: graph6 body for n=3 needs 1 bytes, found 0"
+    refusals = [
+        (">>graph6<<", "empty graph6 record"),
+        ("~~???", "unsupported graph6 order encoding"),  # the 36-bit order form
+        ("~??", "unsupported graph6 order encoding"),  # '~' with a short order
+        ("C~~", "graph6 body for n=4 needs 1 bytes, found 2"),  # trailing garbage
+        ("C", "graph6 body for n=4 needs 1 bytes, found 0"),  # truncated body
+        ("B@", "nonzero padding bits in graph6 record"),
+    ]
+    for record, message in refusals:
+        with pytest.raises(GraphListError) as err:
+            decode_graph6(record)
+        assert str(err.value) == f"line 1: {message}"
+    # the first bad byte is named, before the order or the body is read
+    with pytest.raises(GraphListError, match="^line 1: byte 32 out of graph6 range 63..126$"):
+        decode_graph6("~ B" + chr(30))
+
+
+def test_graph6_body_length_is_checked_before_the_pairs_are_listed():
+    # a '~' record declaring n = 2000 (1,999,000 pairs) with a one-byte body
+    record = "~" + "".join(chr(63 + x) for x in (2000 >> 12, 2000 >> 6 & 63, 2000 & 63)) + "?"
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphListError, match="graph6 body for n=2000 needs 333167 bytes, found 1"):
+            decode_graph6(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ingest_graph6_catalog(tmp_path):
@@ -795,6 +826,23 @@ def test_sg_files_and_catalogs_refuse_a_bad_line_alike(tmp_path, record, line):
     assert as_file.value.line == as_catalog.value.line == line
     assert str(as_file.value) == str(as_catalog.value)
     assert GraphListError is SgFormatError
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        ("3 x", "non-integer header '3 x'"),
+        ("3 1 +", "expected header 'n m', got '3 1 +'"),
+    ],
+)
+def test_catalog_with_a_bad_first_header_is_read_as_sg(tmp_path, header, message):
+    # a first line of more than one token is never graph6, whose bytes are not whitespace
+    path = tmp_path / "bad.sgl"
+    path.write_text(header + "\n1 2\n")
+    with pytest.raises(SgFormatError) as err:
+        ingest_graph_list(path)
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: {message}"
 
 
 def test_ingest_empty_file(tmp_path):
