@@ -48,7 +48,8 @@ class SgFormatError(ValueError):
 
 def _sg_lines(text: str) -> list[tuple[int, str]]:
     """The stripped lines of ``.sg`` text that are not blank or comments, numbered from 1."""
-    lines = ((i, raw.strip()) for i, raw in enumerate(text.splitlines(), 1))
+    # not splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+    lines = ((i, raw.strip()) for i, raw in enumerate(text.split("\n"), 1))
     return [(i, ln) for i, ln in lines if ln and ln[0] != "#"]
 
 
@@ -123,6 +124,14 @@ def _bitsets(n: int, edges) -> list[int]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
+
+
+def _sign_bitsets(g: "SignedGraph") -> tuple[list[int], list[int]]:
+    """The positive and the negative neighbour bitsets of g, as :func:`_bitsets`."""
+    return (
+        _bitsets(g.n, [uv for uv, s in g._edges.items() if s > 0]),
+        _bitsets(g.n, [uv for uv, s in g._edges.items() if s < 0]),
+    )
 
 
 class SignedGraph:

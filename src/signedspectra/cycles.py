@@ -13,17 +13,17 @@ negative 4-cycle iff some vertex pair u != w is joined by both a positive
 and a negative 2-path (the two middle vertices then differ, and the two
 paths close into a cycle of sign -1).  With positive and negative
 neighbour bitsets P, N this is one test per pair,
-``((Pu & Pw) | (Nu & Nw)) and ((Pu & Nw) | (Nu & Pw))``.  When one edge
-joins a graph that has none, only the cycles through that edge need
-testing, one bitset test per neighbour of an endpoint.
+``((Pu & Pw) | (Nu & Nw)) and ((Pu & Nw) | (Nu & Pw))``.  When edits join
+or re-sign edges of a graph that has none, only the pairs at one endpoint
+of each such edge need testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import SignedGraph, _bitsets
+from .core import SignedGraph, _sign_bitsets
 
 __all__ = [
     "CycleWitness",
@@ -134,44 +134,28 @@ def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
     return None
 
 
-def _c4_negative_free_bits(pos: Sequence[int], neg: Sequence[int]) -> bool:
+def _c4_negative_free_bits(pos: Sequence[int], neg: Sequence[int], at: Iterable[int] | None = None) -> bool:
     """True iff no vertex pair is joined by both a positive and a negative 2-path.
 
     ``pos[v]`` and ``neg[v]`` are the bitsets (bit w set) of the positive
     and negative neighbours of v.  The answer is exactly "no negative
     4-cycle" (see the module docstring).
+
+    Given ``at``, only the pairs (u, w) with u in ``at`` are tested, in
+    O(|at| n).  That is exact when the graph had no negative 4-cycle before
+    some edits and ``at`` holds one endpoint of each edge they joined or
+    re-signed: a new negative 4-cycle a-b-c-d has such an edge ab, and the
+    2-paths a-b-c and a-d-c to a's diagonal c have opposite signs.  The pair
+    (u, u) always passes, as no vertex is both a positive and a negative
+    neighbour of u.
     """
-    n = len(pos)
-    for u in range(n):
+    for u in range(len(pos)) if at is None else at:
         pu, nu = pos[u], neg[u]
-        for w in range(u + 1, n):
-            pw, nw = pos[w], neg[w]
+        rest = zip(pos[u + 1 :], neg[u + 1 :]) if at is None else zip(pos, neg)
+        for pw, nw in rest:
             if ((pu & pw) | (nu & nw)) and ((pu & nw) | (nu & pw)):
                 return False
     return True
-
-
-def _closes_negative_c4(pos: Sequence[int], neg: Sequence[int], u: int, v: int, s: int) -> bool:
-    """True iff adding the edge uv of sign s to pos/neg makes a negative 4-cycle.
-
-    The bitsets are as in :func:`_c4_negative_free_bits`; their graph must
-    have no negative 4-cycle, and u, v must not be adjacent.  Then every
-    new negative 4-cycle is u-v-y-x with y a neighbour of v, and it is
-    negative iff the 2-path y-x-u has sign -s * sign(vy): one bitset test
-    per neighbour y of v.
-    """
-    pu, nu = pos[u], neg[u]
-    same, other = (pos[v], neg[v]) if s > 0 else (neg[v], pos[v])
-    # y with sign(vy) == s needs a negative 2-path y-x-u, the other
-    # neighbours a positive one: the same test with pu and nu swapped
-    for ys, a, b in ((same, pu, nu), (other, nu, pu)):
-        while ys:
-            low = ys & -ys
-            ys ^= low
-            y = low.bit_length() - 1
-            if (a & neg[y]) | (b & pos[y]):
-                return True
-    return False
 
 
 def is_ck_negative_free(g: SignedGraph, k: int) -> bool:
@@ -184,10 +168,7 @@ def is_ck_negative_free(g: SignedGraph, k: int) -> bool:
     """
     if k != 4:
         return find_negative_ck(g, k) is None
-    signed = g.edges()
-    pos = _bitsets(g.n, [(u, v) for u, v, s in signed if s > 0])
-    neg = _bitsets(g.n, [(u, v) for u, v, s in signed if s < 0])
-    return _c4_negative_free_bits(pos, neg)
+    return _c4_negative_free_bits(*_sign_bitsets(g))
 
 
 def double_cover(g: SignedGraph) -> SignedGraph:

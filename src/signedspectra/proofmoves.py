@@ -16,17 +16,19 @@ move kind over the operand columns built from the host's sign matrix, then
 one ``lexsort`` best first.  A candidate becomes a ``(kind, operands)`` pair
 only when the step reaches it, and most steps accept one of the first few.
 
-The greedy ascent keeps its host unbalanced and free of negative 4-cycles,
-and decides each tried move on the host's sign table, neighbour bitsets and
-float adjacency matrix, skipping the checks whose answer is already known:
+The greedy ascent's state is one integer sign matrix, with its float copy,
+sign table, neighbour bitsets and spectrum.  It keeps the host unbalanced
+and free of negative 4-cycles, skipping the checks whose answer is known:
 
 - adding a positive edge removes no cycle, so the host's negative cycle
   survives: no balance test, only the negative-C4 test;
 - deleting a negative edge off the host's least shortest negative cycle
   keeps that cycle, and a deletion creates no 4-cycle: neither test;
 - negating a pair of negative edges or rotating a positive edge can do
-  both: the negative-C4 test runs on edited bitsets, and only a move that
-  passes it becomes a SignedGraph for the balance test.
+  both: both tests run on the edited bitsets, the negative-C4 test only at
+  the edited vertices and the balance test by sign propagation.
+
+The eigensolve that accepts a move is the next host's spectrum.
 """
 
 from __future__ import annotations
@@ -39,14 +41,9 @@ from typing import Iterator
 import numpy as np
 
 from .core import SignedGraph, _bitsets
-from .cycles import (
-    _c4_negative_free_bits,
-    _closes_negative_c4,
-    is_ck_negative_free,
-    shortest_negative_cycle,
-)
-from .spectra import SpectrumReport, eigenvalues_sym, nonneg_eigenvector_form
-from .switching import is_balanced
+from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
+from .spectra import SpectrumReport, _nonneg_switch, _report, eigenvalues_sym
+from .switching import _balanced_bits, is_balanced
 
 __all__ = [
     "MoveKind",
@@ -332,17 +329,16 @@ def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
         for u, v, bu, bv in pairs:
             if rand() < SAMPLE_EDGE_PROB:
                 s = -1 if rand() < SAMPLE_NEG_PROB else 1
-                if _closes_negative_c4(pos, neg, u, v, s):
-                    continue
                 bits = neg if s < 0 else pos
                 bits[u] |= bv
                 bits[v] |= bu
-        table = {
-            (u, v): 1 if pos[u] & bv else -1 for u, v, _, bv in pairs if (pos[u] | neg[u]) & bv
-        }
-        g = SignedGraph(n, table)
-        if not is_balanced(g).balanced:
-            return g
+                if not _c4_negative_free_bits(pos, neg, (u,)):
+                    bits[u] ^= bv
+                    bits[v] ^= bu
+        if not _balanced_bits(pos, neg):
+            return SignedGraph(
+                n, {(u, v): 1 if pos[u] & bv else -1 for u, v, _, bv in pairs if (pos[u] | neg[u]) & bv}
+            )
     raise RuntimeError(
         f"rejection sampling found no unbalanced graph of order {n} without a "
         f"negative 4-cycle in {SAMPLE_TRIALS} trials"
@@ -368,22 +364,40 @@ class AscentResult:
 _MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
 
 
-class _Host:
-    """One ascent step's host, built once: its sign matrix and table, float
-    adjacency matrix and positive/negative neighbour bitsets."""
+def _graph(signs: np.ndarray) -> SignedGraph:
+    """The SignedGraph of the integer sign matrix ``signs``."""
+    u, v = np.nonzero(np.triu(signs))
+    return SignedGraph(len(signs), dict(zip(zip(u.tolist(), v.tolist()), signs[u, v].tolist())))
 
-    def __init__(self, g: SignedGraph):
-        self.signs = g.adjacency_matrix()
-        self.rows = self.signs.tolist()
-        self.matrix = self.signs.astype(float)
-        edges = list(g.edges())
-        self.pos = _bitsets(g.n, [(u, v) for u, v, s in edges if s > 0])
-        self.neg = _bitsets(g.n, [(u, v) for u, v, s in edges if s < 0])
+
+class _Host:
+    """One ascent step's host, built once from its integer sign matrix: the
+    sign table, float adjacency matrix and positive/negative neighbour bitsets."""
+
+    def __init__(self, signs: np.ndarray):
+        self.rows = signs.tolist()
+        self.matrix = signs.astype(float)
+        upper = np.triu(signs)
+        self.pos, self.neg = (
+            _bitsets(len(signs), zip(*(a.tolist() for a in np.nonzero(side))))
+            for side in (upper > 0, upper < 0)
+        )
 
     def sign(self, u: int, v: int) -> int:
         return self.rows[u][v]
 
-    def c4_negative_free_after(self, edits) -> bool:
+    def keeps_constraints(self, kind: MoveKind, edits) -> bool:
+        """Whether a ``kind`` move leaves the host unbalanced with no negative C4;
+        a deletion must also spare the least shortest negative cycle (not checked here)."""
+        if kind is MoveKind.DELETE_EDGE:
+            return True
+        pos, neg = self.bitsets_after(edits)
+        # one endpoint per joined or re-signed pair: exact, as the host has no negative 4-cycle
+        if not _c4_negative_free_bits(pos, neg, {u for u, _, s in edits if s}):
+            return False
+        return kind not in _MAY_BALANCE or not _balanced_bits(pos, neg)
+
+    def bitsets_after(self, edits) -> tuple[list[int], list[int]]:
         pos, neg = self.pos[:], self.neg[:]
         for u, v, s in edits:
             bu, bv = 1 << u, 1 << v
@@ -395,15 +409,7 @@ class _Host:
                 bits = pos if s > 0 else neg
                 bits[u] |= bv
                 bits[v] |= bu
-        return _c4_negative_free_bits(pos, neg)
-
-    def lambda1_after(self, edits) -> float:
-        # the bits of eigenvalues_sym(edited graph's adjacency_matrix()).lambda1:
-        # the same LAPACK routine on the same float64 matrix
-        A = self.matrix.copy()
-        for u, v, s in edits:
-            A[u, v] = A[v, u] = s
-        return float(np.linalg.eigh(A)[0][-1])
+        return pos, neg
 
 
 def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
@@ -419,49 +425,51 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
 
     Each step scores every candidate in one array pass and ranks them with
     one ``lexsort`` on exactly that key; candidates are decoded one at a
-    time as the step reaches them and decided on the host's state (see the
-    module docstring for the checks each kind skips).  Only negate-pair and
-    rotate moves that pass the negative-C4 test, and the accepted move,
-    become SignedGraphs.  The host's least shortest negative cycle, whose
-    edges deletions may not take, is found when a step reaches its first
-    deletion.
+    time as the step reaches them and decided on the host's sign table,
+    edited bitsets and an edited copy of its float matrix (see the module
+    docstring).  The accepted solve is the next host's spectrum, solved
+    again only if its eigenvector has a negative entry whose switching
+    changes the matrix.  SignedGraphs are built for the result and, when a
+    step first reaches a deletion, for the host's least shortest negative
+    cycle, whose edges deletions may not take.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
     rng = random.Random(seed)
-    g = random_unbalanced_c4free(n, rng)
-    g, report = nonneg_eigenvector_form(g)
+    signs = random_unbalanced_c4free(n, rng).adjacency_matrix()
+    _, signs, report = _nonneg_switch(signs, eigenvalues_sym(signs))
     trajectory = [report.lambda1]
     applied: list[Move] = []
     deltas: list[float] = []
     for _ in range(max_steps):
-        host = _Host(g)
+        host = _Host(signs)
         accepted = None
         protected = None  # most steps accept a move before reaching any deletion
-        for kind, ops, delta in _ranked_candidates(host.signs, report.x):
+        for kind, ops, delta in _ranked_candidates(signs, report.x):
             if kind is MoveKind.DELETE_EDGE:
                 if protected is None:
                     # never None: every host is unbalanced
-                    protected = set(shortest_negative_cycle(g).edges())
+                    protected = set(shortest_negative_cycle(_graph(signs)).edges())
                 if ops[0] in protected:
                     continue
             mv = Move(kind, ops)
             edits = _edits(host, mv)
-            if kind is not MoveKind.DELETE_EDGE and not host.c4_negative_free_after(edits):
+            if not host.keeps_constraints(kind, edits):
                 continue
-            if kind in _MAY_BALANCE and is_balanced(_edited_graph(g, mv)).balanced:
-                continue
-            lam = host.lambda1_after(edits)
-            if lam > report.lambda1 + STRICT_GAIN:
-                accepted = (_edited_graph(g, mv), lam, mv, delta)
+            A = host.matrix.copy()
+            for u, v, s in edits:
+                A[u, v] = A[v, u] = s
+            w, V = np.linalg.eigh(A)
+            if w[-1] > report.lambda1 + STRICT_GAIN:
+                accepted = (A, w, V, mv, delta)
                 break
         if accepted is None:
             break
-        g, lam, mv, delta = accepted
+        A, w, V, mv, delta = accepted
         applied.append(mv)
         deltas.append(delta)
-        trajectory.append(lam)
-        g, report = nonneg_eigenvector_form(g)
+        trajectory.append(float(w[-1]))
+        _, signs, report = _nonneg_switch(A.astype(signs.dtype), _report(A, w, V))
     return AscentResult(
-        graph=g, trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas)
+        graph=_graph(signs), trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas)
     )

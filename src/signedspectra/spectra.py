@@ -74,7 +74,11 @@ def eigenvalues_sym(M) -> SpectrumReport:
     if float(np.abs(A - A.T).max(initial=0.0)) > 1e-12:
         raise ValueError("matrix is not symmetric")
 
-    w, V = np.linalg.eigh(A)
+    return _report(A, *np.linalg.eigh(A))
+
+
+def _report(A: np.ndarray, w: np.ndarray, V: np.ndarray) -> SpectrumReport:
+    """The SpectrumReport of the float matrix A from its ``np.linalg.eigh`` output (w, V)."""
     eigenvalues = w[::-1].copy()
     x = V[:, -1].copy()
     k = int(np.argmax(np.abs(x)))
@@ -243,12 +247,25 @@ def nonneg_eigenvector_form(g: SignedGraph) -> tuple[SignedGraph, SpectrumReport
     """
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
-    report = eigenvalues_sym(g.adjacency_matrix())
-    U = frozenset(int(v) for v in np.flatnonzero(report.x < 0.0))
-    if not U:
-        return g, report
-    switched = switch(g, U)
-    return switched, eigenvalues_sym(switched.adjacency_matrix())
+    S = g.adjacency_matrix()
+    U, _, report = _nonneg_switch(S, eigenvalues_sym(S))
+    return (switch(g, U) if U else g), report
+
+
+def _nonneg_switch(S: np.ndarray, report: SpectrumReport) -> tuple[list[int], np.ndarray, SpectrumReport]:
+    """(U, D S D, its report) for the integer sign matrix S with spectrum ``report``.
+
+    U = {v : x_v < 0} and D is the diagonal sign matrix of x, applied to the
+    integer S so that no entry becomes -0.0.  If D S D = S (U empty, or whole
+    components), S and ``report`` come back: a re-solve would give the same bits.
+    """
+    U = np.flatnonzero(report.x < 0.0).tolist()
+    d = np.ones(len(S), dtype=S.dtype)
+    d[U] = -1
+    switched = d[:, None] * S * d
+    if np.array_equal(switched, S):
+        return U, S, report
+    return U, switched, eigenvalues_sym(switched)
 
 
 # -- equitable partitions and quotient matrices --------------------------------

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest, _bitsets
+from .core import SignedGraph, _bfs_forest, _bitsets, _sign_bitsets
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -60,14 +60,28 @@ class BalanceResult:
         return self.balanced
 
 
-def _forest_signs(g: SignedGraph) -> tuple[list[int], list[tuple[int, int]], list[int]]:
-    """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child)."""
-    parent, order, forest = _bfs_forest(_bitsets(g.n, g.edge_set()))
-    s = [1] * g.n
+def _forest_signs(pos: list[int], neg: list[int]) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child),
+    from the positive and negative neighbour bitsets of ``core._sign_bitsets``."""
+    parent, order, forest = _bfs_forest([p | q for p, q in zip(pos, neg)])
+    s = [1] * len(pos)
     for v in order:
-        if parent[v] >= 0:
-            s[v] = s[parent[v]] * g.sign(parent[v], v)
+        p = parent[v]
+        if p >= 0:
+            s[v] = s[p] if pos[p] >> v & 1 else -s[p]
     return parent, forest, s
+
+
+def _balanced_bits(pos: list[int], neg: list[int]) -> bool:
+    """``is_balanced(g).balanced`` from g's neighbour bitsets: each positive edge
+    must join equal forest signs and each negative edge opposite ones."""
+    _, _, s = _forest_signs(pos, neg)
+    minus = sum(1 << v for v, sv in enumerate(s) if sv < 0)
+    for u, su in enumerate(s):
+        other = minus if su > 0 else ~minus
+        if (pos[u] & other) | (neg[u] & ~other):
+            return False
+    return True
 
 
 def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
@@ -93,7 +107,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     sigma(uv) = s(u) * s(v).  A violated edge closes a negative cycle with
     the tree path between its endpoints.
     """
-    parent, _, s = _forest_signs(g)
+    parent, _, s = _forest_signs(*_sign_bitsets(g))
     for u, v, sgn in g.edges():
         if s[u] * s[v] != sgn:
             path = _tree_path(parent, u, v)
@@ -123,7 +137,7 @@ class NormalForm:
 
 def forest_normal_form(g: SignedGraph) -> NormalForm:
     """Normalize the canonical BFS forest to all-positive by one switching."""
-    _, forest, s = _forest_signs(g)
+    _, forest, s = _forest_signs(*_sign_bitsets(g))
     U = frozenset(v for v in range(g.n) if s[v] < 0)
     normalized = switch(g, U)
     forest_set = set(forest)

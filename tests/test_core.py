@@ -210,6 +210,22 @@ def test_sg_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+# the characters other than "\n" and "\r" at which str.splitlines breaks a line;
+# str.split() takes each of them as whitespace
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_BREAKS)
+def test_sg_lines_break_at_line_feeds_only(sep):
+    # inside a line the character separates tokens like a space, and every
+    # later line keeps its physical number
+    assert SignedGraph.from_sg(f"3 1\n1 2{sep}+\n").edges() == [(0, 1, 1)]
+    with pytest.raises(SgFormatError) as err:
+        SignedGraph.from_sg(f"3 2\n1 2{sep}+\n1 4 +\n")
+    assert str(err.value) == "line 3: need 1 <= u < v <= 3, got u=1 v=4"
+    assert SignedGraph.from_sg("3 1\r\n1 2 +\r\n").edges() == [(0, 1, 1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sg_roundtrip_small(data):

@@ -6,7 +6,6 @@ from signedspectra import SignedGraph, complete_signed
 from signedspectra.cycles import (
     CycleWitness,
     _c4_negative_free_bits,
-    _closes_negative_c4,
     cycle_sign,
     double_cover,
     find_negative_ck,
@@ -113,8 +112,8 @@ def sign_bitsets(g):
 
 
 def test_closing_edge_test_matches_the_whole_graph_test():
-    # on a negative-C4-free graph, uv of sign s closes a negative 4-cycle
-    # iff the graph with uv added fails the whole-graph bitset test
+    # on a negative-C4-free graph, uv of sign s closes a negative 4-cycle iff
+    # the graph with uv added fails the pairs test at u, and at v, alone
     rng = random.Random(41)
     hosts = [
         random_unbalanced_c4free(n, random.Random(seed)) for n in range(4, 13) for seed in range(4)
@@ -137,9 +136,10 @@ def test_closing_edge_test_matches_the_whole_graph_test():
                     bits[u] |= 1 << v
                     bits[v] |= 1 << u
                     expected = not _c4_negative_free_bits(pos, neg)
+                    for at in ((u,), (v,)):
+                        assert _c4_negative_free_bits(pos, neg, at) != expected, (g.to_sg(), u, v, s)
                     bits[u] ^= 1 << v
                     bits[v] ^= 1 << u
-                    assert _closes_negative_c4(pos, neg, u, v, s) == expected, (g.to_sg(), u, v, s)
                     seen.add(expected)
     assert seen == {True, False}
 

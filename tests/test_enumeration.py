@@ -845,6 +845,17 @@ def test_catalog_with_a_bad_first_header_is_read_as_sg(tmp_path, header, message
     assert str(err.value) == f"line 1: {message}"
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_catalog_lines_break_at_line_feeds_only(tmp_path, sep):
+    # str.splitlines would read three graph6 records here; the first line is
+    # two tokens, so it is an .sg header, and not a valid one
+    path = tmp_path / "two.g6"
+    path.write_text(f"Bg{sep}Bg\nC~\n", encoding="utf-8")
+    with pytest.raises(SgFormatError) as err:
+        ingest_graph_list(path)
+    assert str(err.value) == f"line 1: non-integer header {f'Bg{sep}Bg'!r}"
+
+
 def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")

@@ -1,17 +1,22 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from signedspectra import SignedGraph
-from signedspectra.cycles import is_ck_negative_free, shortest_negative_cycle
+from signedspectra.core import _sign_bitsets
+from signedspectra.cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import (
     STRICT_GAIN,
     ConstraintViolation,
     Move,
     MoveKind,
+    _Host,
     _closed_form_delta,
+    _edited_graph,
+    _edits,
     _ranked_candidates,
     apply_move,
     candidate_moves,
@@ -19,7 +24,7 @@ from signedspectra.proofmoves import (
     random_unbalanced_c4free,
 )
 from signedspectra.spectra import eigenvalues_sym, index, nonneg_eigenvector_form
-from signedspectra.switching import is_balanced, switching_isomorphic
+from signedspectra.switching import _balanced_bits, is_balanced, switching_isomorphic
 
 from conftest import random_signed_graph
 
@@ -390,3 +395,47 @@ def test_ranked_candidates_are_the_sorted_scored_reference():
                 hosts += 1
     assert hosts == 144
     assert ties_within and ties_across
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (10, 2), (12, 4)])
+def test_the_ascent_never_solves_a_matrix_twice_in_a_row(n, seed, monkeypatch):
+    # the solve that accepts a move is the next host's spectrum; (10, 2) also
+    # meets an eigenvector whose negative entries switch no edge
+    eigh = np.linalg.eigh
+    solved = []
+
+    def checked(A, *args, **kwargs):
+        assert not (solved and np.array_equal(solved[-1], A)), f"repeated solve {len(solved)}"
+        solved.append(np.array(A))
+        return eigh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", checked)
+    result = greedy_ascent(n, seed)
+    assert result.steps == PINNED_ASCENTS[(n, seed)][1]
+    assert len(solved) > result.steps
+
+
+@pytest.mark.parametrize("n", range(5, 14))
+def test_edited_bitset_checks_match_the_whole_graph_checks(n):
+    # every candidate move of hosts walked a few steps up from a random start:
+    # the negative-C4 test at one endpoint of each joined or re-signed pair and
+    # the bitset balance test against the whole-graph checks of the edited graph
+    creates_c4 = balances = 0
+    for seed in range(4):
+        for steps in (0, 2, 5):
+            g = greedy_ascent(n, seed, max_steps=steps).graph
+            host = _Host(g.adjacency_matrix())
+            for mv in candidate_moves(g):
+                edits = _edits(host, mv)
+                result = _edited_graph(g, mv)
+                pos, neg = host.bitsets_after(edits)
+                assert (pos, neg) == _sign_bitsets(result)
+                c4free = _c4_negative_free_bits(pos, neg)
+                assert c4free == is_ck_negative_free(result, 4)
+                assert _c4_negative_free_bits(pos, neg, {u for u, _, s in edits if s}) == c4free, mv
+                balanced = is_balanced(result).balanced
+                assert _balanced_bits(pos, neg) == balanced, mv
+                assert host.keeps_constraints(mv.kind, edits) == (c4free and not balanced), mv
+                creates_c4 += not c4free
+                balances += balanced
+    assert creates_c4 and balances
