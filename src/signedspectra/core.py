@@ -46,10 +46,10 @@ class SgFormatError(ValueError):
         self.line = line
 
 
-def _sg_lines(text: str) -> list[tuple[int, str]]:
-    """The stripped lines of ``.sg`` text that are not blank or comments, numbered from 1."""
+def _sg_lines(text: str, chars: str | None = None) -> list[tuple[int, str]]:
+    """The lines of ``.sg`` text stripped of ``chars`` (default: whitespace), less blanks and comments."""
     # not splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
-    lines = ((i, raw.strip()) for i, raw in enumerate(text.split("\n"), 1))
+    lines = ((i, raw.strip(chars)) for i, raw in enumerate(text.split("\n"), 1))
     return [(i, ln) for i, ln in lines if ln and ln[0] != "#"]
 
 

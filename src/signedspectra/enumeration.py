@@ -568,7 +568,12 @@ def decode_graph6(record: str, lineno: int = 1) -> SignedGraph:
     byte outside 63..126, an unsupported order, a body of the wrong length
     (checked from n alone, before any pair is listed), nonzero padding.
     """
-    s = record.strip().removeprefix(">>graph6<<")
+    return _decode_graph6(record.strip(), lineno)
+
+
+def _decode_graph6(record: str, lineno: int) -> SignedGraph:
+    """:func:`decode_graph6` of a record that keeps any surrounding whitespace."""
+    s = record.removeprefix(">>graph6<<")
     if not s:
         raise SgFormatError(lineno, "empty graph6 record")
     data = [ord(ch) - 63 for ch in s]
@@ -614,8 +619,9 @@ def ingest_graph_list(path) -> list[SignedGraph]:
     Accepts either graph6 (one record per line) or sign-less ``.sg``
     records (header ``n m`` followed by m lines ``u v``, 1-based, possibly
     repeated for several graphs).  The first content line tells them apart:
-    one token means graph6, whose bytes are never whitespace; anything else
-    is ``.sg``, whose header is two tokens.  The ``.sg`` records use the
+    with no ASCII space or tab it is graph6, whose lines lose only spaces,
+    tabs and CRs, so any other stray byte is refused by value; else ``.sg``,
+    whose header is two tokens.  The ``.sg`` records use the
     grammar of :meth:`SignedGraph.from_sg`, with one difference: an edge
     line's sign ``+`` or ``-`` is optional and ignored, so signed ``.sg``
     files serve as catalogs too; any other third token is refused.  Blank lines and ``#``
@@ -623,11 +629,12 @@ def ingest_graph_list(path) -> list[SignedGraph]:
     exported as GraphListError) with the line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        content = _sg_lines(fh.read())
+        text = fh.read()
+    content = _sg_lines(text)
     if not content:
         return []
-    if len(content[0][1].split()) == 1:
-        return [decode_graph6(ln, lineno) for lineno, ln in content]
+    if not any(ch in " \t" for ch in content[0][1]):
+        return [_decode_graph6(ln, lineno) for lineno, ln in _sg_lines(text, " \t\r")]
     out: list[SignedGraph] = []
     i = 0
     while i < len(content):

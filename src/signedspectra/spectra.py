@@ -115,12 +115,13 @@ def rayleigh(M, y) -> float:
 # -- exact characteristic polynomials ----------------------------------------
 #
 # Faddeev-LeVerrier, M_1 = I, c_{n-k} = -tr(A M_k) / k, M_{k+1} = A M_k + c_{n-k} I,
-# kept as B_k = A M_k: B_1 = A and B_{k+1} = A B_k + c_{n-k} A.  The recurrence
-# runs modulo a few primes p just below 2^20 at once, one (primes, n, n)
-# float64 product per step.  Residues lie in [0, p], so every partial sum is
-# an integer below (n + 1) p^2 < 2^52 and float64 arithmetic (BLAS included)
-# is exact; p > n makes every k invertible mod p.  The coefficients are
-# rebuilt by CRT with symmetric residues.
+# kept as B_k = A M_k: B_1 = A and B_{k+1} = A (B_k + c_{n-k} I), c added to B_k's
+# diagonal in place: one (primes, n, n) float64 product per step, modulo a few
+# primes p just below 2^20 at once.  A's residues lie in [0, p), B_k's in [0, p],
+# and only the diagonal gains c <= p, so every partial sum is an integer below
+# (n - 1) p^2 + 2 p^2 = (n + 1) p^2 < 2^52 and float64 arithmetic (BLAS included)
+# is exact; p > n makes every k invertible mod p.  The coefficients are rebuilt
+# by CRT with symmetric residues.
 
 _PRIME_CEILING = 1 << 20
 
@@ -156,9 +157,13 @@ def _mod(X: np.ndarray, P: np.ndarray, P_inv: np.ndarray) -> np.ndarray:
 
     X * (1/P) is within X * 2^-52 / P < 1 / P of X / P, so its floor is the
     true quotient, or one less when P divides X (the result is then P, a
-    valid residue).  np.fmod gives [0, P) but is many times slower.
+    valid residue).  np.fmod gives [0, P) but is many times slower.  The
+    four passes write one fresh array, never X.
     """
-    return X - np.floor(X * P_inv) * P
+    out = X * P_inv
+    np.floor(out, out)
+    out *= P
+    return np.subtract(X, out, out)
 
 
 def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
@@ -187,15 +192,17 @@ def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
     P3, P3_inv = P[:, None, None], P_inv[:, None, None]
     inverses = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=float)
     Ap = (A % np.array(primes, dtype=A.dtype)[:, None, None]).astype(float)
-    B = Ap
+    B = Ap.copy()
     residues = np.zeros((len(primes), n + 1))
     residues[:, n] = 1
     for k in range(1, n + 1):
         # tr(B_k) <= n p, so n p - tr(B_k) is a nonnegative residue of -tr(B_k)
-        c = _mod((n * P - B.trace(axis1=1, axis2=2)) * inverses[k - 1], P, P_inv)
+        diagonal = B.reshape(len(primes), n * n)[:, :: n + 1]  # a view: B is contiguous
+        c = _mod((n * P - diagonal.sum(1)) * inverses[k - 1], P, P_inv)
         residues[:, n - k] = c
         if k < n:
-            B = _mod(Ap @ B + c[:, None, None] * Ap, P3, P3_inv)
+            diagonal += c[:, None]
+            B = _mod(Ap @ B, P3, P3_inv)
 
     weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes[:-1]]
     coeffs = []

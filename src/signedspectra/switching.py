@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest, _bitsets, _sign_bitsets
+from .core import SignedGraph, _bfs_forest, _sign_bitsets
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -37,10 +37,8 @@ def switch(g: SignedGraph, u_set: Iterable[int]) -> SignedGraph:
     for v in U:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    table = {}
-    for u, v, s in g.edges():
-        table[(u, v)] = -s if (u in U) != (v in U) else s
-    return SignedGraph(g.n, table)
+    table = {(u, v): -s if (u in U) != (v in U) else s for (u, v), s in g._edges.items()}
+    return SignedGraph._wrap(g.n, table)
 
 
 @dataclass(frozen=True)
@@ -159,12 +157,15 @@ def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
     """True iff a and b (same underlying graph) differ by a switching.
 
     They do exactly when the product signing sigma_a sigma_b is balanced
-    (Zaslavsky 1982): a switching taking a to b is a bisigning of it.
+    (Zaslavsky 1982): a switching taking a to b is a bisigning of it.  The
+    product's negative neighbour bitsets are the XOR of a's and b's, and
+    its positive ones the rest of a's neighbours.
     """
     if a.n != b.n or a.edge_set() != b.edge_set():
         raise ValueError("graphs must share the same underlying graph")
-    product = {(u, v): s * b.sign(u, v) for u, v, s in a.edges()}
-    return is_balanced(SignedGraph(a.n, product)).balanced
+    pos_a, neg_a = _sign_bitsets(a)
+    neg = [x ^ y for x, y in zip(neg_a, _sign_bitsets(b)[1])]
+    return _balanced_bits([(p | q) & ~r for p, q, r in zip(pos_a, neg_a, neg)], neg)
 
 
 def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -220,8 +221,8 @@ def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]
 @lru_cache(maxsize=1)  # a table per order would pile up across the orders of one process
 def _pairs(n: int) -> list[list[tuple[int, int]]]:
     """``_pairs(n)[a][b]`` is (min(a, b), max(a, b)), one tuple per pair for all keys of order n."""
-    upper = [[(a, b) for b in range(n)] for a in range(n)]
-    return [[upper[min(a, b)][max(a, b)] for b in range(n)] for a in range(n)]
+    upper = [[(a, b) for b in range(a, n)] for a in range(n)]  # upper[a][b - a] is (a, b)
+    return [[upper[b][a - b] for b in range(a)] + upper[a] for a in range(n)]
 
 
 def _relabelled(order: list[int], edges) -> tuple[tuple[int, int], ...]:
@@ -335,8 +336,9 @@ def switching_isomorphic(
     relabelled edge list equals that of b's first leaf mu gives an
     underlying isomorphism pi[lam[k]] = mu[k].  pi works iff the product signing
     tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's edges is balanced
-    (Zaslavsky, "Signed graphs", 1982): tau is propagated along a's BFS
-    forest and checked on every cotree edge.
+    (Zaslavsky, "Signed graphs", 1982).  Read off each graph's one pair of
+    signed bitsets, a sign is a parity and tau the XOR of a's and b's: it is
+    propagated as a vertex parity along a's BFS forest and checked on every cotree edge.
 
     As the tree ignores labels, its unpruned leaves give every isomorphism
     that keeps the pairs, which every switching isomorphism does.
@@ -349,34 +351,27 @@ def switching_isomorphic(
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
-    if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
+    (pos_a, neg_a), (pos_b, neg_b) = _sign_bitsets(a), _sign_bitsets(b)
+    if a.m != b.m or _balanced_bits(pos_a, neg_a) != _balanced_bits(pos_b, neg_b):
         return False, None
     cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
     sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
     if sizes[0] != sizes[1]:
         return False, None
     # the first leaf does not depend on the classes; one class keeps only the first child
-    b_edges = b.edge_set()
-    start_b = list(cells_b.values())
-    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))], start_b))
-    sign_b = {}
-    for u, v, s in b.edges():
-        sign_b[u, v] = sign_b[v, u] = s
-    a_edges = a.edge_set()
-    adj = _bitsets(a.n, a_edges)
-    parent, order, forest = _bfs_forest(adj)
-    tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
-    forest_set = set(forest)
-    signed = a.edges()
-    cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
-    neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
-    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg), list(cells_a.values())):
+    adj_b = [p | q for p, q in zip(pos_b, neg_b)]
+    mu, target = next(_leaves(adj_b, b._edges, [list(range(b.n))], list(cells_b.values())))
+    adj = [p | q for p, q in zip(pos_a, neg_a)]
+    parent, order, _ = _bfs_forest(adj)
+    tree = [(v, parent[v], neg_a[parent[v]] >> v & 1) for v in order if parent[v] >= 0]
+    cotree = [(u, v, neg_a[u] >> v & 1) for u, v in a._edges if parent[v] != u and parent[u] != v]
+    for lam, key in _leaves(adj, a._edges, _twin_classes(adj, neg_a), list(cells_a.values())):
         if key != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))
-        tau = [1] * a.n
+        tau = [0] * a.n
         for v, p, s in tree:
-            tau[v] = tau[p] * s * sign_b[pi[p], pi[v]]
-        if all(tau[u] * tau[v] == s * sign_b[pi[u], pi[v]] for u, v, s in cotree):
+            tau[v] = tau[p] ^ s ^ neg_b[pi[p]] >> pi[v] & 1
+        if all(tau[u] ^ tau[v] == s ^ neg_b[pi[u]] >> pi[v] & 1 for u, v, s in cotree):
             return True, pi
     return False, None

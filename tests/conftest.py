@@ -18,7 +18,10 @@ against a refinement over vertex lists that rebuilds the partition per
 splitter, and the underlying-graph catalog against twin-orbit generation
 that labels every child, not only those whose new vertex has the largest
 degree.  The spanning forest is checked against a BFS over neighbour lists
-with a queue (the library walks neighbour bitsets).
+with a queue (the library walks neighbour bitsets).  The switching
+isomorphism search on signed bitsets is checked against the earlier search
+that reads signs from a dict and multiplies them, which must return the
+same (found, pi).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import combinations, permutations, product
 
 from signedspectra import SignedGraph
 from signedspectra.cycles import is_ck_negative_free
-from signedspectra.core import _bitsets
+from signedspectra.core import _bfs_forest, _bitsets
 from signedspectra.enumeration import (
     FLOAT_MARGIN,
     _canonical_edges,
@@ -39,7 +42,13 @@ from signedspectra.enumeration import (
     switching_classes,
 )
 from signedspectra.spectra import eigenvalues_sym
-from signedspectra.switching import _twin_classes, is_balanced, switching_equivalent
+from signedspectra.switching import (
+    _leaves,
+    _twin_classes,
+    _vertex_invariants,
+    is_balanced,
+    switching_equivalent,
+)
 
 
 def catalog_graphs(n: int) -> list[SignedGraph]:
@@ -405,3 +414,44 @@ def unfiltered_underlying(n: int) -> list[tuple]:
                 nxt.setdefault(key, frozenset(key))
         reps = nxt
     return sorted(reps, key=lambda t: (len(t), t))
+
+
+def reference_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> tuple[bool, tuple[int, ...] | None]:
+    """``switching_isomorphic`` as it read signs before the bitset rewrite.
+
+    The same search tree and leaf order, but balance is decided by
+    ``is_balanced``, b's signs come from a dict and a's from ``a.sign``, and
+    tau is propagated as a product of signs.
+    """
+    if a.n != b.n:
+        raise ValueError(f"orders differ: {a.n} != {b.n}")
+    if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
+        return False, None
+    cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
+    sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
+    if sizes[0] != sizes[1]:
+        return False, None
+    b_edges = b.edge_set()
+    start_b = list(cells_b.values())
+    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))], start_b))
+    sign_b = {}
+    for u, v, s in b.edges():
+        sign_b[u, v] = sign_b[v, u] = s
+    a_edges = a.edge_set()
+    adj = _bitsets(a.n, a_edges)
+    parent, order, forest = _bfs_forest(adj)
+    tree = [(v, parent[v], a.sign(parent[v], v)) for v in order if parent[v] >= 0]
+    forest_set = set(forest)
+    signed = a.edges()
+    cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
+    neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
+    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg), list(cells_a.values())):
+        if key != target:
+            continue
+        pi = tuple(w for _, w in sorted(zip(lam, mu)))
+        tau = [1] * a.n
+        for v, p, s in tree:
+            tau[v] = tau[p] * s * sign_b[pi[p], pi[v]]
+        if all(tau[u] * tau[v] == s * sign_b[pi[u], pi[v]] for u, v, s in cotree):
+            return True, pi
+    return False, None

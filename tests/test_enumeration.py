@@ -847,13 +847,21 @@ def test_catalog_with_a_bad_first_header_is_read_as_sg(tmp_path, header, message
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 def test_catalog_lines_break_at_line_feeds_only(tmp_path, sep):
-    # str.splitlines would read three graph6 records here; the first line is
-    # two tokens, so it is an .sg header, and not a valid one
+    # str.splitlines would read three graph6 records here; the first line has
+    # no space or tab, so it is one graph6 record, with a byte out of range
     path = tmp_path / "two.g6"
     path.write_text(f"Bg{sep}Bg\nC~\n", encoding="utf-8")
     with pytest.raises(SgFormatError) as err:
         ingest_graph_list(path)
-    assert str(err.value) == f"line 1: non-integer header {f'Bg{sep}Bg'!r}"
+    assert str(err.value) == f"line 1: byte {ord(sep)} out of graph6 range 63..126"
+    # str.strip would drop the trailing byte and read a 3-vertex graph
+    for text, line in ((f"Bg{sep}\n", 1), (f"C~\nBg{sep}\n", 2), (f"Bg\n{sep}\nC~\n", 2)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SgFormatError) as err:
+            ingest_graph_list(path)
+        assert str(err.value) == f"line {line}: byte {ord(sep)} out of graph6 range 63..126"
+    path.write_text("Bg \t\r\n\t C~\r\n", encoding="utf-8")  # ASCII whitespace still goes
+    assert [g.m for g in ingest_graph_list(path)] == [2, 6]
 
 
 def test_ingest_empty_file(tmp_path):

@@ -147,6 +147,39 @@ def test_char_poly_of_int_matrix_matches_determinant_oracle_on_large_entries():
     _assert_matches_det_oracle(char_poly_of_int_matrix(rows), rows)
 
 
+def test_char_poly_matches_determinant_oracle_up_to_order_40():
+    # orders past the census's, up to the largest the exact workload checks
+    rng = random.Random(2904)
+    for n in (12, 17, 23, 31, 40):
+        g = random_signed_graph(rng, n, edge_prob=rng.choice((0.3, 0.7)))
+        _assert_matches_det_oracle(char_poly_exact(g), g.adjacency_matrix().tolist())
+    g = extremal_graph(40)
+    _assert_matches_det_oracle(char_poly_exact(g), g.adjacency_matrix().tolist())
+
+
+def test_char_poly_of_int_matrix_on_larger_non_symmetric_matrices():
+    rng = random.Random(2905)
+    for n, size in ((10, 10**9), (14, 10**4), (20, 10**12)):
+        rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+        _assert_matches_det_oracle(char_poly_of_int_matrix(rows), rows)
+
+
+def test_mod_gives_residues_in_0_to_p_and_leaves_its_argument():
+    from signedspectra.spectra import _mod, _primes
+
+    P = np.array(_primes(3), dtype=float)[:, None]
+    rng = np.random.default_rng(2906)
+    X = np.floor(rng.random((3, 500)) * 2.0**52)
+    X[:, :5] = P * np.arange(5)  # multiples of p, whose residue may come out as p
+    X[:, 5] = 2.0**52 - 1
+    before = X.copy()
+    R = _mod(X, P, 1.0 / P)
+    assert np.array_equal(X, before) and not np.shares_memory(R, X)
+    assert ((0 <= R) & (R <= P)).all()
+    for x, r, p in zip(X.ravel().tolist(), R.ravel().tolist(), np.broadcast_to(P, X.shape).ravel().tolist()):
+        assert r == int(r) and (int(x) - int(r)) % int(p) == 0
+
+
 def test_char_poly_edge_cases():
     assert char_poly_exact(SignedGraph(0, {})) == IntPolynomial([1])
     assert char_poly_of_int_matrix(np.zeros((0, 0), dtype=int)) == IntPolynomial([1])

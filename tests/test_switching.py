@@ -21,6 +21,7 @@ from conftest import (
     brute_switching_orbit_count,
     brute_switching_orbit_of,
     random_signed_graph,
+    reference_switching_isomorphic,
     signing_bitmask,
     twin_rich_graphs,
 )
@@ -379,3 +380,80 @@ def test_invariant_partition_bounds_the_walk_on_k11_minus_a_path(seed):
     assert sum(1 for _ in islice(_leaves(adj, edges, classes, start), 1001)) <= 36
     found, pi = switching_isomorphic(a, b)
     assert found and switching_equivalent(a.relabel(pi), b)
+
+
+def _switching_triples(rng: random.Random, count: int):
+    """Seeded triples (a, c, b) of orders 1-12: c is a switching of a, a quarter of
+    them with one sign flipped, or a re-signing of a's underlying graph, and b is c
+    relabelled.  a is edgeless or split into two components in some triples."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        cut = rng.randint(1, n) if rng.random() < 0.25 else n  # no edge joins [0, cut) to [cut, n)
+        p = rng.choice((0.0, 0.3, 0.6, 0.9))
+        a = SignedGraph(n, {
+            (u, v): rng.choice((1, -1))
+            for u, v in combinations(range(n), 2)
+            if (u < cut) == (v < cut) and rng.random() < p
+        })
+        if rng.random() < 0.2:
+            c = SignedGraph(n, {e: rng.choice((1, -1)) for e in a.edge_set()})
+        else:
+            c = switch(a, {v for v in range(n) if rng.random() < 0.5})
+            if a.m and rng.random() < 0.25:
+                u, v, s = rng.choice(c.edges())
+                c = c.set_edge(u, v, -s)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append((a, c, c.relabel(perm)))
+    return out
+
+
+def test_switching_isomorphic_matches_the_reference_search():
+    # the bitset search must visit the same leaves and accept the same first pi
+    triples = _switching_triples(random.Random(2901), 2400)
+    found = {True: 0, False: 0}
+    for a, _, b in triples:
+        result = switching_isomorphic(a, b)
+        assert result == reference_switching_isomorphic(a, b), (a.to_sg(), b.to_sg())
+        if a.n <= 6:
+            assert result[0] == brute_switching_isomorphic(a, b), (a.to_sg(), b.to_sg())
+        found[result[0]] += 1
+    assert min(found.values()) > 300, found
+    assert any(a.m == 0 for a, _, _ in triples)
+    assert any(len(a.components()) > 1 < a.m for a, _, _ in triples)
+
+
+def test_switching_equivalent_matches_the_balance_of_the_product_graph():
+    answers = {True: 0, False: 0}
+    for a, c, b in _switching_triples(random.Random(2902), 1500):
+        product = SignedGraph(a.n, {(u, v): s * c.sign(u, v) for u, v, s in a.edges()})
+        answer = switching_equivalent(a, c)
+        assert answer == is_balanced(product).balanced
+        answers[answer] += 1
+        if b.edge_set() != a.edge_set():
+            with pytest.raises(ValueError):
+                switching_equivalent(a, b)
+    assert min(answers.values()) > 200, answers
+
+
+def test_switch_matches_the_validated_construction():
+    rng = random.Random(2903)
+    for a, _, _ in _switching_triples(rng, 500):
+        before = a.to_sg()
+        U = {v for v in range(a.n) if rng.random() < 0.5}
+        expected = SignedGraph(a.n, {(u, v): -s if (u in U) != (v in U) else s for u, v, s in a.edges()})
+        out = switch(a, U)
+        assert out == expected and out.to_sg() == expected.to_sg() and hash(out) == hash(expected)
+        assert out.edges() == expected.edges()
+        assert a.to_sg() == before
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_pairs_hold_one_canonical_tuple_per_vertex_pair(n):
+    from signedspectra.switching import _pairs
+
+    table = _pairs(n)
+    for a in range(n):
+        for b in range(n):
+            assert table[a][b] == (min(a, b), max(a, b)) and table[a][b] is table[b][a]

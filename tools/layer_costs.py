@@ -7,7 +7,9 @@ Run from the root of a source checkout (the package is imported from ./src):
 For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
 ``switching_isomorphic`` of a relabelled and switched copy of
-``extremal_graph(n)`` against the original.  It times
+``extremal_graph(n)`` against the original.  At order 40 it also times
+``switch`` of ``extremal_graph(40)`` at a seeded half of its vertices and
+``switching_equivalent`` of that switched copy against the original.  It times
 ``largest_real_root_interval`` at width 1e-12 per characteristic polynomial
 of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
 square-free part and the Sturm chain, not bisection, are most of the cost,
@@ -161,6 +163,11 @@ def rows(ss) -> dict:
             lambda g=g, h=h: ss.switching.switching_isomorphic(h, g),
             1,
         )
+    g = ss.extremal_graph(40)
+    half = [v for v in range(40) if rng.random() < 0.5]
+    moved = ss.switching.switch(g, half)
+    out["switching_equivalent.n40"] = (lambda: ss.switching.switching_equivalent(moved, g), 1)
+    out["switch.n40"] = (lambda: ss.switching.switch(g, half), 1)
     rng = random.Random(10)
     g10 = [ss.char_poly_exact(random_signed_graph(ss, rng, 10, 0.8)) for _ in range(200)]
     out["largest_real_root_interval.g10"] = (
