@@ -1,9 +1,11 @@
 """Signed graphs: simple undirected graphs with edge signs in {-1, +1}.
 
 A signed graph pairs an underlying simple graph on vertices 0..n-1 with a
-sign for every edge.  Graphs are value objects: every mutator returns a new
-graph and never touches the receiver, so instances can be shared freely
-across threads and processes.
+sign for every edge, held as two signed neighbour bitsets per vertex (see
+:class:`SignedGraph`): balance, negative 4-cycles and switching are sign
+parities over neighbourhoods, read off these rows.  Graphs are value
+objects: every mutator returns a new graph and never touches the receiver,
+so instances can be shared freely across threads and processes.
 
 The on-disk text format ``.sg`` is line based:
 
@@ -23,6 +25,8 @@ all-negative triangle::
 
 from __future__ import annotations
 
+import operator
+from itertools import compress, count
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -80,12 +84,8 @@ def _sg_pair(lineno: int, line: str, parts: list[str], n: int, seen) -> tuple[in
     return u1 - 1, v1 - 1
 
 
-def _canon(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _bfs_forest(adj: list[int]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The one spanning-forest builder: BFS over the neighbour bitsets of :func:`_bitsets`.
+    """The one spanning-forest builder: BFS over neighbour bitsets ``adj``.
 
     Returns (parent, order, forest_edges), roots with parent -1.  Roots are the
     lowest unreached vertices, so each tree is a run of ``order`` from its root.
@@ -118,7 +118,7 @@ def _bfs_forest(adj: list[int]) -> tuple[list[int], list[int], list[tuple[int, i
 
 
 def _bitsets(n: int, edges) -> list[int]:
-    """The one neighbour-bitset builder: bit v of ``adj[u]`` is set iff uv is an edge."""
+    """The neighbour bitsets of an unsigned edge list: bit v of ``adj[u]`` is set iff uv is an edge."""
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
@@ -126,58 +126,86 @@ def _bitsets(n: int, edges) -> list[int]:
     return adj
 
 
-def _sign_bitsets(g: "SignedGraph") -> tuple[list[int], list[int]]:
-    """The positive and the negative neighbour bitsets of g, as :func:`_bitsets`."""
-    return (
-        _bitsets(g.n, [uv for uv, s in g._edges.items() if s > 0]),
-        _bitsets(g.n, [uv for uv, s in g._edges.items() if s < 0]),
-    )
+def _vertex(v) -> int:
+    """v as a Python int: integers and NumPy integers pass, anything else is refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(bits: int, low: int = 0) -> Iterable[int]:
+    """The set bits of ``bits`` from bit ``low`` up, ascending, read off its binary digits."""
+    return compress(count(low), bin(bits >> low)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
 class SignedGraph:
     """Immutable simple graph on vertices 0..n-1 with signs in {-1, +1}.
 
+    The state is n and two lists of ints: bit v of ``_pos[u]`` (of
+    ``_neg[u]``) is set iff uv is a positive (a negative) edge.
     Edge-modifying methods (:meth:`set_edge`, :meth:`remove_edge`,
-    :meth:`induced_subgraph`) return new graphs.  The constructor refuses
-    a vertex pair given twice, in either orientation.
+    :meth:`induced_subgraph`, :meth:`relabel`) return new graphs.  Vertex
+    arguments are integers (NumPy integers become Python ints; anything
+    else is refused).  The constructor refuses a vertex pair given twice,
+    in either orientation.
     """
 
-    __slots__ = ("_n", "_edges", "_hash")
+    __slots__ = ("_n", "_pos", "_neg", "_hash")
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], int] | None = None):
+        n = operator.index(n)  # a NumPy integer order must not reach the row shifts
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        table: dict[tuple[int, int], int] = {}
-        if edges:
-            for (u, v), s in edges.items():
-                self._check_pair(n, u, v)
-                if s not in (-1, 1):
-                    raise ValueError(f"sign must be -1 or +1, got {s!r}")
-                key = _canon(u, v)
-                if key in table:
-                    raise ValueError(f"vertex pair ({u},{v}) given twice")
-                table[key] = int(s)
-        self._n = n
-        self._edges = table
-        self._hash: int | None = None
+        pos, neg = [0] * n, [0] * n
+        for (u, v), s in (edges or {}).items():
+            u, v = self._check_pair(n, u, v)
+            if s not in (-1, 1):
+                raise ValueError(f"sign must be -1 or +1, got {s!r}")
+            if (pos[u] | neg[u]) >> v & 1:
+                raise ValueError(f"vertex pair ({u},{v}) given twice")
+            side = pos if s > 0 else neg
+            side[u] |= 1 << v
+            side[v] |= 1 << u
+        self._n, self._pos, self._neg, self._hash = n, pos, neg, None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def complete(cls, n: int, sign: int = 1) -> "SignedGraph":
         """K_n with every edge carrying ``sign``."""
+        n = operator.index(n)
         if n < 1:
             raise ValueError(f"complete graph needs n >= 1, got {n}")
         if sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-        return cls(n, {(u, v): sign for u in range(n) for v in range(u + 1, n)})
+        rows = [((1 << n) - 1) ^ 1 << u for u in range(n)]
+        return cls._wrap(n, rows, [0] * n) if sign > 0 else cls._wrap(n, [0] * n, rows)
 
     @staticmethod
-    def _check_pair(n: int, u: int, v: int) -> None:
+    def _check_pair(n: int, u, v) -> tuple[int, int]:
+        u, v = _vertex(u), _vertex(v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex pair ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"loops are not allowed (vertex {u})")
+        return u, v
+
+    def _check_vertex(self, v) -> int:
+        v = _vertex(v)
+        if not 0 <= v < self._n:
+            raise ValueError(f"vertex {v} out of range for n={self._n}")
+        return v
+
+    @classmethod
+    def _wrap(cls, n: int, pos: list[int], neg: list[int]) -> "SignedGraph":
+        # internal: rows already symmetric, loop-free and disjoint
+        g = cls.__new__(cls)
+        g._n, g._pos, g._neg, g._hash = n, pos, neg, None
+        return g
 
     # -- basic queries -----------------------------------------------------
 
@@ -187,67 +215,73 @@ class SignedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(p.bit_count() + q.bit_count() for p, q in zip(self._pos, self._neg)) // 2
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as plain ``(u, v, s)`` tuples with u < v, sorted."""
-        return [(u, v, s) for (u, v), s in sorted(self._edges.items())]
+        return [
+            (u, v, 1 if p >> v & 1 else -1)
+            for u, (p, q) in enumerate(zip(self._pos, self._neg))
+            for v in _members(p | q, u)
+        ]
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Underlying edge set (signs dropped)."""
-        return frozenset(self._edges)
+        rows = enumerate(zip(self._pos, self._neg))
+        return frozenset((u, v) for u, (p, q) in rows for v in _members(p | q, u))
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_pair(self._n, u, v)
-        return _canon(u, v) in self._edges
+        u, v = self._check_pair(self._n, u, v)
+        return bool((self._pos[u] | self._neg[u]) >> v & 1)
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge {u, v}, or 0 if the pair is a non-edge."""
-        self._check_pair(self._n, u, v)
-        return self._edges.get(_canon(u, v), 0)
+        u, v = self._check_pair(self._n, u, v)
+        return (self._pos[u] >> v & 1) - (self._neg[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} out of range for n={self._n}")
-        return sum(1 for (a, b) in self._edges if a == v or b == v)
+        v = self._check_vertex(v)
+        return (self._pos[v] | self._neg[v]).bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order (signs ignored)."""
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} out of range for n={self._n}")
-        out = [b if a == v else a for (a, b) in self._edges if a == v or b == v]
-        return tuple(sorted(out))
+        v = self._check_vertex(v)
+        return tuple(_members(self._pos[v] | self._neg[v]))
 
     def adjacency_lists(self) -> list[list[int]]:
-        """adj[v] = ascending neighbor list; one pass over the edge table."""
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for (u, v) in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
+        """adj[v] = ascending neighbor list."""
+        return [list(_members(p | q)) for p, q in zip(self._pos, self._neg)]
 
     # -- edits (return new graphs) ------------------------------------------
 
     def set_edge(self, u: int, v: int, s: int) -> "SignedGraph":
         """New graph with edge {u, v} present with sign s (overwrites)."""
-        self._check_pair(self._n, u, v)
+        u, v = self._check_pair(self._n, u, v)
         if s not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {s!r}")
-        table = dict(self._edges)
-        table[_canon(u, v)] = int(s)
-        return SignedGraph._wrap(self._n, table)
+        return self._edited(((u, v, s),))
 
     def remove_edge(self, u: int, v: int) -> "SignedGraph":
         """New graph with edge {u, v} deleted; the edge must exist."""
-        self._check_pair(self._n, u, v)
-        key = _canon(u, v)
-        if key not in self._edges:
+        u, v = self._check_pair(self._n, u, v)
+        if not (self._pos[u] | self._neg[u]) >> v & 1:
             raise ValueError(f"edge ({u},{v}) not present")
-        table = dict(self._edges)
-        del table[key]
-        return SignedGraph._wrap(self._n, table)
+        return self._edited(((u, v, 0),))
+
+    def _edited(self, edits) -> "SignedGraph":
+        """The one edit routine, unchecked: per ``(u, v, s)``, pair uv gets sign s, or no edge if s = 0."""
+        pos, neg = self._pos[:], self._neg[:]
+        for u, v, s in edits:
+            bu, bv = 1 << u, 1 << v
+            pos[u] &= ~bv
+            neg[u] &= ~bv
+            pos[v] &= ~bu
+            neg[v] &= ~bu
+            if s:
+                side = pos if s > 0 else neg
+                side[u] |= bv
+                side[v] |= bu
+        return SignedGraph._wrap(self._n, pos, neg)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["SignedGraph", tuple[int, ...]]:
         """Subgraph induced on ``vertices``, reindexed to 0..|S|-1.
@@ -255,48 +289,38 @@ class SignedGraph:
         Returns ``(subgraph, old_labels)`` where ``old_labels[i]`` is the
         original index of new vertex i (ascending original order).
         """
-        keep = sorted(set(vertices))
-        for v in keep:
-            if not 0 <= v < self._n:
-                raise ValueError(f"vertex {v} out of range for n={self._n}")
-        remap = {old: new for new, old in enumerate(keep)}
-        table = {
-            (remap[u], remap[v]): s
-            for (u, v), s in self._edges.items()
-            if u in remap and v in remap
-        }
-        return SignedGraph._wrap(len(keep), table), tuple(keep)
+        keep = sorted({_vertex(v) for v in vertices})
+        bit = [0] * self._n
+        for i, v in enumerate(keep):
+            bit[self._check_vertex(v)] = 1 << i
+        return self._renamed(keep, bit), tuple(keep)
 
     def relabel(self, perm: Iterable[int]) -> "SignedGraph":
         """New graph with vertex v renamed to perm[v]; perm must be a bijection."""
-        p = list(perm)
+        p = [_vertex(v) for v in perm]
         if sorted(p) != list(range(self._n)):
             raise ValueError("perm is not a permutation of 0..n-1")
-        table = {_canon(p[u], p[v]): s for (u, v), s in self._edges.items()}
-        return SignedGraph._wrap(self._n, table)
+        return self._renamed(sorted(range(self._n), key=p.__getitem__), [1 << w for w in p])
 
-    @classmethod
-    def _wrap(cls, n: int, table: dict[tuple[int, int], int]) -> "SignedGraph":
-        # internal: table already validated/canonical
-        g = cls.__new__(cls)
-        g._n = n
-        g._edges = table
-        g._hash = None
-        return g
+    def _renamed(self, old: list[int], bit: list[int]) -> "SignedGraph":
+        """The graph whose vertex i has the edges of ``old[i]``, each neighbour v made ``bit[v]``."""
+        rows = ([sum(map(bit.__getitem__, _members(side[v]))) for v in old] for side in (self._pos, self._neg))
+        return SignedGraph._wrap(len(old), *rows)
 
     # -- matrices and components ---------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Symmetric n x n integer matrix with entries in {-1, 0, +1}."""
-        A = np.zeros((self._n, self._n), dtype=np.int64)
-        for (u, v), s in self._edges.items():
-            A[u, v] = s
-            A[v, u] = s
-        return A
+        """Symmetric n x n integer matrix with entries in {-1, 0, +1}: one unpacking of the rows."""
+        n, width = self._n, (self._n + 7) // 8
+        raw = b"".join(row.to_bytes(width, "little") for row in self._pos + self._neg)
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(2, n, width), axis=2, count=n, bitorder="little"
+        )
+        return bits[0].astype(np.int64) - bits[1]
 
     def components(self) -> list[list[int]]:
         """Connected components as ascending vertex lists, ordered by minimum: the BFS trees."""
-        parent, order, _ = _bfs_forest(_bitsets(self._n, self._edges))
+        parent, order, _ = _bfs_forest([p | q for p, q in zip(self._pos, self._neg)])
         starts = [k for k, v in enumerate(order) if parent[v] == -1] + [self._n]
         return [sorted(order[a:b]) for a, b in zip(starts, starts[1:])]
 
@@ -305,11 +329,11 @@ class SignedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedGraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._pos == other._pos and self._neg == other._neg
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._n, frozenset(self._edges.items())))
+            self._hash = hash((self._n, tuple(self._pos), tuple(self._neg)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -342,7 +366,7 @@ class SignedGraph:
             table[key] = 1 if parts[2] == "+" else -1
         if len(table) != m:
             raise SgFormatError(lines[-1][0], f"header declares {m} edges, found {len(table)}")
-        return cls._wrap(n, table)
+        return cls(n, table)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import SignedGraph, _sign_bitsets
+from .core import SignedGraph, _members
 
 __all__ = [
     "CycleWitness",
@@ -168,7 +168,7 @@ def is_ck_negative_free(g: SignedGraph, k: int) -> bool:
     """
     if k != 4:
         return find_negative_ck(g, k) is None
-    return _c4_negative_free_bits(*_sign_bitsets(g))
+    return _c4_negative_free_bits(g._pos, g._neg)
 
 
 def double_cover(g: SignedGraph) -> SignedGraph:
@@ -177,20 +177,13 @@ def double_cover(g: SignedGraph) -> SignedGraph:
     Vertex v lifts to v (even parity) and v + n (odd parity).  An edge uv
     preserves parity when positive and swaps it when negative, so closed
     walks that flip parity are exactly the negative ones.  The cover has
-    twice as many components as g iff g is balanced.
+    twice as many components as g iff g is balanced.  Row by row, a lift's
+    neighbours are the positive ones at its parity and the negative ones at
+    the other.
     """
     n = g.n
-    table: dict[tuple[int, int], int] = {}
-    for u, v, s in g.edges():
-        if s > 0:
-            table[(u, v)] = 1
-            table[(u + n, v + n)] = 1
-        else:
-            a, b = sorted((u, v + n))
-            table[(a, b)] = 1
-            a, b = sorted((u + n, v))
-            table[(a, b)] = 1
-    return SignedGraph(2 * n, table)
+    rows = [p | q << n for p, q in zip(g._pos, g._neg)] + [p << n | q for p, q in zip(g._pos, g._neg)]
+    return SignedGraph._wrap(2 * n, rows, [0] * (2 * n))
 
 
 def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
@@ -213,12 +206,10 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
     the even lift in the BFS of v.
     """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for u, v, s in g.edges():  # sorted, so every list ascends
-        flip = s < 0
-        for p in (0, 1):
-            adj[2 * u + p].append(2 * v + (p ^ flip))
-            adj[2 * v + p].append(2 * u + (p ^ flip))
+    adj: list[list[int]] = []
+    for p, q in zip(g._pos, g._neg):  # the lifts of a neighbour w are 2w and 2w + 1, so rows ascend
+        even = [2 * w + (q >> w & 1) for w in _members(p | q)]
+        adj += [even, [x ^ 1 for x in even]]
     best, start, dist = n + 1, -1, []  # a negative cycle has at most n edges
     for v in range(n):
         seen = [-1] * (2 * n)

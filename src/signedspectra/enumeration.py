@@ -536,7 +536,7 @@ def _has_c4(adj: list[int]) -> bool:
 
 def has_c4(g: SignedGraph) -> bool:
     """True iff the underlying graph contains a 4-cycle (signs ignored)."""
-    return _has_c4(_bitsets(g.n, g.edge_set()))
+    return _has_c4([p | q for p, q in zip(g._pos, g._neg)])
 
 
 def verify_c4free_bounds(n: int) -> bool:

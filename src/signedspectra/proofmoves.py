@@ -16,17 +16,19 @@ move kind over the operand columns built from the host's sign matrix, then
 one ``lexsort`` best first.  A candidate becomes a ``(kind, operands)`` pair
 only when the step reaches it, and most steps accept one of the first few.
 
-The greedy ascent's state is one integer sign matrix, with its float copy,
-sign table, neighbour bitsets and spectrum.  It keeps the host unbalanced
-and free of negative 4-cycles, skipping the checks whose answer is known:
+The greedy ascent's state is one integer sign matrix and its spectrum; each
+step wraps the matrix as its host SignedGraph and copies it to floats once.
+It keeps the host unbalanced and free of negative 4-cycles, skipping the
+checks whose answer is known:
 
 - adding a positive edge removes no cycle, so the host's negative cycle
   survives: no balance test, only the negative-C4 test;
 - deleting a negative edge off the host's least shortest negative cycle
   keeps that cycle, and a deletion creates no 4-cycle: neither test;
 - negating a pair of negative edges or rotating a positive edge can do
-  both: both tests run on the edited bitsets, the negative-C4 test only at
-  the edited vertices and the balance test by sign propagation.
+  both: both tests run on the bitsets of ``host._edited(edits)``, the
+  negative-C4 test only at the edited vertices and the balance test by
+  sign propagation.
 
 The eigensolve that accepts a move is the next host's spectrum.
 """
@@ -40,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import SignedGraph, _bitsets
+from .core import SignedGraph
 from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from .spectra import SpectrumReport, _nonneg_switch, _report, eigenvalues_sym
 from .switching import _balanced_bits, is_balanced
@@ -126,9 +128,7 @@ class ConstraintViolation(ValueError):
 def _edits(g, move: Move) -> tuple[tuple[int, int, int], ...]:
     """The pairs ``move`` changes, as ``(u, v, new sign)``, 0 for a deleted edge.
 
-    The one definition of every move's edit and of its operand checks;
-    ``g`` is a SignedGraph or the ascent's ``_Host`` (anything with
-    ``sign(u, v)``).
+    The one definition of every move's edit and of its operand checks.
     """
     kind, ops = move.kind, move.operands
     if kind is MoveKind.ADD_POSITIVE_EDGE:
@@ -160,9 +160,8 @@ def _edits(g, move: Move) -> tuple[tuple[int, int, int], ...]:
 
 
 def _edited_graph(g: SignedGraph, move: Move) -> SignedGraph:
-    for u, v, s in _edits(g, move):
-        g = g.set_edge(u, v, s) if s else g.remove_edge(u, v)
-    return g
+    # the operands as Python ints: the unchecked rows must not take NumPy integers
+    return g._edited([(*g._check_pair(g.n, u, v), s) for u, v, s in _edits(g, move)])
 
 
 def _deltas(kind: MoveKind, s, x, c):
@@ -183,8 +182,8 @@ def _deltas(kind: MoveKind, s, x, c):
     return 2.0 * s * x[c[0]] * (x[c[2]] - x[c[1]])
 
 
-def _closed_form_delta(g, kind: MoveKind, ops: tuple, x) -> float:
-    """x' (A* - A) x for the move ``(kind, ops)`` on g (anything with ``sign(u, v)``)."""
+def _closed_form_delta(g: SignedGraph, kind: MoveKind, ops: tuple, x) -> float:
+    """x' (A* - A) x for the move ``(kind, ops)`` on g."""
     c = ops if kind is MoveKind.ROTATE_EDGE else sum(ops, ())
     return float(_deltas(kind, g.sign(c[0], c[1]), x, c))
 
@@ -336,9 +335,7 @@ def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
                     bits[u] ^= bv
                     bits[v] ^= bu
         if not _balanced_bits(pos, neg):
-            return SignedGraph(
-                n, {(u, v): 1 if pos[u] & bv else -1 for u, v, _, bv in pairs if (pos[u] | neg[u]) & bv}
-            )
+            return SignedGraph._wrap(n, pos, neg)
     raise RuntimeError(
         f"rejection sampling found no unbalanced graph of order {n} without a "
         f"negative 4-cycle in {SAMPLE_TRIALS} trials"
@@ -365,51 +362,24 @@ _MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
 
 
 def _graph(signs: np.ndarray) -> SignedGraph:
-    """The SignedGraph of the integer sign matrix ``signs``."""
-    u, v = np.nonzero(np.triu(signs))
-    return SignedGraph(len(signs), dict(zip(zip(u.tolist(), v.tolist()), signs[u, v].tolist())))
+    """The SignedGraph of the integer sign matrix ``signs``: each row packed into its two bitsets."""
+    pos, neg = (
+        [int.from_bytes(row.tobytes(), "little") for row in np.packbits(side, axis=1, bitorder="little")]
+        for side in (signs > 0, signs < 0)
+    )
+    return SignedGraph._wrap(len(signs), pos, neg)
 
 
-class _Host:
-    """One ascent step's host, built once from its integer sign matrix: the
-    sign table, float adjacency matrix and positive/negative neighbour bitsets."""
-
-    def __init__(self, signs: np.ndarray):
-        self.rows = signs.tolist()
-        self.matrix = signs.astype(float)
-        upper = np.triu(signs)
-        self.pos, self.neg = (
-            _bitsets(len(signs), zip(*(a.tolist() for a in np.nonzero(side))))
-            for side in (upper > 0, upper < 0)
-        )
-
-    def sign(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-    def keeps_constraints(self, kind: MoveKind, edits) -> bool:
-        """Whether a ``kind`` move leaves the host unbalanced with no negative C4;
-        a deletion must also spare the least shortest negative cycle (not checked here)."""
-        if kind is MoveKind.DELETE_EDGE:
-            return True
-        pos, neg = self.bitsets_after(edits)
-        # one endpoint per joined or re-signed pair: exact, as the host has no negative 4-cycle
-        if not _c4_negative_free_bits(pos, neg, {u for u, _, s in edits if s}):
-            return False
-        return kind not in _MAY_BALANCE or not _balanced_bits(pos, neg)
-
-    def bitsets_after(self, edits) -> tuple[list[int], list[int]]:
-        pos, neg = self.pos[:], self.neg[:]
-        for u, v, s in edits:
-            bu, bv = 1 << u, 1 << v
-            pos[u] &= ~bv
-            neg[u] &= ~bv
-            pos[v] &= ~bu
-            neg[v] &= ~bu
-            if s:
-                bits = pos if s > 0 else neg
-                bits[u] |= bv
-                bits[v] |= bu
-        return pos, neg
+def _keeps_constraints(host: SignedGraph, kind: MoveKind, edits) -> bool:
+    """Whether a ``kind`` move leaves the host unbalanced with no negative C4;
+    a deletion must also spare the least shortest negative cycle (not checked here)."""
+    if kind is MoveKind.DELETE_EDGE:
+        return True
+    result = host._edited(edits)
+    # one endpoint per joined or re-signed pair: exact, as the host has no negative 4-cycle
+    if not _c4_negative_free_bits(result._pos, result._neg, {u for u, _, s in edits if s}):
+        return False
+    return kind not in _MAY_BALANCE or not _balanced_bits(result._pos, result._neg)
 
 
 def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
@@ -425,13 +395,12 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
 
     Each step scores every candidate in one array pass and ranks them with
     one ``lexsort`` on exactly that key; candidates are decoded one at a
-    time as the step reaches them and decided on the host's sign table,
-    edited bitsets and an edited copy of its float matrix (see the module
+    time as the step reaches them and decided on the host, its edited
+    copies and an edited copy of its float matrix (see the module
     docstring).  The accepted solve is the next host's spectrum, solved
     again only if its eigenvector has a negative entry whose switching
-    changes the matrix.  SignedGraphs are built for the result and, when a
-    step first reaches a deletion, for the host's least shortest negative
-    cycle, whose edges deletions may not take.
+    changes the matrix.  A step finds the host's least shortest negative
+    cycle, whose edges deletions may not take, when it first reaches one.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
@@ -442,21 +411,22 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     applied: list[Move] = []
     deltas: list[float] = []
     for _ in range(max_steps):
-        host = _Host(signs)
+        host = _graph(signs)
+        matrix = signs.astype(float)
         accepted = None
         protected = None  # most steps accept a move before reaching any deletion
         for kind, ops, delta in _ranked_candidates(signs, report.x):
             if kind is MoveKind.DELETE_EDGE:
                 if protected is None:
                     # never None: every host is unbalanced
-                    protected = set(shortest_negative_cycle(_graph(signs)).edges())
+                    protected = set(shortest_negative_cycle(host).edges())
                 if ops[0] in protected:
                     continue
             mv = Move(kind, ops)
             edits = _edits(host, mv)
-            if not host.keeps_constraints(kind, edits):
+            if not _keeps_constraints(host, kind, edits):
                 continue
-            A = host.matrix.copy()
+            A = matrix.copy()
             for u, v, s in edits:
                 A[u, v] = A[v, u] = s
             w, V = np.linalg.eigh(A)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest, _sign_bitsets
+from .core import SignedGraph, _bfs_forest
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -32,13 +32,17 @@ __all__ = [
 
 
 def switch(g: SignedGraph, u_set: Iterable[int]) -> SignedGraph:
-    """Negate all edges with exactly one endpoint in ``u_set``."""
-    U = set(u_set)
-    for v in U:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    table = {(u, v): -s if (u in U) != (v in U) else s for (u, v), s in g._edges.items()}
-    return SignedGraph._wrap(g.n, table)
+    """Negate all edges with exactly one endpoint in ``u_set``: per row, the
+    positive and negative neighbours across the cut trade places."""
+    U = 0
+    for v in u_set:
+        U |= 1 << g._check_vertex(v)
+    pos, neg = [], []
+    for u, (p, q) in enumerate(zip(g._pos, g._neg)):
+        cut = ~U if U >> u & 1 else U
+        pos.append(p & ~cut | q & cut)
+        neg.append(q & ~cut | p & cut)
+    return SignedGraph._wrap(g.n, pos, neg)
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class BalanceResult:
 
 def _forest_signs(pos: list[int], neg: list[int]) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child),
-    from the positive and negative neighbour bitsets of ``core._sign_bitsets``."""
+    from the positive and negative neighbour bitsets of a SignedGraph."""
     parent, order, forest = _bfs_forest([p | q for p, q in zip(pos, neg)])
     s = [1] * len(pos)
     for v in order:
@@ -105,7 +109,7 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     sigma(uv) = s(u) * s(v).  A violated edge closes a negative cycle with
     the tree path between its endpoints.
     """
-    parent, _, s = _forest_signs(*_sign_bitsets(g))
+    parent, _, s = _forest_signs(g._pos, g._neg)
     for u, v, sgn in g.edges():
         if s[u] * s[v] != sgn:
             path = _tree_path(parent, u, v)
@@ -135,15 +139,11 @@ class NormalForm:
 
 def forest_normal_form(g: SignedGraph) -> NormalForm:
     """Normalize the canonical BFS forest to all-positive by one switching."""
-    _, forest, s = _forest_signs(*_sign_bitsets(g))
+    _, forest, s = _forest_signs(g._pos, g._neg)
     U = frozenset(v for v in range(g.n) if s[v] < 0)
     normalized = switch(g, U)
     forest_set = set(forest)
-    cotree = tuple(
-        ((u, v), normalized.sign(u, v))
-        for u, v, _ in g.edges()
-        if (u, v) not in forest_set
-    )
+    cotree = tuple(((u, v), sgn) for u, v, sgn in normalized.edges() if (u, v) not in forest_set)
     return NormalForm(
         host=g,
         forest=tuple(forest),
@@ -161,11 +161,11 @@ def switching_equivalent(a: SignedGraph, b: SignedGraph) -> bool:
     product's negative neighbour bitsets are the XOR of a's and b's, and
     its positive ones the rest of a's neighbours.
     """
-    if a.n != b.n or a.edge_set() != b.edge_set():
+    adj = [p | q for p, q in zip(a._pos, a._neg)]
+    if a.n != b.n or adj != [p | q for p, q in zip(b._pos, b._neg)]:
         raise ValueError("graphs must share the same underlying graph")
-    pos_a, neg_a = _sign_bitsets(a)
-    neg = [x ^ y for x, y in zip(neg_a, _sign_bitsets(b)[1])]
-    return _balanced_bits([(p | q) & ~r for p, q, r in zip(pos_a, neg_a, neg)], neg)
+    neg = [x ^ y for x, y in zip(a._neg, b._neg)]
+    return _balanced_bits([r & ~x for r, x in zip(adj, neg)], neg)
 
 
 def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -351,21 +351,22 @@ def switching_isomorphic(
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
-    (pos_a, neg_a), (pos_b, neg_b) = _sign_bitsets(a), _sign_bitsets(b)
-    if a.m != b.m or _balanced_bits(pos_a, neg_a) != _balanced_bits(pos_b, neg_b):
+    neg_a, neg_b = a._neg, b._neg
+    if a.m != b.m or _balanced_bits(a._pos, neg_a) != _balanced_bits(b._pos, neg_b):
         return False, None
     cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
     sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
     if sizes[0] != sizes[1]:
         return False, None
     # the first leaf does not depend on the classes; one class keeps only the first child
-    adj_b = [p | q for p, q in zip(pos_b, neg_b)]
-    mu, target = next(_leaves(adj_b, b._edges, [list(range(b.n))], list(cells_b.values())))
-    adj = [p | q for p, q in zip(pos_a, neg_a)]
+    adj_b = [p | q for p, q in zip(b._pos, neg_b)]
+    mu, target = next(_leaves(adj_b, b.edge_set(), [list(range(b.n))], list(cells_b.values())))
+    adj = [p | q for p, q in zip(a._pos, neg_a)]
+    edges_a = [(u, v) for u, v, _ in a.edges()]
     parent, order, _ = _bfs_forest(adj)
     tree = [(v, parent[v], neg_a[parent[v]] >> v & 1) for v in order if parent[v] >= 0]
-    cotree = [(u, v, neg_a[u] >> v & 1) for u, v in a._edges if parent[v] != u and parent[u] != v]
-    for lam, key in _leaves(adj, a._edges, _twin_classes(adj, neg_a), list(cells_a.values())):
+    cotree = [(u, v, neg_a[u] >> v & 1) for u, v in edges_a if parent[v] != u and parent[u] != v]
+    for lam, key in _leaves(adj, edges_a, _twin_classes(adj, neg_a), list(cells_a.values())):
         if key != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))

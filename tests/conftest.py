@@ -21,7 +21,9 @@ degree.  The spanning forest is checked against a BFS over neighbour lists
 with a queue (the library walks neighbour bitsets).  The switching
 isomorphism search on signed bitsets is checked against the earlier search
 that reads signs from a dict and multiplies them, which must return the
-same (found, pi).
+same (found, pi).  SignedGraph, held as signed neighbour bitsets, is
+checked against the dict-of-pairs graph it replaced (``DictSignedGraph``),
+refusals included.
 """
 
 from __future__ import annotations
@@ -49,6 +51,131 @@ from signedspectra.switching import (
     is_balanced,
     switching_equivalent,
 )
+
+
+class DictSignedGraph:
+    """The signed graph as one dict from each vertex pair (u, v), u < v, to its sign.
+
+    SignedGraph's earlier form, with its messages, kept as an oracle: every
+    query looks the table up or scans it, and every edit builds a new table.
+    """
+
+    def __init__(self, n: int, edges=None):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        table = {}
+        for (u, v), s in (edges or {}).items():
+            self._check_pair(n, u, v)
+            if s not in (-1, 1):
+                raise ValueError(f"sign must be -1 or +1, got {s!r}")
+            key = (min(u, v), max(u, v))
+            if key in table:
+                raise ValueError(f"vertex pair ({u},{v}) given twice")
+            table[key] = int(s)
+        self.n = n
+        self.table = table
+
+    @staticmethod
+    def _check_pair(n: int, u: int, v: int) -> None:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex pair ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loops are not allowed (vertex {u})")
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+
+    @property
+    def m(self) -> int:
+        return len(self.table)
+
+    def edges(self) -> list[tuple[int, int, int]]:
+        return [(u, v, s) for (u, v), s in sorted(self.table.items())]
+
+    def edge_set(self) -> frozenset:
+        return frozenset(self.table)
+
+    def sign(self, u: int, v: int) -> int:
+        self._check_pair(self.n, u, v)
+        return self.table.get((min(u, v), max(u, v)), 0)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self.sign(u, v) != 0
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
+        return tuple(sorted(b if a == v else a for a, b in self.table if v in (a, b)))
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
+
+    def adjacency_lists(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.table):
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def set_edge(self, u: int, v: int, s: int) -> "DictSignedGraph":
+        self._check_pair(self.n, u, v)
+        if s not in (-1, 1):
+            raise ValueError(f"sign must be -1 or +1, got {s!r}")
+        return DictSignedGraph(self.n, {**self.table, (min(u, v), max(u, v)): s})
+
+    def remove_edge(self, u: int, v: int) -> "DictSignedGraph":
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge ({u},{v}) not present")
+        key = (min(u, v), max(u, v))
+        return DictSignedGraph(self.n, {e: s for e, s in self.table.items() if e != key})
+
+    def induced_subgraph(self, vertices) -> tuple["DictSignedGraph", tuple[int, ...]]:
+        keep = sorted(set(vertices))
+        for v in keep:
+            self._check_vertex(v)
+        new = {old: i for i, old in enumerate(keep)}
+        table = {(new[u], new[v]): s for (u, v), s in self.table.items() if u in new and v in new}
+        return DictSignedGraph(len(keep), table), tuple(keep)
+
+    def relabel(self, perm) -> "DictSignedGraph":
+        p = list(perm)
+        if sorted(p) != list(range(self.n)):
+            raise ValueError("perm is not a permutation of 0..n-1")
+        return DictSignedGraph(self.n, {(p[u], p[v]): s for (u, v), s in self.table.items()})
+
+    def switch(self, u_set) -> "DictSignedGraph":
+        U = set(u_set)
+        for v in U:
+            self._check_vertex(v)
+        return DictSignedGraph(
+            self.n, {(u, v): -s if (u in U) != (v in U) else s for (u, v), s in self.table.items()}
+        )
+
+    def components(self) -> list[list[int]]:
+        """Flood fill from each unreached vertex, lowest first."""
+        adj = self.adjacency_lists()
+        seen: set[int] = set()
+        out = []
+        for root in range(self.n):
+            if root in seen:
+                continue
+            seen.add(root)
+            comp, stack = [root], [root]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+            out.append(sorted(comp))
+        return out
+
+    def __eq__(self, other) -> bool:
+        return self.n == other.n and self.table == other.table
+
+    def to_sg(self) -> str:
+        lines = [f"{self.n} {self.m}"] + [f"{u + 1} {v + 1} {'+' if s > 0 else '-'}" for u, v, s in self.edges()]
+        return "\n".join(lines) + "\n"
 
 
 def catalog_graphs(n: int) -> list[SignedGraph]:

@@ -1,4 +1,7 @@
 import random
+from functools import partial
+from itertools import combinations
+from operator import attrgetter, methodcaller
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from signedspectra import SgFormatError, SignedGraph, complete_signed, new_graph
 from signedspectra.core import _bfs_forest, _bitsets
 from signedspectra.cycles import is_ck_negative_free
 from signedspectra.families import extremal_graph, near_extremal_graph
+from signedspectra.proofmoves import Move, apply_move
 from signedspectra.spectra import index
-from signedspectra.switching import is_balanced
+from signedspectra.switching import is_balanced, switch
 
-from conftest import random_signed_graph, reference_bfs_forest
+from conftest import DictSignedGraph, random_signed_graph, reference_bfs_forest
 
 
 def test_new_graph_empty():
@@ -171,6 +175,127 @@ def test_set_then_remove_is_identity():
         if u == v or g.has_edge(u, v):
             continue
         assert g.set_edge(u, v, -1).remove_edge(u, v) == g
+
+
+NON_INTEGER_VERTICES = {
+    "constructor": lambda g: SignedGraph(3, {(0, 1.0): 1}),
+    "switch": lambda g: switch(g, [1.5]),
+    "sign": lambda g: g.sign(0, np.float64(1)),
+    "has_edge": lambda g: g.has_edge("0", 1),
+    "degree": lambda g: g.degree(1.5),
+    "neighbors": lambda g: g.neighbors(None),
+    "set_edge": lambda g: g.set_edge(0, 1.0, -1),
+    "remove_edge": lambda g: g.remove_edge(0.0, 1),
+    "induced_subgraph": lambda g: g.induced_subgraph([0, 1.5]),
+    "relabel": lambda g: g.relabel([0, 1, 2.0]),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_VERTICES.values(), ids=NON_INTEGER_VERTICES)
+def test_a_vertex_that_is_not_an_integer_is_refused(call):
+    # a float endpoint once made a graph whose .sg text ("1 2.0 +") from_sg refuses,
+    # and switch(g, [1.5]) returned g
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(SignedGraph.complete(3, 1))
+
+
+@pytest.mark.parametrize("n", [10, 70])
+def test_numpy_integer_vertices_become_python_ints(n):
+    g = SignedGraph(n, {(np.int64(0), np.int64(n - 1)): 1, (np.int32(1), np.uint8(2)): -1})
+    assert g == SignedGraph(n, {(0, n - 1): 1, (1, 2): -1})
+    assert all(type(x) is int for e in g.edges() for x in e)
+    assert g.components()[:2] == [[0, n - 1], [1, 2]]
+    assert is_balanced(g).balanced
+    assert switch(g, [np.int64(1)]) == switch(g, [1])
+    assert g.sign(np.int64(2), np.int64(1)) == -1 and g.has_edge(np.int16(0), n - 1)
+    assert g.degree(np.int64(1)) == 1 and g.neighbors(np.int64(0)) == (n - 1,)
+    assert g.set_edge(np.int64(3), np.int64(4), 1) == g.set_edge(3, 4, 1)
+    assert g.relabel(np.arange(n)[::-1]) == g.relabel(range(n - 1, -1, -1))
+    # and so are apply_move's operands, whose edits do not pass through the constructor
+    for make, ops in ((Move.add_positive_edge, (3, 4)), (Move.delete_edge, (1, 2)), (Move.rotate_edge, (0, n - 1, 3))):
+        result, _ = apply_move(g, make(*map(np.int64, ops)))
+        assert np.array_equal(result.adjacency_matrix(), apply_move(g, make(*ops))[0].adjacency_matrix())
+    # so is a NumPy integer order, whose rows are shifted past 64 bits at n = 70
+    assert type(SignedGraph(np.int64(n)).n) is int
+    assert SignedGraph.complete(np.int64(n), -1) == SignedGraph.complete(n, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 40, 64, 65])
+def test_adjacency_matrix_matches_a_per_edge_fill(n):
+    # row widths on either side of a byte and of a 64-bit word
+    rng = random.Random(n)
+    graphs = [random_signed_graph(rng, n, edge_prob=p) for p in (0.0, 0.3, 0.8)]
+    if n:
+        graphs += [SignedGraph.complete(n, 1), SignedGraph.complete(n, -1)]
+    for g in graphs:
+        ref = np.zeros((n, n), dtype=np.int64)
+        for u, v, s in g.edges():
+            ref[u, v] = ref[v, u] = s
+        A = g.adjacency_matrix()
+        assert A.dtype == np.int64 and A.shape == (n, n)
+        assert np.array_equal(A, ref) and np.array_equal(A, A.T)
+
+
+def _switch(h, vertices):
+    return h.switch(vertices) if isinstance(h, DictSignedGraph) else switch(h, vertices)
+
+
+def outcome(op, h):
+    """``op(h)`` and what of it to compare: a graph as its order and edges, a refusal as its message."""
+    try:
+        x = op(h)
+    except ValueError as err:
+        return None, ("refused", str(err))
+    if isinstance(x, tuple) and len(x) == 2 and hasattr(x[0], "edges"):
+        return x, ((x[0].n, x[0].edges()), x[1])
+    return x, (x.n, x.edges()) if hasattr(x, "edges") else x
+
+
+def test_bitset_graph_matches_the_dict_table_oracle():
+    # one draw per order 0..70, so rows are wider than a 64-bit word from 65 on;
+    # vertex arguments run from -1 to n, so loops and both ends out of range occur
+    rng = random.Random(30)
+    for n in range(71):
+        p = rng.random()
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(range(n), 2) if rng.random() < p]
+        table = {e: rng.choice((-1, 1)) for e in pairs}
+        g, ref = SignedGraph(n, table), DictSignedGraph(n, table)
+        vertices = range(-1, n + 1)
+        ops = [methodcaller(name) for name in ("edges", "edge_set", "adjacency_lists", "components", "to_sg")]
+        ops.append(attrgetter("m"))
+        for _ in range(12):
+            u, v = rng.choice(vertices), rng.choice(vertices)
+            s = rng.choice((-1, 1, 0, 2))
+            ops += [methodcaller("sign", u, v), methodcaller("has_edge", u, v), methodcaller("degree", u)]
+            ops += [methodcaller("neighbors", u), methodcaller("set_edge", u, v, s), methodcaller("remove_edge", u, v)]
+        if pairs:  # remove a present edge, given in either orientation
+            ops.append(methodcaller("remove_edge", *rng.choice(pairs)[:: rng.choice((1, -1))]))
+        subset = [v for v in range(n) if rng.random() < 0.5] + rng.choice(([], [-1], [n]))
+        rng.shuffle(subset)
+        ops += [methodcaller("induced_subgraph", subset), partial(_switch, vertices=subset)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        ops += [methodcaller("relabel", perm), methodcaller("relabel", perm[1:] + perm[:1] * 2)]
+        results = []
+        for op in ops:
+            (x, seen), (rx, expected) = outcome(op, g), outcome(op, ref)
+            assert seen == expected, (n, op)
+            if isinstance(x, SignedGraph):
+                results.append((x, rx))
+        assert SignedGraph.from_sg(g.to_sg()) == g
+        # == and hash on the graphs built above and on g rebuilt from its table in reverse order
+        results += [(g, ref), (SignedGraph(n, dict(reversed(table.items()))), ref)]
+        for (a, ra), (b, rb) in combinations(results, 2):
+            assert (a == b) == (ra == rb)
+            assert a != b or hash(a) == hash(b)
+        # constructor refusals: a repeated pair, a bad sign, a pair out of range and a loop
+        bad_tables = [{**table, (n, 0): 1}, {**table, (-1, 0): 1}, {(0, 0): 1, **table}]
+        if pairs:
+            u, v = rng.choice(pairs)
+            bad_tables += [{**table, (v, u): table[(u, v)]}, {**table, (u, v): rng.choice((0, 2, -2))}]
+        for bad in bad_tables:
+            _, refusal = outcome(lambda cls: cls(n, bad), SignedGraph)
+            assert refusal[0] == "refused" and refusal == outcome(lambda cls: cls(n, bad), DictSignedGraph)[1]
 
 
 # -- .sg text format -------------------------------------------------------

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from signedspectra import SignedGraph
-from signedspectra.core import _sign_bitsets
 from signedspectra.cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import (
@@ -13,10 +12,11 @@ from signedspectra.proofmoves import (
     ConstraintViolation,
     Move,
     MoveKind,
-    _Host,
     _closed_form_delta,
     _edited_graph,
     _edits,
+    _graph,
+    _keeps_constraints,
     _ranked_candidates,
     apply_move,
     candidate_moves,
@@ -418,24 +418,33 @@ def test_the_ascent_never_solves_a_matrix_twice_in_a_row(n, seed, monkeypatch):
 @pytest.mark.parametrize("n", range(5, 14))
 def test_edited_bitset_checks_match_the_whole_graph_checks(n):
     # every candidate move of hosts walked a few steps up from a random start:
-    # the negative-C4 test at one endpoint of each joined or re-signed pair and
-    # the bitset balance test against the whole-graph checks of the edited graph
+    # the unchecked edit of the host wrapped from the sign matrix against the
+    # validating constructor on g's edge table with the edits applied, then the
+    # negative-C4 test at one endpoint of each joined or re-signed pair and the
+    # bitset balance test against the whole-graph checks of the edited graph
     creates_c4 = balances = 0
     for seed in range(4):
         for steps in (0, 2, 5):
             g = greedy_ascent(n, seed, max_steps=steps).graph
-            host = _Host(g.adjacency_matrix())
+            host = _graph(g.adjacency_matrix())
+            assert host == g
             for mv in candidate_moves(g):
                 edits = _edits(host, mv)
-                result = _edited_graph(g, mv)
-                pos, neg = host.bitsets_after(edits)
-                assert (pos, neg) == _sign_bitsets(result)
+                table = {(u, v): s for u, v, s in g.edges()}
+                for u, v, s in edits:
+                    key = (min(u, v), max(u, v))
+                    table.pop(key, None)
+                    if s:
+                        table[key] = s
+                result = host._edited(edits)
+                assert result == SignedGraph(n, table) == _edited_graph(g, mv), mv
+                pos, neg = result._pos, result._neg
                 c4free = _c4_negative_free_bits(pos, neg)
                 assert c4free == is_ck_negative_free(result, 4)
                 assert _c4_negative_free_bits(pos, neg, {u for u, _, s in edits if s}) == c4free, mv
                 balanced = is_balanced(result).balanced
                 assert _balanced_bits(pos, neg) == balanced, mv
-                assert host.keeps_constraints(mv.kind, edits) == (c4free and not balanced), mv
+                assert _keeps_constraints(host, mv.kind, edits) == (c4free and not balanced), mv
                 creates_c4 += not c4free
                 balances += balanced
     assert creates_c4 and balances

@@ -8,8 +8,11 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
 ``switching_isomorphic`` of a relabelled and switched copy of
 ``extremal_graph(n)`` against the original.  At order 40 it also times
-``switch`` of ``extremal_graph(40)`` at a seeded half of its vertices and
-``switching_equivalent`` of that switched copy against the original.  It times
+``switch`` of ``extremal_graph(40)`` at a seeded half of its vertices,
+``switching_equivalent`` of that switched copy against the original, the
+``SignedGraph`` constructor on the edge table of ``extremal_graph(40)``, and
+its ``relabel`` by a seeded permutation, ``edges()`` and
+``adjacency_matrix()``.  It times
 ``largest_real_root_interval`` at width 1e-12 per characteristic polynomial
 of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
 square-free part and the Sturm chain, not bisection, are most of the cost,
@@ -18,8 +21,7 @@ polynomials.  It also times the whole catalog build
 ``enumerate_underlying(7)`` (its per-process cache cleared before each
 call), the canonical form ``_canonical_edges`` and the census kernel
 ``_census_one_graph`` (GF(2) class filter and eigensolve) per sorted edge
-list of that catalog (its entries are edge lists, or SignedGraphs in
-checkouts that predate that form), and
+list of that catalog, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
 with two negative edges at one vertex (not switching isomorphic, and
 K_{5,5} has 2 (5!)^2 automorphisms), of K_11 minus the path 3-6-4 with
@@ -139,11 +141,6 @@ def k11_minus_path(ss, seed: int):
     return a, ss.switching.switch(a.relabel(perm), [v for v in range(11) if rng.random() < 0.5])
 
 
-def edge_list(entry) -> tuple:
-    """The sorted edge list of a catalog entry, an edge list or (in older checkouts) a SignedGraph."""
-    return entry if isinstance(entry, tuple) else tuple(sorted(entry.edge_set()))
-
-
 def rows(ss) -> dict:
     """Row name -> ``(call, count)``, with inputs built by the package ss from fixed seeds."""
     out = {}
@@ -168,6 +165,13 @@ def rows(ss) -> dict:
     moved = ss.switching.switch(g, half)
     out["switching_equivalent.n40"] = (lambda: ss.switching.switching_equivalent(moved, g), 1)
     out["switch.n40"] = (lambda: ss.switching.switch(g, half), 1)
+    table = {(u, v): s for u, v, s in g.edges()}
+    out["SignedGraph.n40"] = (lambda: ss.SignedGraph(40, table), 1)
+    perm = list(range(40))
+    rng.shuffle(perm)
+    out["relabel.n40"] = (lambda: g.relabel(perm), 1)
+    out["edges.n40"] = (lambda: g.edges(), 1)
+    out["adjacency_matrix.n40"] = (lambda: g.adjacency_matrix(), 1)
     rng = random.Random(10)
     g10 = [ss.char_poly_exact(random_signed_graph(ss, rng, 10, 0.8)) for _ in range(200)]
     out["largest_real_root_interval.g10"] = (
@@ -184,7 +188,7 @@ def rows(ss) -> dict:
         return ss.enumeration.enumerate_underlying(n)
 
     out["enumerate_underlying.n7"] = (lambda: fresh_catalog(7), 1)
-    tasks = [edge_list(e) for e in ss.enumeration.enumerate_underlying(7)]
+    tasks = ss.enumeration.enumerate_underlying(7)
     out["_canonical_edges.n7"] = (
         lambda: [ss.enumeration._canonical_edges(7, t) for t in tasks],
         len(tasks),
