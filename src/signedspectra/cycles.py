@@ -2,7 +2,8 @@
 
 The sign of a cycle is its edge signs multiplied together; a cycle is negative
 exactly when it carries an odd number of negative edges.  Fixed-length
-negative cycles are found by exhaustive path extension; the least shortest
+negative cycles are found by exhaustive path extension over the signed
+neighbour bitsets, carrying each path's negative-edge parity; the least shortest
 negative cycle is found by breadth-first search in the parity double
 cover, held implicitly as neighbour lists of lifts, where a negative
 closed walk through v is a walk between the two lifts of v;
@@ -90,45 +91,29 @@ def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
 
     Exhaustive DFS over paths anchored at their minimum vertex, with the
     direction fixed by second vertex < last vertex, so each cycle is
-    visited once.  Returns the first hit in that deterministic order.
+    visited once.  A path grows by its unused neighbours above its anchor,
+    ascending, read off the signed bitsets with its negative-edge parity.
+    Returns the first hit in that deterministic order.
     """
-    n = g.n
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
-    if k > n:
+    if k > g.n:
         return None
-    # nbr[v] maps each neighbour of v to the edge sign, in ascending
-    # neighbour order (edges() is sorted), which fixes the visit order
-    nbr: list[dict[int, int]] = [{} for _ in range(n)]
-    for u, v, s in g.edges():
-        nbr[u][v] = s
-        nbr[v][u] = s
+    pos, neg = g._pos, g._neg
 
-    path = [0] * k
-    in_path = [False] * n
-
-    def extend(depth: int, last: int, start: int, sgn: int) -> tuple[int, ...] | None:
-        if depth == k:
-            s = nbr[last].get(start, 0)
-            if s and path[1] < last and sgn * s < 0:
-                return tuple(path)
-            return None
-        for w, s in nbr[last].items():
-            if w <= start or in_path[w]:
-                continue
-            path[depth] = w
-            in_path[w] = True
-            hit = extend(depth + 1, w, start, sgn * s)
-            in_path[w] = False
+    def extend(path: tuple[int, ...], used: int, odd: int) -> tuple[int, ...] | None:
+        last = path[-1]
+        if len(path) == k:
+            closing = pos[last] if odd else neg[last]  # the edge that makes the parity odd
+            return path if closing >> path[0] & 1 and path[1] < last else None
+        for w in _members((pos[last] | neg[last]) & ~used, path[0] + 1):
+            hit = extend(path + (w,), used | 1 << w, odd ^ (neg[last] >> w & 1))
             if hit is not None:
                 return hit
         return None
 
-    for start in range(n):
-        path[0] = start
-        in_path[start] = True
-        hit = extend(1, start, start, 1)
-        in_path[start] = False
+    for start in range(g.n):
+        hit = extend((start,), 1 << start, 0)
         if hit is not None:
             return CycleWitness(canonical_cycle(hit), -1)
     return None

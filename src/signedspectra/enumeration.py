@@ -465,9 +465,11 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
         if not line.strip():
             continue
         try:
-            recs.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
+            recs.append((lineno, json.loads(line, parse_constant=_refuse_constant)))
+        except ValueError as exc:  # JSONDecodeError included
             raise ValueError(f"checkpoint {path} line {lineno}: {exc}") from None
+        if recs[0][1] != header:  # a foreign census is named as such, before its records are parsed
+            break
     if not torn_header and (not recs or recs[0][1] != header):
         found = recs[0][1] if recs else "no complete header line"
         raise ValueError(f"checkpoint {path} belongs to a different census: {found} != {header}")
@@ -486,6 +488,10 @@ def _resume_checkpoint(path: str, header: dict, tasks: list) -> dict[int, tuple]
         with open(path, "r+b") as fh:
             fh.truncate(len(complete))
     return done
+
+
+def _refuse_constant(token: str):  # checkpoints are strict JSON: no Infinity, -Infinity or NaN
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def _valid_record(n: int, edges: tuple, classes, eligible, best, keep) -> bool:

@@ -16,8 +16,8 @@ move kind over the operand columns built from the host's sign matrix, then
 one ``lexsort`` best first.  A candidate becomes a ``(kind, operands)`` pair
 only when the step reaches it, and most steps accept one of the first few.
 
-The greedy ascent's state is one integer sign matrix and its spectrum; each
-step wraps the matrix as its host SignedGraph and copies it to floats once.
+The greedy ascent's state is its host SignedGraph and the host's spectrum;
+each step unpacks the host's sign matrix once and copies it to floats once.
 It keeps the host unbalanced and free of negative 4-cycles, skipping the
 checks whose answer is known:
 
@@ -30,7 +30,9 @@ checks whose answer is known:
   negative-C4 test only at the edited vertices and the balance test by
   sign propagation.
 
-The eigensolve that accepts a move is the next host's spectrum.
+The eigensolve that accepts a move is the next host's spectrum, and the
+accepted edits of the host, switched to nonnegative-eigenvector form by
+``switching.switch``, are the next host.
 """
 
 from __future__ import annotations
@@ -361,15 +363,6 @@ class AscentResult:
 _MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
 
 
-def _graph(signs: np.ndarray) -> SignedGraph:
-    """The SignedGraph of the integer sign matrix ``signs``: each row packed into its two bitsets."""
-    pos, neg = (
-        [int.from_bytes(row.tobytes(), "little") for row in np.packbits(side, axis=1, bitorder="little")]
-        for side in (signs > 0, signs < 0)
-    )
-    return SignedGraph._wrap(len(signs), pos, neg)
-
-
 def _keeps_constraints(host: SignedGraph, kind: MoveKind, edits) -> bool:
     """Whether a ``kind`` move leaves the host unbalanced with no negative C4;
     a deletion must also spare the least shortest negative cycle (not checked here)."""
@@ -393,25 +386,26 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     maximum or after max_steps moves; the returned trajectory is strictly
     increasing.
 
-    Each step scores every candidate in one array pass and ranks them with
-    one ``lexsort`` on exactly that key; candidates are decoded one at a
-    time as the step reaches them and decided on the host, its edited
-    copies and an edited copy of its float matrix (see the module
-    docstring).  The accepted solve is the next host's spectrum, solved
+    Each step scores every candidate in one array pass over the host's
+    sign matrix and ranks them with one ``lexsort`` on exactly that key;
+    candidates are decoded one at a time as the step reaches them and
+    decided on the host, its edited copies and an edited copy of its float
+    matrix (see the module docstring).  An accepted move's edits of the
+    host are the next host and its solve is that host's spectrum, solved
     again only if its eigenvector has a negative entry whose switching
-    changes the matrix.  A step finds the host's least shortest negative
+    changes the graph.  A step finds the host's least shortest negative
     cycle, whose edges deletions may not take, when it first reaches one.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
     rng = random.Random(seed)
-    signs = random_unbalanced_c4free(n, rng).adjacency_matrix()
-    _, signs, report = _nonneg_switch(signs, eigenvalues_sym(signs))
+    host = random_unbalanced_c4free(n, rng)
+    host, report = _nonneg_switch(host, eigenvalues_sym(host.adjacency_matrix()))
     trajectory = [report.lambda1]
     applied: list[Move] = []
     deltas: list[float] = []
     for _ in range(max_steps):
-        host = _graph(signs)
+        signs = host.adjacency_matrix()
         matrix = signs.astype(float)
         accepted = None
         protected = None  # most steps accept a move before reaching any deletion
@@ -431,15 +425,13 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
                 A[u, v] = A[v, u] = s
             w, V = np.linalg.eigh(A)
             if w[-1] > report.lambda1 + STRICT_GAIN:
-                accepted = (A, w, V, mv, delta)
+                accepted = (A, w, V, mv, edits, delta)
                 break
         if accepted is None:
             break
-        A, w, V, mv, delta = accepted
+        A, w, V, mv, edits, delta = accepted
         applied.append(mv)
         deltas.append(delta)
         trajectory.append(float(w[-1]))
-        _, signs, report = _nonneg_switch(A.astype(signs.dtype), _report(A, w, V))
-    return AscentResult(
-        graph=_graph(signs), trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas)
-    )
+        host, report = _nonneg_switch(host._edited(edits), _report(A, w, V))
+    return AscentResult(graph=host, trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas))

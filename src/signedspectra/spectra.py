@@ -254,25 +254,20 @@ def nonneg_eigenvector_form(g: SignedGraph) -> tuple[SignedGraph, SpectrumReport
     """
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
-    S = g.adjacency_matrix()
-    U, _, report = _nonneg_switch(S, eigenvalues_sym(S))
-    return (switch(g, U) if U else g), report
+    return _nonneg_switch(g, eigenvalues_sym(g.adjacency_matrix()))
 
 
-def _nonneg_switch(S: np.ndarray, report: SpectrumReport) -> tuple[list[int], np.ndarray, SpectrumReport]:
-    """(U, D S D, its report) for the integer sign matrix S with spectrum ``report``.
+def _nonneg_switch(g: SignedGraph, report: SpectrumReport) -> tuple[SignedGraph, SpectrumReport]:
+    """(h, its report) for g switched at U = {v : x_v < 0}, ``report`` being g's spectrum.
 
-    U = {v : x_v < 0} and D is the diagonal sign matrix of x, applied to the
-    integer S so that no entry becomes -0.0.  If D S D = S (U empty, or whole
-    components), S and ``report`` come back: a re-solve would give the same bits.
+    If the switching leaves g unchanged (U empty, or whole components), g and
+    ``report`` come back: a re-solve of the same integer matrix would give the same bits.
     """
     U = np.flatnonzero(report.x < 0.0).tolist()
-    d = np.ones(len(S), dtype=S.dtype)
-    d[U] = -1
-    switched = d[:, None] * S * d
-    if np.array_equal(switched, S):
-        return U, S, report
-    return U, switched, eigenvalues_sym(switched)
+    h = switch(g, U) if U else g
+    if h == g:
+        return g, report
+    return h, eigenvalues_sym(h.adjacency_matrix())
 
 
 # -- equitable partitions and quotient matrices --------------------------------

@@ -74,16 +74,21 @@ def _forest_signs(pos: list[int], neg: list[int]) -> tuple[list[int], list[tuple
     return parent, forest, s
 
 
-def _balanced_bits(pos: list[int], neg: list[int]) -> bool:
-    """``is_balanced(g).balanced`` from g's neighbour bitsets: each positive edge
-    must join equal forest signs and each negative edge opposite ones."""
-    _, _, s = _forest_signs(pos, neg)
+def _violated_edge(pos: list[int], neg: list[int], s: list[int]) -> tuple[int, int] | None:
+    """The least edge (u, v), u < v, whose sign is not s(u) s(v), or None: the lowest
+    violating bit v of the first violating row u (a bit below u would make an earlier row violating)."""
     minus = sum(1 << v for v, sv in enumerate(s) if sv < 0)
     for u, su in enumerate(s):
         other = minus if su > 0 else ~minus
-        if (pos[u] & other) | (neg[u] & ~other):
-            return False
-    return True
+        bad = (pos[u] & other) | (neg[u] & ~other)
+        if bad:
+            return u, (bad & -bad).bit_length() - 1
+    return None
+
+
+def _balanced_bits(pos: list[int], neg: list[int]) -> bool:
+    """``is_balanced(g).balanced`` from g's neighbour bitsets."""
+    return _violated_edge(pos, neg, _forest_signs(pos, neg)[2]) is None
 
 
 def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
@@ -106,18 +111,14 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
 
     Assign s(root) = +1 and s(child) = s(parent) * sigma(parent, child);
     the graph is balanced iff every non-tree edge uv satisfies
-    sigma(uv) = s(u) * s(v).  A violated edge closes a negative cycle with
-    the tree path between its endpoints.
+    sigma(uv) = s(u) * s(v).  The least violated edge closes the witness
+    negative cycle with the tree path between its endpoints.
     """
     parent, _, s = _forest_signs(g._pos, g._neg)
-    for u, v, sgn in g.edges():
-        if s[u] * s[v] != sgn:
-            path = _tree_path(parent, u, v)
-            return BalanceResult(
-                False,
-                negative_cycle=CycleWitness(canonical_cycle(path), -1),
-            )
-    return BalanceResult(True, bisigning=tuple(s))
+    edge = _violated_edge(g._pos, g._neg, s)
+    if edge is None:
+        return BalanceResult(True, bisigning=tuple(s))
+    return BalanceResult(False, negative_cycle=CycleWitness(canonical_cycle(_tree_path(parent, *edge)), -1))
 
 
 @dataclass(frozen=True)

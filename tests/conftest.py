@@ -23,7 +23,12 @@ isomorphism search on signed bitsets is checked against the earlier search
 that reads signs from a dict and multiplies them, which must return the
 same (found, pi).  SignedGraph, held as signed neighbour bitsets, is
 checked against the dict-of-pairs graph it replaced (``DictSignedGraph``),
-refusals included.
+refusals included.  Three searches that now read the signed bitsets are
+checked against their earlier forms: the fixed-length negative cycle
+search against a DFS over dict-of-dicts neighbour signs, the balance
+witness against a walk of ``edges()`` for the first violated edge, and
+switching to nonnegative-eigenvector form against conjugating the sign
+matrix by the diagonal sign matrix of x and rebuilding the graph from it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from signedspectra import SignedGraph
-from signedspectra.cycles import is_ck_negative_free
+from signedspectra.cycles import CycleWitness, canonical_cycle, is_ck_negative_free
 from signedspectra.core import _bfs_forest, _bitsets
 from signedspectra.enumeration import (
     FLOAT_MARGIN,
@@ -45,7 +52,10 @@ from signedspectra.enumeration import (
 )
 from signedspectra.spectra import eigenvalues_sym
 from signedspectra.switching import (
+    BalanceResult,
+    _forest_signs,
     _leaves,
+    _tree_path,
     _twin_classes,
     _vertex_invariants,
     is_balanced,
@@ -245,12 +255,87 @@ def brute_cycles_permutations(g: SignedGraph, k: int):
 
 
 def brute_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> bool:
-    """Switching isomorphism by trying all n! relabelings; tiny n only."""
+    """Switching isomorphism by trying all n! relabelings; tiny n only.
+
+    A relabeling is tried for switching equivalence only when it maps a's
+    edge set onto b's.
+    """
+    edges_a, target = a.edge_set(), b.edge_set()
     for p in permutations(range(a.n)):
-        h = a.relabel(p)
-        if h.edge_set() == b.edge_set() and switching_equivalent(h, b):
+        moved = {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges_a}
+        if moved == target and switching_equivalent(a.relabel(p), b):
             return True
     return False
+
+
+def reference_find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
+    """``find_negative_ck`` as a DFS over dict-of-dicts neighbour signs, multiplying them.
+
+    The same anchored paths in the same ascending order, so the same first hit.
+    """
+    n = g.n
+    if k < 3:
+        raise ValueError(f"cycle length must be at least 3, got {k}")
+    if k > n:
+        return None
+    nbr: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, s in g.edges():  # sorted, so each dict lists neighbours ascending
+        nbr[u][v] = s
+        nbr[v][u] = s
+    path = [0] * k
+    in_path = [False] * n
+
+    def extend(depth: int, last: int, start: int, sgn: int):
+        if depth == k:
+            s = nbr[last].get(start, 0)
+            if s and path[1] < last and sgn * s < 0:
+                return tuple(path)
+            return None
+        for w, s in nbr[last].items():
+            if w <= start or in_path[w]:
+                continue
+            path[depth] = w
+            in_path[w] = True
+            hit = extend(depth + 1, w, start, sgn * s)
+            in_path[w] = False
+            if hit is not None:
+                return hit
+        return None
+
+    for start in range(n):
+        path[0] = start
+        in_path[start] = True
+        hit = extend(1, start, start, 1)
+        in_path[start] = False
+        if hit is not None:
+            return CycleWitness(canonical_cycle(hit), -1)
+    return None
+
+
+def reference_is_balanced(g: SignedGraph) -> BalanceResult:
+    """``is_balanced`` with its witness from the first violated edge of ``g.edges()``."""
+    parent, _, s = _forest_signs(g._pos, g._neg)
+    for u, v, sgn in g.edges():
+        if s[u] * s[v] != sgn:
+            path = _tree_path(parent, u, v)
+            return BalanceResult(False, negative_cycle=CycleWitness(canonical_cycle(path), -1))
+    return BalanceResult(True, bisigning=tuple(s))
+
+
+def reference_nonneg_eigenvector_form(g: SignedGraph):
+    """``nonneg_eigenvector_form`` by D S D on the sign matrix S, D the diagonal sign matrix of x.
+
+    The graph is rebuilt from D S D by the validating constructor; when
+    D S D = S, g and its report come back, else D S D is solved afresh.
+    """
+    S = g.adjacency_matrix()
+    report = eigenvalues_sym(S)
+    d = np.where(report.x < 0.0, -1, 1)
+    switched = d[:, None] * S * d
+    if np.array_equal(switched, S):
+        return g, report
+    table = {(u, v): int(switched[u, v]) for u, v in combinations(range(g.n), 2) if switched[u, v]}
+    return SignedGraph(g.n, table), eigenvalues_sym(switched)
 
 
 def brute_shortest_negative_length(g: SignedGraph):

@@ -275,10 +275,12 @@ def test_verify_bad_checkpoint_record_names_the_line(tmp_path, capsys):
     [
         {"i": 0, "classes": "x", "eligible": 0, "best": 0, "keep": []},
         {"i": 0, "classes": 1, "eligible": 0, "best": 99, "keep": [[99, 5]]},
+        # task 7 keeps pattern 1: json.dumps writes Infinity, which strict JSON refuses
+        {"i": 7, "classes": 2, "eligible": 1, "best": math.inf, "keep": [[math.inf, 1]]},
     ],
 )
 def test_verify_checkpoint_record_values_are_checked(tmp_path, capsys, record):
-    # a record whose values cannot belong to its task is refused, not summed
+    # a record whose values cannot belong to its task, or are not strict JSON, is refused, not summed
     ck = tmp_path / "census5.jsonl"
     assert run(capsys, "verify", "--n", "5", "--checkpoint", str(ck))[0] == 0
     ck.write_text(ck.read_text().splitlines()[0] + "\n" + json.dumps(record) + "\n")

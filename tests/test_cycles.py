@@ -22,6 +22,7 @@ from conftest import (
     brute_shortest_negative_length,
     random_fundamental_cycle,
     random_signed_graph,
+    reference_find_negative_ck,
 )
 
 
@@ -75,6 +76,23 @@ def test_find_negative_ck_matches_permutation_oracle():
             assert (got is not None) == expected
             if got is not None:
                 assert got.length == k and cycle_sign(g, got.vertices) == -1
+
+
+def test_find_negative_ck_matches_the_dict_search():
+    # the bitset DFS visits the anchored paths in the dict DFS's order, so both give one witness
+    rng = random.Random(57)
+    hits = misses = 0
+    for n in range(13):
+        for _ in range(12):
+            g = random_signed_graph(
+                rng, n, edge_prob=rng.choice((0.2, 0.4, 0.7)), neg_prob=rng.choice((0.0, 0.1, 0.5))
+            )
+            for k in range(3, 9):
+                got = find_negative_ck(g, k)
+                assert got == reference_find_negative_ck(g, k), (g.edges(), k)
+                hits += got is not None
+                misses += got is None and k <= n
+    assert hits and misses
 
 
 def test_c4_two_path_criterion_matches_path_dfs():

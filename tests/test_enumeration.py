@@ -595,6 +595,12 @@ BAD_RECORDS = {
         dict(GOOD_RECORD, i=19, classes=4, eligible=1, best=2.0, keep=[[2.0, 2], [2.0, 2]])
     ],
     "eligible-not-the-kernel-count": [dict(GOOD_RECORD, i=33, classes=64, eligible=3)],
+    # checkpoints are strict JSON: task 7 keeps pattern 1, and only the parse refuses these
+    "lam-infinity": [dict(GOOD_RECORD, i=7, classes=2, eligible=1, best=math.inf, keep=[[math.inf, 1]])],
+    "lam-minus-infinity": [
+        dict(GOOD_RECORD, i=7, classes=2, eligible=1, best=-math.inf, keep=[[-math.inf, 1]])
+    ],
+    "lam-nan": [dict(GOOD_RECORD, i=7, classes=2, eligible=1, best=math.nan, keep=[[math.nan, 1]])],
 }
 
 

@@ -29,7 +29,7 @@ from signedspectra.spectra import (
 )
 from signedspectra.switching import switching_equivalent
 
-from conftest import brute_char_poly_values, random_signed_graph
+from conftest import brute_char_poly_values, random_signed_graph, reference_nonneg_eigenvector_form
 
 # largest root of x^3 - x^2 - 7x + 1, frozen from 200-step rational bisection
 INDEX_EXTREMAL_6 = 3.132637493579839
@@ -278,6 +278,23 @@ def test_nonneg_eigenvector_form_preserves_exact_spectrum():
         assert char_poly_exact(out) == char_poly_exact(g)
         assert (rep.x >= -1e-8).all()
         assert switching_equivalent(out, g)
+
+
+def test_nonneg_eigenvector_form_matches_the_matrix_switching():
+    # switching the graph's bitsets and conjugating its sign matrix give one graph and one report
+    rng = random.Random(59)
+    switched = 0
+    for n in range(1, 13):
+        for _ in range(15):
+            g = random_signed_graph(rng, n, edge_prob=rng.choice((0.2, 0.5, 0.8)))
+            out, rep = nonneg_eigenvector_form(g)
+            ref, want = reference_nonneg_eigenvector_form(g)
+            assert out == ref, g.edges()
+            assert rep.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert rep.x.tobytes() == want.x.tobytes()
+            assert (rep.lambda1, rep.residual) == (want.lambda1, want.residual)
+            switched += out != g
+    assert switched
 
 
 def test_quotient_matrix_families():

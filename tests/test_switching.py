@@ -21,6 +21,7 @@ from conftest import (
     brute_switching_orbit_count,
     brute_switching_orbit_of,
     random_signed_graph,
+    reference_is_balanced,
     reference_switching_isomorphic,
     signing_bitmask,
     twin_rich_graphs,
@@ -77,6 +78,22 @@ def test_balance_bisigning_certificate():
         else:
             w = res.negative_cycle
             assert cycle_sign(g, w.vertices) == -1
+
+
+def test_is_balanced_matches_the_edge_walk():
+    # the first violating row's lowest bit is the first violated edge of edges(): one witness
+    rng = random.Random(58)
+    balanced = 0
+    for n in range(13):
+        for _ in range(40):
+            g = random_signed_graph(
+                rng, n, edge_prob=rng.choice((0.2, 0.4, 0.7)), neg_prob=rng.choice((0.0, 0.1, 0.5))
+            )
+            g = switch(g, [v for v in range(n) if rng.random() < 0.5])
+            got = is_balanced(g)
+            assert got == reference_is_balanced(g), g.edges()  # every field: verdict, bisigning, witness
+            balanced += got.balanced
+    assert 0 < balanced < 13 * 40
 
 
 def test_balanced_iff_switch_of_all_positive():

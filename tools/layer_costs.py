@@ -9,7 +9,9 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``switching_isomorphic`` of a relabelled and switched copy of
 ``extremal_graph(n)`` against the original.  At order 40 it also times
 ``switch`` of ``extremal_graph(40)`` at a seeded half of its vertices,
-``switching_equivalent`` of that switched copy against the original, the
+``switching_equivalent`` of that switched copy against the original,
+``nonneg_eigenvector_form`` and ``is_balanced`` of that copy (unbalanced,
+so with a negative-cycle witness), the
 ``SignedGraph`` constructor on the edge table of ``extremal_graph(40)``, and
 its ``relabel`` by a seeded permutation, ``edges()`` and
 ``adjacency_matrix()``.  It times
@@ -17,9 +19,11 @@ its ``relabel`` by a seeded permutation, ``edges()`` and
 of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
 square-free part and the Sturm chain, not bisection, are most of the cost,
 and ``compare_largest_real_roots`` per consecutive pair of those
-polynomials.  It also times the whole catalog build
-``enumerate_underlying(7)`` (its per-process cache cleared before each
-call), the canonical form ``_canonical_edges`` and the census kernel
+polynomials, and ``find_negative_ck`` at k = 5 and k = 6 per seeded
+signed graph of order 10 (edge probability 0.4), FIND_GRAPHS of them.  It
+also times the whole catalog build ``enumerate_underlying(7)`` (its
+per-process cache cleared before each call), the canonical form
+``_canonical_edges`` and the census kernel
 ``_census_one_graph`` (GF(2) class filter and eigensolve) per sorted edge
 list of that catalog, and
 ``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
@@ -65,6 +69,7 @@ WIDTH = Fraction(1, 10**15)
 G10_WIDTH = Fraction(1e-12)
 BATCH_S = 0.02
 SAMPLES = 15
+FIND_GRAPHS = 60
 ASCENT_SEEDS = (1, 2, 3)
 SAMPLER_SEEDS = (0, 1, 2)
 
@@ -165,6 +170,8 @@ def rows(ss) -> dict:
     moved = ss.switching.switch(g, half)
     out["switching_equivalent.n40"] = (lambda: ss.switching.switching_equivalent(moved, g), 1)
     out["switch.n40"] = (lambda: ss.switching.switch(g, half), 1)
+    out["nonneg_eigenvector_form.n40"] = (lambda: ss.spectra.nonneg_eigenvector_form(moved), 1)
+    out["is_balanced.n40"] = (lambda: ss.switching.is_balanced(moved), 1)
     table = {(u, v): s for u, v, s in g.edges()}
     out["SignedGraph.n40"] = (lambda: ss.SignedGraph(40, table), 1)
     perm = list(range(40))
@@ -181,6 +188,13 @@ def rows(ss) -> dict:
     out["compare_largest_real_roots.g10"] = (
         lambda: [ss.polynomial.compare_largest_real_roots(p, q) for p, q in zip(g10, g10[1:])],
         len(g10) - 1,
+    )
+
+    rng = random.Random(11)
+    sparse10 = [random_signed_graph(ss, rng, 10, 0.4) for _ in range(FIND_GRAPHS)]
+    out["find_negative_ck.n10"] = (
+        lambda: [ss.cycles.find_negative_ck(g, k) for g in sparse10 for k in (5, 6)],
+        2 * len(sparse10),
     )
 
     def fresh_catalog(n):
