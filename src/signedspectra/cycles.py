@@ -89,11 +89,13 @@ def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
 def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
     """Some negative cycle of length exactly k, or None.
 
-    Exhaustive DFS over paths anchored at their minimum vertex, with the
-    direction fixed by second vertex < last vertex, so each cycle is
-    visited once.  A path grows by its unused neighbours above its anchor,
-    ascending, read off the signed bitsets with its negative-edge parity.
-    Returns the first hit in that deterministic order.
+    Exhaustive DFS over paths anchored at their minimum vertex.  A path
+    grows by its unused neighbours above its anchor, ascending, read off the
+    signed bitsets with its negative-edge parity.  Returns the first hit in
+    that deterministic order.  A cycle is met in both directions, but the
+    one whose second vertex is the smaller neighbour of the anchor comes
+    first, as all paths through that neighbour are walked before any
+    through the larger one.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
@@ -105,7 +107,7 @@ def find_negative_ck(g: SignedGraph, k: int) -> CycleWitness | None:
         last = path[-1]
         if len(path) == k:
             closing = pos[last] if odd else neg[last]  # the edge that makes the parity odd
-            return path if closing >> path[0] & 1 and path[1] < last else None
+            return path if closing >> path[0] & 1 else None
         for w in _members((pos[last] | neg[last]) & ~used, path[0] + 1):
             hit = extend(path + (w,), used | 1 << w, odd ^ (neg[last] >> w & 1))
             if hit is not None:

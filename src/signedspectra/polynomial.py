@@ -7,9 +7,13 @@ question about the largest root stops once the top root is isolated; then
 bisection refines an isolating interval to a requested width.  Gcds, the
 square-free part and the chain come from one integer pseudo-division with
 content removal.  Every point visited is dyadic (the search starts at the
-integers -B and B and only halves), so each sign is one integer Horner
-evaluation.  Nothing here touches floating point until the final
-conversion.
+integers -B and B, B the root bound of p, and only halves), so each sign
+is one integer Horner evaluation.  The square-free part has its own root
+bound R, often far below B.  Outside (-R, R) the Sturm count is constant,
+V(+inf) or V(-inf), so it is read off the chain's leading coefficients, and
+the square-free part is positive from R up; the points the search and the
+bisection visit there cost no evaluation.  Nothing here touches floating
+point until the final conversion.
 """
 
 from __future__ import annotations
@@ -251,8 +255,17 @@ def _sign_at(f: list[int], m: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[list[int]], m: int, e: int) -> int:
-    """Sign changes of the chain at m / 2^e, zeros skipped."""
+def _sign_changes(chain: list[list[int]], m: int, e: int, R: int) -> int:
+    """Sign changes of the chain at m / 2^e, zeros skipped.
+
+    Every real root of chain[0] lies in (-R, R).  By Sturm's theorem the
+    count is then constant from R up and from -R down, so there it is
+    V(+inf) or V(-inf), read off the leading coefficients without evaluating
+    a member (which may have roots beyond R itself).
+    """
+    if abs(m) >= R << e:  # f(-inf) has the sign of lc(f) times (-1)^deg f; none is zero
+        positive = [f[-1] > 0 if m > 0 else (f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+        return sum(u != v for u, v in zip(positive, positive[1:]))
     changes = last = 0
     for f in chain:
         s = _sign_at(f, m, e)
@@ -271,21 +284,24 @@ def _root_bound(p: IntPolynomial) -> int:
     return 1 + (m + lead - 1) // lead + 1
 
 
-def _isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int, int]]]:
-    """Integer Sturm chain of p's square-free part, and its isolating intervals, largest first.
+def _isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[tuple[int, int, int]]]:
+    """Integer Sturm chain of p's square-free part, that part's root bound R, and
+    its isolating intervals, largest first.
 
     The chain's first member is the square-free part itself.  The intervals
     come lazily from one search that halves the right half first, so a
     caller that takes only the top interval never splits the intervals
-    below it.
+    below it.  The search starts at p's own bound B, often far above R
+    (about 2^37 against 78 for the extremal char poly at order 40); the spine's
+    points beyond R cost no evaluation (see ``_sign_changes``).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     chain = _sturm_chain(_squarefree_part(p))
-    B = _root_bound(p)
+    B, R = _root_bound(p), _root_bound(IntPolynomial(chain[0]))
 
     def descend():
-        stack = [(-B, B, 0, _sign_changes(chain, -B, 0), _sign_changes(chain, B, 0))]
+        stack = [(-B, B, 0, _sign_changes(chain, -B, 0, R), _sign_changes(chain, B, 0, R))]
         while stack:
             lo, hi, e, vlo, vhi = stack.pop()
             k = vlo - vhi
@@ -293,11 +309,11 @@ def _isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int
                 yield lo, hi, e
             elif k > 1:
                 mid = lo + hi
-                vm = _sign_changes(chain, mid, e + 1)
+                vm = _sign_changes(chain, mid, e + 1, R)
                 stack.append((2 * lo, mid, e + 1, vlo, vm))
                 stack.append((mid, 2 * hi, e + 1, vm, vhi))
 
-    return chain, descend()
+    return chain, R, descend()
 
 
 def _fraction_pair(lo: int, hi: int, e: int) -> tuple[Fraction, Fraction]:
@@ -310,7 +326,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     Intervals are returned in ascending order and cover every distinct real
     root (multiplicity collapsed via the square-free part).
     """
-    return [_fraction_pair(*iv) for iv in _isolate(p)[1]][::-1]
+    return [_fraction_pair(*iv) for iv in _isolate(p)[2]][::-1]
 
 
 def _checked_width(width) -> Fraction:
@@ -337,13 +353,17 @@ def _half_tol(tol: float) -> Fraction:
     return _checked_width(_checked_width(tol).limit_denominator(10**18) / 2)
 
 
-def _refine(sf: list[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
+def _refine(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
     """Bisect the interval iv, which holds exactly one simple root of sf, to given width.
 
     The root lies in the half-open (lo, hi], so once the sign at hi is
-    nonzero a midpoint with that sign has the root below it.
+    nonzero a midpoint with that sign has the root below it.  sf has a
+    positive leading coefficient and no root from R up, so a midpoint there
+    has the root below it without an evaluation.
     """
     lo, hi, e = iv
+    while lo + hi >= R << e + 1 and (hi - lo) * width.denominator > width.numerator << e:
+        lo, hi, e = 2 * lo, lo + hi, e + 1
     fb = _sign_at(sf, hi, e)
     if fb == 0:
         return hi, hi, e
@@ -370,11 +390,11 @@ def real_roots(p: IntPolynomial, tol: float = 1e-12) -> list[float]:
 def _real_roots(p: IntPolynomial, tol: float) -> tuple[list[float], int]:
     """``real_roots(p, tol)`` and the degree of p's square-free part, from one chain."""
     width = _half_tol(tol)
-    chain, intervals = _isolate(p)
+    chain, R, intervals = _isolate(p)
     sf = chain[0]
     out = []
     for iv in intervals:
-        lo, hi, e = _refine(sf, iv, width)
+        lo, hi, e = _refine(sf, R, iv, width)
         out.append((lo + hi) / (2 << e))
     return out[::-1], len(sf) - 1
 
@@ -397,17 +417,17 @@ def largest_real_root_interval(
     Raises ValueError when width is not finite and positive.
     """
     width = _checked_width(width)
-    chain, iv = _top_root(p)
-    return _fraction_pair(*_refine(chain[0], iv, width))
+    chain, R, iv = _top_root(p)
+    return _fraction_pair(*_refine(chain[0], R, iv, width))
 
 
-def _top_root(p: IntPolynomial) -> tuple[list[list[int]], tuple[int, int, int]]:
-    """Integer Sturm chain of p's square-free part and the interval of its largest real root."""
-    chain, intervals = _isolate(p)
+def _top_root(p: IntPolynomial) -> tuple[list[list[int]], int, tuple[int, int, int]]:
+    """Integer Sturm chain of p's square-free part, that part's root bound, and its top interval."""
+    chain, R, intervals = _isolate(p)
     top = next(intervals, None)
     if top is None:
         raise ValueError("polynomial has no real roots")
-    return chain, top
+    return chain, R, top
 
 
 def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -417,17 +437,18 @@ def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     in both top isolating intervals; otherwise both intervals are halved by
     Sturm counts until they are disjoint.
     """
-    (cp, (lo1, hi1, e1)), (cq, (lo2, hi2, e2)) = _top_root(p), _top_root(q)
+    (cp, Rp, (lo1, hi1, e1)), (cq, Rq, (lo2, hi2, e2)) = _top_root(p), _top_root(q)
     # both intervals at one exponent, which they keep since they halve in step
     e = max(e1, e2)
     lo1, hi1, lo2, hi2 = lo1 << e - e1, hi1 << e - e1, lo2 << e - e2, hi2 << e - e2
     g = _sturm_chain(_poly_gcd(cp[0], cq[0]))
-    if _sign_changes(g, max(lo1, lo2), e) > _sign_changes(g, min(hi1, hi2), e):
+    Rg = _root_bound(IntPolynomial(g[0]))
+    if _sign_changes(g, max(lo1, lo2), e, Rg) > _sign_changes(g, min(hi1, hi2), e, Rg):
         return 0
-    v1, v2 = _sign_changes(cp, lo1, e), _sign_changes(cq, lo2, e)
+    v1, v2 = _sign_changes(cp, lo1, e, Rp), _sign_changes(cq, lo2, e, Rq)
     while lo2 < hi1 and lo1 < hi2:  # the intervals still overlap
         m1, m2, e = lo1 + hi1, lo2 + hi2, e + 1
-        w1, w2 = _sign_changes(cp, m1, e), _sign_changes(cq, m2, e)
+        w1, w2 = _sign_changes(cp, m1, e, Rp), _sign_changes(cq, m2, e, Rq)
         lo1, hi1, v1 = (2 * lo1, m1, v1) if v1 > w1 else (m1, 2 * hi1, w1)
         lo2, hi2, v2 = (2 * lo2, m2, v2) if v2 > w2 else (m2, 2 * hi2, w2)
     return -1 if hi1 <= lo2 else 1

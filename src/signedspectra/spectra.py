@@ -117,13 +117,27 @@ def rayleigh(M, y) -> float:
 # Faddeev-LeVerrier, M_1 = I, c_{n-k} = -tr(A M_k) / k, M_{k+1} = A M_k + c_{n-k} I,
 # kept as B_k = A M_k: B_1 = A and B_{k+1} = A (B_k + c_{n-k} I), c added to B_k's
 # diagonal in place: one (primes, n, n) float64 product per step, modulo a few
-# primes p just below 2^20 at once.  A's residues lie in [0, p), B_k's in [0, p],
-# and only the diagonal gains c <= p, so every partial sum is an integer below
-# (n - 1) p^2 + 2 p^2 = (n + 1) p^2 < 2^52 and float64 arithmetic (BLAS included)
-# is exact; p > n makes every k invertible mod p.  The coefficients are rebuilt
-# by CRT with symmetric residues.
+# primes p just below 2^20 at once; p > n makes every k invertible mod p.  The
+# coefficients are rebuilt by CRT with symmetric residues.
+#
+# Reduction is deferred (Dumas, Giorgi and Pernet, "Dense linear algebra over
+# word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).
+# A is kept as symmetric residues, |A| <= a (a <= p / 2, and a = 1 for a signed
+# adjacency matrix, which is its own residue), and b is a proven bound on |B_k|.
+# Each trace is reduced on its own, in Python integers, so c lies in [0, p).  Every
+# partial sum of the trace is then at most n b <= a n b, and of the product at most
+# a ((n - 1) b + b + p) = a (n b + p), which bounds B_{k+1} in turn.  B_k is reduced
+# into [0, p] (b = p) first whenever a (n b + p) could reach 2^52, so no float64
+# product, trace or _mod argument reaches 2^52 and float64 arithmetic (BLAS
+# included) is exact; right after a reduction a (n p + p) <= (n + 1) p^2 < 2^52
+# below order 4096.  A graph of order 7 is never reduced, and one of order 40 six
+# times in 40 steps.
 
 _PRIME_CEILING = 1 << 20
+_EXACT = 1 << 52  # float64 integers below this add and multiply exactly here
+# every prime set is a prefix of the descending primes below 2^20, so one table of
+# inverses this large serves every signed graph up to order 40 (7 primes at most)
+_INVERSE_PRIMES, _INVERSE_ORDERS = 8, 64
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +150,12 @@ def _primes(count: int) -> tuple[int, ...]:
             out.append(c)
         c -= 2
     return tuple(out)
+
+
+@lru_cache(maxsize=1)  # one table at a time: a table per prime set and order would pile up
+def _inverses(count: int, orders: int) -> tuple[tuple[int, ...], ...]:
+    """``[k - 1][i]`` is the inverse of k modulo ``_primes(count)[i]``, for k = 1..orders."""
+    return tuple(tuple(pow(k, -1, p) for p in _primes(count)) for k in range(1, orders + 1))
 
 
 def _coefficient_bound(A: np.ndarray) -> int:
@@ -153,11 +173,12 @@ def _coefficient_bound(A: np.ndarray) -> int:
 
 
 def _mod(X: np.ndarray, P: np.ndarray, P_inv: np.ndarray) -> np.ndarray:
-    """X mod P in [0, P] for float integers 0 <= X < 2^52.
+    """X mod P in [0, P] for float integers |X| < 2^52 of either sign.
 
-    X * (1/P) is within X * 2^-52 / P < 1 / P of X / P, so its floor is the
-    true quotient, or one less when P divides X (the result is then P, a
-    valid residue).  np.fmod gives [0, P) but is many times slower.  The
+    X * (1/P) is within |X| * 2^-52 / P < 1 / P of X / P, and X / P is an
+    integer or at least 1 / P from one, so its floor is the true quotient,
+    or one less when P divides X (the result is then P, a valid residue).
+    np.fmod gives [0, P) only for X >= 0 and is many times slower.  The
     four passes write one fresh array, never X.
     """
     out = X * P_inv
@@ -175,7 +196,7 @@ def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
     n = A.shape[0]
     if n == 0:
         return IntPolynomial([1])
-    if (n + 1) * (_PRIME_CEILING - 1) ** 2 >= 1 << 52:
+    if (n + 1) * (_PRIME_CEILING - 1) ** 2 >= _EXACT:
         raise ValueError(f"order {n} is too large for exact float64 products modulo primes below 2^20")
     need = 2 * _coefficient_bound(A)  # symmetric residues need a modulus above it
     primes = _primes(need.bit_length() // 19 + 2)
@@ -186,27 +207,30 @@ def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
         modulus *= primes[used]
         used += 1
     primes = primes[: used + 1]
+    m = len(primes)
 
-    P = np.array(primes, dtype=float)
-    P_inv = 1.0 / P
-    P3, P3_inv = P[:, None, None], P_inv[:, None, None]
-    inverses = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=float)
-    Ap = (A % np.array(primes, dtype=A.dtype)[:, None, None]).astype(float)
-    B = Ap.copy()
-    residues = np.zeros((len(primes), n + 1))
-    residues[:, n] = 1
+    P3 = np.array(primes, dtype=float)[:, None, None]
+    P3_inv = 1.0 / P3
+    inverses = _inverses(max(m, _INVERSE_PRIMES), max(n, _INVERSE_ORDERS))  # zip takes the first m
+    half = np.array([p // 2 for p in primes], dtype=A.dtype)[:, None, None]
+    Ap = ((A + half) % (2 * half + 1) - half).astype(float)  # symmetric residues, |Ap| <= p / 2
+    a, p = max(int(np.abs(Ap).max()), 1), primes[0]
+    B, b = Ap.copy(), a
+    residues = [[1] * m]  # per coefficient, from c_n down
     for k in range(1, n + 1):
-        # tr(B_k) <= n p, so n p - tr(B_k) is a nonnegative residue of -tr(B_k)
-        diagonal = B.reshape(len(primes), n * n)[:, :: n + 1]  # a view: B is contiguous
-        c = _mod((n * P - diagonal.sum(1)) * inverses[k - 1], P, P_inv)
-        residues[:, n - k] = c
+        if a * (n * b + p) >= _EXACT:  # bounds this step's trace and product (see above)
+            B, b = _mod(B, P3, P3_inv), p
+        diagonal = B.reshape(m, n * n)[:, :: n + 1]  # a view: B is contiguous
+        traces = diagonal.sum(1).tolist()
+        c = [int(-t) * r % q for t, r, q in zip(traces, inverses[k - 1], primes)]
+        residues.append(c)
         if k < n:
-            diagonal += c[:, None]
-            B = _mod(Ap @ B, P3, P3_inv)
+            diagonal += np.array(c, dtype=float)[:, None]
+            B, b = Ap @ B, a * (n * b + p)
 
-    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes[:-1]]
+    weights = [(modulus // q) * pow(modulus // q, -1, q) for q in primes[:-1]]
     coeffs = []
-    for *rs, spare in residues.astype(np.int64).T.tolist():
+    for *rs, spare in reversed(residues):
         x = sum(w * r for w, r in zip(weights, rs)) % modulus
         if x > modulus // 2:
             x -= modulus
@@ -263,8 +287,7 @@ def _nonneg_switch(g: SignedGraph, report: SpectrumReport) -> tuple[SignedGraph,
     If the switching leaves g unchanged (U empty, or whole components), g and
     ``report`` come back: a re-solve of the same integer matrix would give the same bits.
     """
-    U = np.flatnonzero(report.x < 0.0).tolist()
-    h = switch(g, U) if U else g
+    h = switch(g, np.flatnonzero(report.x < 0.0).tolist())
     if h == g:
         return g, report
     return h, eigenvalues_sym(h.adjacency_matrix())

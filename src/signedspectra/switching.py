@@ -33,10 +33,13 @@ __all__ = [
 
 def switch(g: SignedGraph, u_set: Iterable[int]) -> SignedGraph:
     """Negate all edges with exactly one endpoint in ``u_set``: per row, the
-    positive and negative neighbours across the cut trade places."""
+    positive and negative neighbours across the cut trade places.  An empty
+    ``u_set`` gives g itself."""
     U = 0
     for v in u_set:
         U |= 1 << g._check_vertex(v)
+    if not U:
+        return g
     pos, neg = [], []
     for u, (p, q) in enumerate(zip(g._pos, g._neg)):
         cut = ~U if U >> u & 1 else U

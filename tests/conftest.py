@@ -29,6 +29,12 @@ search against a DFS over dict-of-dicts neighbour signs, the balance
 witness against a walk of ``edges()`` for the first violated edge, and
 switching to nonnegative-eigenvector form against conjugating the sign
 matrix by the diagonal sign matrix of x and rebuilding the graph from it.
+Two exact kernels are checked against their earlier forms, which must give
+the same results: the multimodular char poly with deferred reduction
+against the kernel that reduces after every Faddeev-LeVerrier product
+(``reference_char_poly``), and Sturm isolation that reads the count off the
+leading coefficients outside the square-free part's root bound against the
+search that evaluates the whole chain at every point (``reference_isolate``).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +57,8 @@ from signedspectra.enumeration import (
     enumerate_underlying,
     switching_classes,
 )
-from signedspectra.spectra import eigenvalues_sym
+from signedspectra.polynomial import IntPolynomial, _root_bound, _sign_at, _squarefree_part, _sturm_chain
+from signedspectra.spectra import _PRIME_CEILING, _coefficient_bound, _mod, _primes, eigenvalues_sym
 from signedspectra.switching import (
     BalanceResult,
     _forest_signs,
@@ -513,6 +521,86 @@ def brute_char_poly_values(rows) -> list[int]:
         brute_det([[(k if i == j else 0) - int(rows[i][j]) for j in range(n)] for i in range(n)])
         for k in range(n + 1)
     ]
+
+
+def reference_char_poly(A: np.ndarray) -> IntPolynomial:
+    """det(xI - A) by the kernel that reduces modulo the primes after every product.
+
+    The same primes and CRT as the library's kernel, but A's residues lie in
+    [0, p), B_k is reduced into [0, p] after every product, and the inverses
+    of 1..n are recomputed per call.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return IntPolynomial([1])
+    if (n + 1) * (_PRIME_CEILING - 1) ** 2 >= 1 << 52:
+        raise ValueError(f"order {n} is too large for exact float64 products modulo primes below 2^20")
+    need = 2 * _coefficient_bound(A)
+    primes = _primes(need.bit_length() // 19 + 2)
+    modulus, used = 1, 0
+    while modulus <= need:
+        modulus *= primes[used]
+        used += 1
+    primes = primes[: used + 1]
+
+    P = np.array(primes, dtype=float)
+    P_inv = 1.0 / P
+    P3, P3_inv = P[:, None, None], P_inv[:, None, None]
+    inverses = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)], dtype=float)
+    Ap = (A % np.array(primes, dtype=A.dtype)[:, None, None]).astype(float)
+    B = Ap.copy()
+    residues = np.zeros((len(primes), n + 1))
+    residues[:, n] = 1
+    for k in range(1, n + 1):
+        diagonal = B.reshape(len(primes), n * n)[:, :: n + 1]
+        c = _mod((n * P - diagonal.sum(1)) * inverses[k - 1], P, P_inv)
+        residues[:, n - k] = c
+        if k < n:
+            diagonal += c[:, None]
+            B = _mod(Ap @ B, P3, P3_inv)
+
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes[:-1]]
+    coeffs = []
+    for *rs, spare in residues.astype(np.int64).T.tolist():
+        x = sum(w * r for w, r in zip(weights, rs)) % modulus
+        if x > modulus // 2:
+            x -= modulus
+        assert (x - spare) % primes[-1] == 0
+        coeffs.append(x)
+    return IntPolynomial(coeffs)
+
+
+def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[tuple[int, int, int]]]:
+    """``polynomial._isolate`` by the search that evaluates the whole chain at every point.
+
+    It starts at -B and B, B the root bound of p, like the library, and
+    returns B + 1 as the square-free part's root bound: a true bound that no
+    point of the search or of the bisection after it reaches, so a library
+    routine run on this isolation evaluates every point too.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    chain = _sturm_chain(_squarefree_part(p))
+    B = _root_bound(p)
+
+    def changes(m: int, e: int) -> int:
+        signs = [s for s in (_sign_at(f, m, e) for f in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    def descend():
+        stack = [(-B, B, 0, changes(-B, 0), changes(B, 0))]
+        while stack:
+            lo, hi, e, vlo, vhi = stack.pop()
+            k = vlo - vhi
+            if k == 1:
+                yield lo, hi, e
+            elif k > 1:
+                mid = lo + hi
+                vm = changes(mid, e + 1)
+                stack.append((2 * lo, mid, e + 1, vlo, vm))
+                stack.append((mid, 2 * hi, e + 1, vm, vhi))
+
+    return chain, B + 1, descend()
 
 
 def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:

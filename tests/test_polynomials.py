@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signedspectra import polynomial
+from signedspectra.families import extremal_cubic, near_extremal_cubic
 from signedspectra.polynomial import (
     IntPolynomial,
+    _isolate,
+    _root_bound,
     _sign_at,
     _squarefree_part,
     _sturm_chain,
@@ -21,7 +25,7 @@ from signedspectra.polynomial import (
 )
 from signedspectra.spectra import check_quotient_containment
 
-from conftest import brute_squarefree_and_sturm, brute_sturm_count, fraction_value
+from conftest import brute_squarefree_and_sturm, brute_sturm_count, fraction_value, reference_isolate
 
 
 def poly(*descending):
@@ -403,3 +407,54 @@ def test_isolation_matches_a_rational_sturm_oracle(factors, unit):
             assert fraction_value(sf, lo) == 0
         else:
             assert brute_sturm_count(chain, lo, hi) == 1
+
+
+# -- Sturm counts read off the leading coefficients beyond the root bound ------
+
+SHORTCUT_WIDTHS = (Fraction(1, 10**15), Fraction(1, 3), Fraction(2))
+
+
+def _root_answers(p: IntPolynomial, others: list[IntPolynomial]) -> list:
+    out = [isolate_real_roots(p), real_roots(p)]
+    if out[0]:
+        out += [largest_real_root_interval(p, w) for w in SHORTCUT_WIDTHS]
+        out += [compare_largest_real_roots(p, q) for q in others if real_roots(q)]
+    return out
+
+
+def _assert_matches_the_evaluate_everywhere_search(p: IntPolynomial, others: list[IntPolynomial]) -> None:
+    ours = _root_answers(p, others)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_isolate", reference_isolate)
+        assert _root_answers(p, others) == ours
+
+
+def extremal_like(k: int) -> IntPolynomial:
+    """(x + 1)^k (x - 1) times the extremal cubic of order k + 4: its char poly at k = n - 4."""
+    return poly(1, 1) ** k * poly(1, -1) * extremal_cubic(k + 4)
+
+
+def test_the_root_bound_shortcut_returns_what_evaluating_every_point_does():
+    # p's bound grows like 2^k while its square-free part's stays near k
+    for k in range(1, 37):
+        p = extremal_like(k)
+        others = [extremal_cubic(k + 4), near_extremal_cubic(k + 4), extremal_like(max(k - 1, 1))]
+        _assert_matches_the_evaluate_everywhere_search(p, others)
+    p = extremal_like(36)
+    assert _isolate(p)[1] < 100 and _root_bound(p) > 2**37  # the spine's top levels are all beyond R
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oracle_factors.map(lambda fs: [(f, min(k + 1, 4)) for f, k in fs]),
+    oracle_factors,
+    st.sampled_from([1, -1, 2, -3]),
+)
+def test_the_root_bound_shortcut_matches_on_products_with_multiplicity(factors, other, unit):
+    # multiplicities up to 4 push p's bound far above its square-free part's
+    p, q = IntPolynomial([unit]), IntPolynomial([1])
+    for f, k in factors:
+        p = p * IntPolynomial(f) ** k
+    for f, k in other:
+        q = q * IntPolynomial(f) ** k
+    _assert_matches_the_evaluate_everywhere_search(p, [q, q * p])

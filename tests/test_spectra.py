@@ -29,7 +29,12 @@ from signedspectra.spectra import (
 )
 from signedspectra.switching import switching_equivalent
 
-from conftest import brute_char_poly_values, random_signed_graph, reference_nonneg_eigenvector_form
+from conftest import (
+    brute_char_poly_values,
+    random_signed_graph,
+    reference_char_poly,
+    reference_nonneg_eigenvector_form,
+)
 
 # largest root of x^3 - x^2 - 7x + 1, frozen from 200-step rational bisection
 INDEX_EXTREMAL_6 = 3.132637493579839
@@ -164,14 +169,60 @@ def test_char_poly_of_int_matrix_on_larger_non_symmetric_matrices():
         _assert_matches_det_oracle(char_poly_of_int_matrix(rows), rows)
 
 
+def test_char_poly_with_deferred_reduction_matches_the_reduce_every_step_kernel():
+    # random signed graphs at every order up to 40, of every density
+    rng = random.Random(3201)
+    for n in range(41):
+        for _ in range(3):
+            g = random_signed_graph(rng, n, edge_prob=rng.random())
+            A = g.adjacency_matrix()
+            assert char_poly_exact(g) == reference_char_poly(A) == char_poly_of_int_matrix(A), n
+
+
+def test_deferred_reduction_keeps_dense_graphs_exact():
+    # dense graphs make |B_k| grow like n^k, near the tracked bound a (n b + p):
+    # a bound without the factor n (trace or product) lets a sum pass 2^52 here
+    for n in range(30, 41):
+        for g in (complete_signed(n, 1), complete_signed(n, -1), extremal_graph(n), near_extremal_graph(n)):
+            assert char_poly_exact(g) == reference_char_poly(g.adjacency_matrix()), n
+
+
+def test_char_poly_of_int_matrix_with_huge_entries_matches_the_reduce_every_step_kernel():
+    # residues of entries up to 10^30 reach p / 2 in size, so B is reduced before every product after the first
+    rng = random.Random(3202)
+    for n in range(1, 13):
+        for size in (10**6, 10**30):
+            rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+            A = np.empty((n, n), dtype=object)
+            A[...] = rows
+            assert char_poly_of_int_matrix(rows) == reference_char_poly(A), (n, size)
+
+
+def test_inverse_table_is_one_bounded_table_of_true_inverses():
+    from signedspectra.spectra import _inverses, _primes
+
+    for n in (5, 20, 40, 70):
+        char_poly_exact(extremal_graph(n))
+    char_poly_of_int_matrix([[10**30, 1], [2, 3]])
+    info = _inverses.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    count, orders = 8, 64
+    table = _inverses(count, orders)
+    assert len(table) == orders
+    for k, row in enumerate(table, 1):
+        assert [k * r % p for r, p in zip(row, _primes(count))] == [1] * count
+
+
 def test_mod_gives_residues_in_0_to_p_and_leaves_its_argument():
     from signedspectra.spectra import _mod, _primes
 
     P = np.array(_primes(3), dtype=float)[:, None]
     rng = np.random.default_rng(2906)
-    X = np.floor(rng.random((3, 500)) * 2.0**52)
+    X = np.floor(rng.random((3, 500)) * (2.0**53 - 2)) - (2.0**52 - 1)  # both signs, |X| < 2^52
     X[:, :5] = P * np.arange(5)  # multiples of p, whose residue may come out as p
-    X[:, 5] = 2.0**52 - 1
+    X[:, 5:10] = -P * np.arange(1, 6)
+    X[:, 10] = 2.0**52 - 1
+    X[:, 11] = 1 - 2.0**52
     before = X.copy()
     R = _mod(X, P, 1.0 / P)
     assert np.array_equal(X, before) and not np.shares_memory(R, X)
@@ -262,6 +313,17 @@ def test_nonneg_eigenvector_form_identity_when_already_nonneg():
     out, rep = nonneg_eigenvector_form(g)
     assert out == g
     assert (rep.x >= -1e-12).all()
+
+
+def test_nonneg_eigenvector_form_returns_the_graph_and_its_solve_when_nothing_switches():
+    rng = random.Random(3203)
+    graphs = [complete_signed(6, 1), extremal_graph(12)] + [random_signed_graph(rng, n) for n in range(1, 10)]
+    for g in graphs:
+        out, rep = nonneg_eigenvector_form(g)
+        ref, want = reference_nonneg_eigenvector_form(g)
+        assert out == ref and rep.x.tobytes() == want.x.tobytes()
+        if not (eigenvalues_sym(g.adjacency_matrix()).x < 0).any():
+            assert out is g
 
 
 def test_nonneg_eigenvector_form_on_allneg_k4():

@@ -37,6 +37,13 @@ def test_switch_empty_set_is_identity():
     assert switch(g, set()) == g
 
 
+def test_switch_by_an_empty_set_returns_the_graph_itself():
+    for g in (extremal_graph(40), SignedGraph(0, {}), one_negative_triangle()):
+        assert switch(g, []) is g and switch(g, set()) is g and switch(g, iter(())) is g
+    with pytest.raises(ValueError):
+        switch(one_negative_triangle(), [3])  # a bad vertex is refused before anything is switched
+
+
 def test_switch_involution():
     rng = random.Random(11)
     for _ in range(100):

@@ -14,11 +14,13 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 so with a negative-cycle witness), the
 ``SignedGraph`` constructor on the edge table of ``extremal_graph(40)``, and
 its ``relabel`` by a seeded permutation, ``edges()`` and
-``adjacency_matrix()``.  It times
-``largest_real_root_interval`` at width 1e-12 per characteristic polynomial
-of 200 seeded signed graphs of order 10 (edge probability 0.8), where the
-square-free part and the Sturm chain, not bisection, are most of the cost,
-and ``compare_largest_real_roots`` per consecutive pair of those
+``adjacency_matrix()``.  It times ``check_quotient_containment`` of
+``extremal_graph(20)`` against its closed-form quotient matrix, and
+``char_poly_exact`` per graph of 200 seeded signed graphs of order 10 (edge
+probability 0.8), ``largest_real_root_interval`` at width 1e-12 per
+characteristic polynomial of those graphs, where the square-free part and
+the Sturm chain, not bisection, are most of the cost, and
+``compare_largest_real_roots`` per consecutive pair of those
 polynomials, and ``find_negative_ck`` at k = 5 and k = 6 per seeded
 signed graph of order 10 (edge probability 0.4), FIND_GRAPHS of them.  It
 also times the whole catalog build ``enumerate_underlying(7)`` (its
@@ -179,8 +181,12 @@ def rows(ss) -> dict:
     out["relabel.n40"] = (lambda: g.relabel(perm), 1)
     out["edges.n40"] = (lambda: g.edges(), 1)
     out["adjacency_matrix.n40"] = (lambda: g.adjacency_matrix(), 1)
+    A, Q = ss.extremal_graph(20).adjacency_matrix(), ss.families.extremal_quotient_matrix(20)
+    out["check_quotient_containment.n20"] = (lambda: ss.spectra.check_quotient_containment(A, Q), 1)
     rng = random.Random(10)
-    g10 = [ss.char_poly_exact(random_signed_graph(ss, rng, 10, 0.8)) for _ in range(200)]
+    graphs10 = [random_signed_graph(ss, rng, 10, 0.8) for _ in range(200)]
+    out["char_poly_exact.g10"] = (lambda: [ss.char_poly_exact(g) for g in graphs10], len(graphs10))
+    g10 = [ss.char_poly_exact(g) for g in graphs10]
     out["largest_real_root_interval.g10"] = (
         lambda: [ss.polynomial.largest_real_root_interval(p, G10_WIDTH) for p in g10],
         len(g10),
