@@ -51,24 +51,17 @@ def _require_order(n: int, minimum: int) -> None:
 def extremal_graph(n: int) -> SignedGraph:
     """Unique negative edge {0,1}; 0,1 joined to 2; K_{n-2} on {2..n-1}."""
     _require_order(n, 5)
-    table = {(0, 1): -1, (0, 2): 1, (1, 2): 1}
-    for u in range(2, n):
-        for v in range(u + 1, n):
-            table[(u, v)] = 1
-    return SignedGraph(n, table)
+    pos = [0b100, 0b100] + [((1 << n) - 4) ^ 1 << u for u in range(2, n)]
+    pos[2] |= 0b11
+    return SignedGraph._wrap(n, pos, [0b10, 0b01] + [0] * (n - 2))
 
 
 def near_extremal_graph(n: int) -> SignedGraph:
     """Negative edge {0,1}; 0,1 joined to 2 and 3; 2,3 joined to K_{n-4}."""
     _require_order(n, 5)
-    table = {(0, 1): -1, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
-    for w in range(4, n):
-        table[(2, w)] = 1
-        table[(3, w)] = 1
-    for u in range(4, n):
-        for v in range(u + 1, n):
-            table[(u, v)] = 1
-    return SignedGraph(n, table)
+    rest = (1 << n) - 16  # {4..n-1}
+    pos = [0b1100, 0b1100, rest | 0b11, rest | 0b11] + [(rest | 0b1100) ^ 1 << u for u in range(4, n)]
+    return SignedGraph._wrap(n, pos, [0b10, 0b01] + [0] * (n - 2))
 
 
 def extremal_cubic(n: int) -> IntPolynomial:
@@ -87,7 +80,7 @@ def extremal_index_root(n: int) -> float:
     """Root of ``extremal_cubic(n)`` in (n-3, n-2): the extremal index.
 
     It is the cubic's largest real root, bracketed exactly by Sturm
-    isolation and bisection in ``largest_real_root``.
+    isolation and QIR on the bisection grid in ``largest_real_root``.
     """
     return largest_real_root(extremal_cubic(n))
 
@@ -107,29 +100,13 @@ def near_extremal_partition(n: int) -> VertexPartition:
 def extremal_quotient_matrix(n: int) -> np.ndarray:
     """Equitable quotient of the extremal graph under its canonical partition."""
     _require_order(n, 5)
-    return np.array(
-        [
-            [0, -1, 1, 0],
-            [-1, 0, 1, 0],
-            [1, 1, 0, n - 3],
-            [0, 0, 1, n - 4],
-        ],
-        dtype=np.int64,
-    )
+    return np.array([[0, -1, 1, 0], [-1, 0, 1, 0], [1, 1, 0, n - 3], [0, 0, 1, n - 4]], dtype=np.int64)
 
 
 def near_extremal_quotient_matrix(n: int) -> np.ndarray:
     """Equitable quotient of the near-extremal graph (canonical partition)."""
     _require_order(n, 5)
-    return np.array(
-        [
-            [0, -1, 2, 0],
-            [-1, 0, 2, 0],
-            [1, 1, 0, n - 4],
-            [0, 0, 2, n - 5],
-        ],
-        dtype=np.int64,
-    )
+    return np.array([[0, -1, 2, 0], [-1, 0, 2, 0], [1, 1, 0, n - 4], [0, 0, 2, n - 5]], dtype=np.int64)
 
 
 # tag -> (graph constructor, minimum order), in the order the tags are listed

@@ -4,16 +4,17 @@ Coefficients are arbitrary-precision Python ints stored in ascending order
 (c_0 + c_1 x + ... + c_d x^d).  Root finding is exact: a Sturm chain of the
 square-free part isolates the real roots from the top down, lazily, so a
 question about the largest root stops once the top root is isolated; then
-bisection refines an isolating interval to a requested width.  Gcds, the
-square-free part and the chain come from one integer pseudo-division with
-content removal.  Every point visited is dyadic (the search starts at the
-integers -B and B, B the root bound of p, and only halves), so each sign
-is one integer Horner evaluation.  The square-free part has its own root
-bound R, often far below B.  Outside (-R, R) the Sturm count is constant,
-V(+inf) or V(-inf), so it is read off the chain's leading coefficients, and
-the square-free part is positive from R up; the points the search and the
-bisection visit there cost no evaluation.  Nothing here touches floating
-point until the final conversion.
+quadratic interval refinement (QIR) on the grid that bisection would walk
+refines an isolating interval to a requested width.  Gcds, the square-free
+part and the chain come from one integer pseudo-division with content
+removal.  Every point visited is dyadic (the search starts at the integers
+-B and B, B the root bound of p, and only halves), so each sign or value is
+one integer Horner evaluation.  The square-free part has its own root bound
+R, often far below B.  Outside (-R, R) the Sturm count is constant, V(+inf)
+or V(-inf), so it is read off the chain's leading coefficients.  The
+square-free part is positive from R up: the search evaluates no point there
+and the refinement only the first grid point there.  Nothing here touches
+floating point until the final conversion.
 """
 
 from __future__ import annotations
@@ -240,18 +241,19 @@ def _sturm_chain(sf: list[int]) -> list[list[int]]:
     return chain
 
 
-def _sign_at(f: list[int], m: int, e: int) -> int:
-    """Sign of f(m / 2^e), from the integer 2^(e deg f) f(m / 2^e)."""
-    if m:  # drop common factors of 2
-        z = min(e, (m & -m).bit_length() - 1)
-        m, e = m >> z, e - z
-    else:
-        e = 0
-    acc = 0
-    shift = 0
+def _value_at(f: list[int], m: int, e: int) -> int:
+    """The integer 2^(e deg f) f(m / 2^e), by Horner's rule."""
+    acc = shift = 0
     for c in reversed(f):
         acc = acc * m + (c << shift)
         shift += e
+    return acc
+
+
+def _sign_at(f: list[int], m: int, e: int) -> int:
+    """Sign of f(m / 2^e), from ``_value_at`` at the point's lowest level."""
+    z = min(e, (m & -m).bit_length() - 1) if m else e  # common factors of 2
+    acc = _value_at(f, m >> z, e - z)
     return (acc > 0) - (acc < 0)
 
 
@@ -332,8 +334,8 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
 def _checked_width(width) -> Fraction:
     """width as an exact Fraction; ValueError unless it is finite and positive.
 
-    Bisection stops only once an interval is no wider than width, so a
-    zero, negative or NaN width would never return.
+    The refinement stops once an interval is no wider than width, which a
+    zero, negative or NaN width would never be.
     """
     try:
         w = Fraction(width)
@@ -345,7 +347,7 @@ def _checked_width(width) -> Fraction:
 
 
 def _half_tol(tol: float) -> Fraction:
-    """Half of tol at denominator at most 10^18: the bisection width for tol.
+    """Half of tol at denominator at most 10^18: the refinement width for tol.
 
     A tol too small to survive that rounding (below about 5e-19) is refused
     like a nonpositive one.
@@ -354,29 +356,50 @@ def _half_tol(tol: float) -> Fraction:
 
 
 def _refine(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
-    """Bisect the interval iv, which holds exactly one simple root of sf, to given width.
+    """Refine the interval iv, which holds exactly one simple root of sf, to given width.
 
-    The root lies in the half-open (lo, hi], so once the sign at hi is
-    nonzero a midpoint with that sign has the root below it.  sf has a
-    positive leading coefficient and no root from R up, so a midpoint there
-    has the root below it without an evaluation.
+    Bisection of iv = (lo, hi, e) stops at level E, the fewest halvings within
+    width, in the cell (g_i, g_(i+1)] holding the root, g_i = lo 2^(E-e) + i (hi - lo)
+    at level E, or at (r, r) when it meets the root at a grid point r.  This
+    returns the same by quadratic interval refinement on the indices i (QIR;
+    J. Abbott, ACM Commun. Comput. Algebra 48(1), 2014).  With the root in
+    (g_p, g_q], a step splits the smallest aligned block of 2^s cells around
+    (p, q] into N = 2^t parts and tests the part holding the secant estimate
+    of the exact values at p and q: at its end nearer the block's midpoint,
+    then at its other end if that is inside (p, q).  N is squared if the part
+    holds the root, else square-rooted down to 2, a bisection step.  A step
+    that does not halve the block costs one evaluation and halves t, which
+    only successes double, so no prefix of the search needs more than twice
+    bisection's evaluations plus one; every point is a multiple of a power of
+    two, so a root on the grid is met no later than that.  sf is positive
+    from R up, so the bracket starts at the first grid point there.
     """
     lo, hi, e = iv
-    while lo + hi >= R << e + 1 and (hi - lo) * width.denominator > width.numerator << e:
-        lo, hi, e = 2 * lo, lo + hi, e + 1
-    fb = _sign_at(sf, hi, e)
-    if fb == 0:
-        return hi, hi, e
-    while (hi - lo) * width.denominator > width.numerator << e:
-        mid, e = lo + hi, e + 1
-        fm = _sign_at(sf, mid, e)
-        if fm == 0:
-            return mid, mid, e
-        if fm == fb:
-            lo, hi = 2 * lo, mid
-        else:
-            lo, hi = mid, 2 * hi
-    return lo, hi, e
+    d, num = hi - lo, width.numerator << e
+    k = ((d * width.denominator + num - 1) // num - 1).bit_length()
+    base, E = lo << k, e + k
+    p, q = 0, min(1 << k, ((R << E) - base + d - 1) // d)
+    vq = _value_at(sf, base + q * d, E)
+    if not vq:
+        return base + q * d, base + q * d, E
+    vp, up, t = _value_at(sf, base, E) if q > 1 else 0, vq > 0, 2
+    while q - p > 1:
+        s = (p ^ (q - 1)).bit_length()
+        mid, t = (q - 1) >> s - 1 << s - 1, min(t, s)
+        w = 1 << s - t
+        c = (p + (q - p) * vp // (vp - vq)) >> s - t << s - t
+        for i in (c, c + w) if c >= mid else (c + w, c):  # the end nearer mid first
+            if not p < i < q:
+                break
+            v = _value_at(sf, base + i * d, E)
+            if not v:
+                return base + i * d, base + i * d, E
+            if (v > 0) == up:
+                q, vq = i, v
+            else:
+                p, vp = i, v
+        t = 2 * t if c <= p and q <= c + w else max(1, t >> 1)
+    return base + p * d, base + q * d, E
 
 
 def real_roots(p: IntPolynomial, tol: float = 1e-12) -> list[float]:

@@ -353,19 +353,19 @@ def quotient_matrix(M, partition: VertexPartition) -> QuotientResult:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if partition.n != A.shape[0]:
-        raise ValueError(
-            f"partition covers {partition.n} vertices, matrix has {A.shape[0]}"
-        )
-    k = partition.k
-    Q = np.zeros((k, k), dtype=A.dtype)
-    for i, bi in enumerate(partition.blocks):
-        for j, bj in enumerate(partition.blocks):
-            sums = A[np.ix_(bi, bj)].sum(axis=1)
-            if np.any(sums != sums[0]):
-                bad = int(np.flatnonzero(sums != sums[0])[0])
-                return QuotientResult(matrix=None, violation=(i, j, bi[bad]))
-            Q[i, j] = sums[0]
-    return QuotientResult(matrix=Q, violation=None)
+        raise ValueError(f"partition covers {partition.n} vertices, matrix has {A.shape[0]}")
+    order = [v for blk in partition.blocks for v in blk]
+    sizes = [len(blk) for blk in partition.blocks]
+    owner, firsts = np.repeat(np.arange(partition.k), sizes), np.cumsum([0] + sizes[:-1])
+    S = np.zeros((A.shape[0], partition.k), dtype=np.int64)
+    S[order, owner] = 1  # the n x k 0/1 block indicator
+    sums = (A @ S)[order]  # block row sums, one row per vertex in block order
+    bad = sums != sums[firsts[owner]]
+    if bad.any():  # the first violation by block, then column block, then row
+        rows, cols = np.nonzero(bad)
+        at = np.lexsort((rows, cols, owner[rows]))[0]
+        return QuotientResult(matrix=None, violation=(int(owner[rows[at]]), int(cols[at]), order[rows[at]]))
+    return QuotientResult(matrix=sums[firsts].astype(A.dtype), violation=None)
 
 
 def check_quotient_containment(M, Q, tol: float = 1e-8) -> bool:

@@ -35,6 +35,12 @@ against the kernel that reduces after every Faddeev-LeVerrier product
 (``reference_char_poly``), and Sturm isolation that reads the count off the
 leading coefficients outside the square-free part's root bound against the
 search that evaluates the whole chain at every point (``reference_isolate``).
+Root refinement by quadratic interval refinement on the bisection grid is
+checked against the bisection it replaced (``reference_bisect``), which must
+return the same interval.  The two family graphs, built from their neighbour
+rows, are checked against their edge tables passed through the validating
+constructor, and the equitable quotient from one product A S against one
+row-sum check per block pair (``reference_quotient_matrix``).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from signedspectra import SignedGraph
+from signedspectra import SignedGraph, polynomial
 from signedspectra.cycles import CycleWitness, canonical_cycle, is_ck_negative_free
 from signedspectra.core import _bfs_forest, _bitsets
 from signedspectra.enumeration import (
@@ -58,7 +64,15 @@ from signedspectra.enumeration import (
     switching_classes,
 )
 from signedspectra.polynomial import IntPolynomial, _root_bound, _sign_at, _squarefree_part, _sturm_chain
-from signedspectra.spectra import _PRIME_CEILING, _coefficient_bound, _mod, _primes, eigenvalues_sym
+from signedspectra.spectra import (
+    _PRIME_CEILING,
+    QuotientResult,
+    VertexPartition,
+    _coefficient_bound,
+    _mod,
+    _primes,
+    eigenvalues_sym,
+)
 from signedspectra.switching import (
     BalanceResult,
     _forest_signs,
@@ -601,6 +615,63 @@ def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[
                 stack.append((mid, 2 * hi, e + 1, vm, vhi))
 
     return chain, B + 1, descend()
+
+
+def reference_bisect(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
+    """``polynomial._refine`` by bisection: one sign per halving of iv down to the width.
+
+    The root lies in the half-open (lo, hi], so once the sign at hi is
+    nonzero a midpoint with that sign has the root below it.  sf has a
+    positive leading coefficient and no root from R up, so a midpoint there
+    has the root below it without an evaluation.  Signs come from
+    ``polynomial._sign_at``, looked up per call, so a test that wraps the
+    module's evaluator counts this search's evaluations too.
+    """
+    lo, hi, e = iv
+    while lo + hi >= R << e + 1 and (hi - lo) * width.denominator > width.numerator << e:
+        lo, hi, e = 2 * lo, lo + hi, e + 1
+    fb = polynomial._sign_at(sf, hi, e)
+    if fb == 0:
+        return hi, hi, e
+    while (hi - lo) * width.denominator > width.numerator << e:
+        mid, e = lo + hi, e + 1
+        fm = polynomial._sign_at(sf, mid, e)
+        if fm == 0:
+            return mid, mid, e
+        if fm == fb:
+            lo, hi = 2 * lo, mid
+        else:
+            lo, hi = mid, 2 * hi
+    return lo, hi, e
+
+
+def reference_extremal_graph(n: int) -> SignedGraph:
+    """``families.extremal_graph(n)`` from its edge table, through the validating constructor."""
+    table = {(0, 1): -1, (0, 2): 1, (1, 2): 1}
+    table.update(((u, v), 1) for u, v in combinations(range(2, n), 2))
+    return SignedGraph(n, table)
+
+
+def reference_near_extremal_graph(n: int) -> SignedGraph:
+    """``families.near_extremal_graph(n)`` from its edge table, through the validating constructor."""
+    table = {(0, 1): -1, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1}
+    table.update(((u, w), 1) for u in (2, 3) for w in range(4, n))
+    table.update(((u, v), 1) for u, v in combinations(range(4, n), 2))
+    return SignedGraph(n, table)
+
+
+def reference_quotient_matrix(M, partition: VertexPartition) -> QuotientResult:
+    """``spectra.quotient_matrix`` by one row-sum check per block pair, in loop order."""
+    A = np.asarray(M)
+    Q = np.zeros((partition.k, partition.k), dtype=A.dtype)
+    for i, bi in enumerate(partition.blocks):
+        for j, bj in enumerate(partition.blocks):
+            sums = A[np.ix_(bi, bj)].sum(axis=1)
+            if np.any(sums != sums[0]):
+                bad = int(np.flatnonzero(sums != sums[0])[0])
+                return QuotientResult(matrix=None, violation=(i, j, bi[bad]))
+            Q[i, j] = sums[0]
+    return QuotientResult(matrix=Q, violation=None)
 
 
 def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:

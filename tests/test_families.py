@@ -25,9 +25,18 @@ from signedspectra.spectra import (
 )
 from signedspectra.switching import is_balanced
 
+from conftest import reference_extremal_graph, reference_near_extremal_graph
+
 X_MINUS_1 = IntPolynomial([-1, 1])
 X_PLUS_1 = IntPolynomial([1, 1])
 X = IntPolynomial([0, 1])
+
+
+def test_family_rows_match_their_edge_tables():
+    # the rows are built directly; the tables go through every constructor check
+    for n in range(5, 61):
+        assert extremal_graph(n) == reference_extremal_graph(n)
+        assert near_extremal_graph(n) == reference_near_extremal_graph(n)
 
 
 def test_extremal_graph_structure():

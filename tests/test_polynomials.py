@@ -1,4 +1,5 @@
 import math
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -8,10 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedspectra import polynomial
-from signedspectra.families import extremal_cubic, near_extremal_cubic
+from signedspectra.families import (
+    extremal_cubic,
+    extremal_graph,
+    extremal_quotient_matrix,
+    near_extremal_cubic,
+    near_extremal_graph,
+    near_extremal_quotient_matrix,
+)
 from signedspectra.polynomial import (
     IntPolynomial,
+    _fraction_pair,
+    _half_tol,
     _isolate,
+    _refine,
     _root_bound,
     _sign_at,
     _squarefree_part,
@@ -23,9 +34,15 @@ from signedspectra.polynomial import (
     real_roots,
     root_multiplicity_exact,
 )
-from signedspectra.spectra import check_quotient_containment
+from signedspectra.spectra import char_poly_exact, char_poly_of_int_matrix, check_quotient_containment
 
-from conftest import brute_squarefree_and_sturm, brute_sturm_count, fraction_value, reference_isolate
+from conftest import (
+    brute_squarefree_and_sturm,
+    brute_sturm_count,
+    fraction_value,
+    reference_bisect,
+    reference_isolate,
+)
 
 
 def poly(*descending):
@@ -458,3 +475,148 @@ def test_the_root_bound_shortcut_matches_on_products_with_multiplicity(factors, 
     for f, k in other:
         q = q * IntPolynomial(f) ** k
     _assert_matches_the_evaluate_everywhere_search(p, [q, q * p])
+
+
+# -- root refinement: QIR on the bisection grid against bisection --------------
+
+REFINE_WIDTHS = (Fraction(1, 10**15), Fraction(5, 10**13), Fraction(1, 3), Fraction(2))
+
+
+def _assert_refines_like_bisection(p: IntPolynomial) -> None:
+    """Every isolating interval refines to bisection's Fraction pair, and the public answers agree."""
+    chain, R, intervals = _isolate(p)
+    intervals = list(intervals)
+    with fails_after(20):  # a bracket that loses the root can stall the search
+        for width in REFINE_WIDTHS:
+            want = [_fraction_pair(*reference_bisect(chain[0], R, iv, width)) for iv in intervals]
+            assert [_fraction_pair(*_refine(chain[0], R, iv, width)) for iv in intervals] == want
+            if want:
+                assert largest_real_root_interval(p, width) == want[0]
+        for tol in (1e-12, 1e-6, 0.5):
+            bisected = (reference_bisect(chain[0], R, iv, _half_tol(tol)) for iv in intervals)
+            assert real_roots(p, tol) == [(lo + hi) / (2 << e) for lo, hi, e in bisected][::-1]
+
+
+def test_refinement_matches_bisection_on_the_family_char_polys():
+    for n in range(5, 41):
+        _assert_refines_like_bisection(char_poly_exact(extremal_graph(n)))
+        _assert_refines_like_bisection(char_poly_exact(near_extremal_graph(n)))
+
+
+def test_refinement_matches_bisection_on_the_quotient_polys():
+    for n in range(5, 21):
+        _assert_refines_like_bisection(char_poly_of_int_matrix(extremal_quotient_matrix(n)))
+        _assert_refines_like_bisection(char_poly_of_int_matrix(near_extremal_quotient_matrix(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_factors.map(lambda fs: [(f, min(k + 1, 4)) for f, k in fs]), st.sampled_from([1, -1, 2, -3]))
+def test_refinement_matches_bisection_on_products_with_multiplicity(factors, unit):
+    p = IntPolynomial([unit])
+    for f, k in factors:
+        p = p * IntPolynomial(f) ** k
+    _assert_refines_like_bisection(p)
+
+
+@pytest.mark.parametrize(
+    "p, bisected",
+    [
+        (poly(1, -1, -6), [(48, 48, 4), (-16, -16, 3)]),  # roots 3 and -2 on midpoints of (-8, 8]
+        (poly(8, -3), [(6, 6, 4)]),  # 3/8 on a midpoint of (-3, 3]
+    ],
+)
+def test_refinement_returns_a_root_on_the_grid_as_a_point(p, bisected):
+    chain, R, intervals = _isolate(p)
+    width = Fraction(1, 10**15)
+    for iv, want in zip(intervals, bisected):
+        assert reference_bisect(chain[0], R, iv, width) == want
+        lo, hi, e = _refine(chain[0], R, iv, width)
+        assert lo == hi and _fraction_pair(lo, hi, e) == _fraction_pair(*want)
+    _assert_refines_like_bisection(p)
+
+
+def test_refinement_of_a_root_just_under_the_bound_it_is_given():
+    # R is any bound with every root below it; a root just under R puts the
+    # first grid point at or above R right next to it
+    for k in (1, 2, 3, 5, 78):
+        for q in (3, 2**20 + 1, 10**9 + 7):
+            p = IntPolynomial([-(k * q - 1), q]) * poly(1, 0, 1)  # root k - 1/q
+            chain, _, intervals = _isolate(p)
+            (iv,) = intervals
+            for width in REFINE_WIDTHS + (Fraction(1, q * q),):
+                want = _fraction_pair(*reference_bisect(chain[0], k, iv, width))
+                assert want == _fraction_pair(*reference_bisect(chain[0], 10**6, iv, width))
+                assert _fraction_pair(*_refine(chain[0], k, iv, width)) == want
+                assert _fraction_pair(*_refine(chain[0], 10**6, iv, width)) == want
+
+
+def stress_polys(seed: int, count: int) -> list[IntPolynomial]:
+    """Products of (q x - r) with q up to 2^20, some q powers of two: close roots, some dyadic."""
+    rng = random.Random(seed)
+    out = [poly(1, -1, -6), poly(8, -3), char_poly_exact(extremal_graph(40))]
+    for _ in range(count):
+        p = IntPolynomial([1])
+        for _ in range(rng.randint(1, 5)):
+            q = rng.choice([rng.randint(1, 2**20), 2 ** rng.randint(0, 20)])
+            p = p * IntPolynomial([-rng.randint(-(2**22), 2**22), q]) ** rng.randint(1, 2)
+        out.append(p)
+    return out
+
+
+def test_refinement_needs_at_most_twice_the_evaluations_of_bisection(monkeypatch):
+    # plain regula falsi needs up to 6.75 times bisection's count on such products
+    calls = [0]
+    value_at = polynomial._value_at
+
+    def counted(*args):
+        calls[0] += 1
+        return value_at(*args)
+
+    def evaluations(refine, sf, R, iv, width):
+        calls[0] = 0
+        return refine(sf, R, iv, width), calls[0]
+
+    monkeypatch.setattr(polynomial, "_value_at", counted)
+    for p in stress_polys(34, 300):
+        chain, R, intervals = _isolate(p)
+        for iv in list(intervals):
+            for width in REFINE_WIDTHS:
+                want, bisections = evaluations(reference_bisect, chain[0], R, iv, width)
+                got, steps = evaluations(_refine, chain[0], R, iv, width)
+                assert _fraction_pair(*got) == _fraction_pair(*want)
+                assert steps <= 2 * bisections + 2, (p, iv, width)
+
+
+def test_no_prefix_of_the_refinement_falls_behind_bisection(monkeypatch):
+    # replays the bracket (p, q] on grid indices from the values the refinement
+    # sees: every point is on the level-E grid, q starts at the first grid
+    # point from R up, and after the values at q and at p = 0, the j-th
+    # evaluation leaves the smallest aligned block of cells around (p, q]
+    # halved at least (j - 1) / 2 times
+    seen = []
+    value_at = polynomial._value_at
+
+    def recorded(f, m, e):
+        seen.append((m, e, value_at(f, m, e)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(polynomial, "_value_at", recorded)
+    for f in stress_polys(35, 150):
+        chain, R, intervals = _isolate(f)
+        for lo, hi, e in list(intervals):
+            for width in REFINE_WIDTHS:
+                seen.clear()
+                E = _refine(chain[0], R, (lo, hi, e), width)[2]
+                base, d = lo << E - e, hi - lo
+                assert all(level == E and (m - base) % d == 0 for m, level, _ in seen)
+                (q, vq), *rest = [((m - base) // d, v) for m, _, v in seen]
+                assert base + (q - 1) * d < R << E
+                p, s = 0, (q - 1).bit_length()
+                for j, (i, v) in enumerate(rest[1:], 1):
+                    if not v:
+                        break
+                    if (v > 0) == (vq > 0):
+                        q = i
+                    else:
+                        p = i
+                    assert 2 * (s - (p ^ (q - 1)).bit_length()) >= j - 1

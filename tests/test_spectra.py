@@ -34,6 +34,7 @@ from conftest import (
     random_signed_graph,
     reference_char_poly,
     reference_nonneg_eigenvector_form,
+    reference_quotient_matrix,
 )
 
 # largest root of x^3 - x^2 - 7x + 1, frozen from 200-step rational bisection
@@ -379,6 +380,59 @@ def test_quotient_matrix_families():
             [1, 1, 0, n - 4],
             [0, 0, 2, n - 5],
         ]
+
+
+def _random_partition(rng: random.Random, n: int) -> VertexPartition:
+    perm = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return VertexPartition.of(*(perm[a:b] for a, b in zip([0] + cuts, cuts + [n])))
+
+
+def _equitable_matrix(rng: random.Random, part: VertexPartition, big: bool) -> np.ndarray:
+    """Block (i, j) has r hits of weight c in every row, placed cyclically: constant row sums."""
+    A = np.zeros((part.n, part.n), dtype=object if big else np.int64)
+    for bi in part.blocks:
+        for bj in part.blocks:
+            r, c, shift = rng.randint(0, len(bj)), rng.choice([-2, -1, 1, 3]), rng.randrange(len(bj))
+            if big:
+                c *= 10**30 + 7
+            for x, u in enumerate(bi):
+                for y, v in enumerate(bj):
+                    if (x + y + shift) % len(bj) < r:
+                        A[u, v] = c
+    return A
+
+
+def test_quotient_matrix_matches_the_block_loop():
+    # equitable and broken block patterns, int64 and Python-int entries beyond int64
+    rng = random.Random(34)
+    equitable = 0
+    for trial in range(800):
+        n = rng.randint(1, 12)
+        part, big = _random_partition(rng, n), trial % 4 >= 2
+        A = _equitable_matrix(rng, part, big)
+        if trial % 2:
+            u, v = rng.randrange(n), rng.randrange(n)
+            A[u, v] += rng.choice([-1, 1, 10**25 if big else 5])
+        want, got = reference_quotient_matrix(A, part), quotient_matrix(A, part)
+        assert got.violation == want.violation
+        if want.matrix is None:
+            assert got.matrix is None
+        else:
+            equitable += 1
+            assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+            assert got.matrix.tolist() == want.matrix.tolist()
+            assert [type(x) for x in got.matrix.flat] == [type(x) for x in want.matrix.flat]
+    assert 400 < equitable < 800  # a perturbed row alone in its block keeps its sums
+    for n in range(5, 21):
+        for g, part in (
+            (extremal_graph(n), extremal_partition(n)),
+            (near_extremal_graph(n), near_extremal_partition(n)),
+        ):
+            A = g.adjacency_matrix()
+            want, got = reference_quotient_matrix(A, part), quotient_matrix(A, part)
+            assert got.violation is None and got.matrix.dtype == want.matrix.dtype
+            assert got.matrix.tolist() == want.matrix.tolist()
 
 
 def test_quotient_matrix_violation_witness():

@@ -14,12 +14,15 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 so with a negative-cycle witness), the
 ``SignedGraph`` constructor on the edge table of ``extremal_graph(40)``, and
 its ``relabel`` by a seeded permutation, ``edges()`` and
-``adjacency_matrix()``.  It times ``check_quotient_containment`` of
-``extremal_graph(20)`` against its closed-form quotient matrix, and
+``adjacency_matrix()``, and the family constructors ``extremal_graph(40)``
+and ``near_extremal_graph(40)``.  It times ``quotient_matrix`` of
+``extremal_graph(20)`` under its canonical partition and
+``check_quotient_containment`` of that graph against its closed-form
+quotient matrix, and
 ``char_poly_exact`` per graph of 200 seeded signed graphs of order 10 (edge
 probability 0.8), ``largest_real_root_interval`` at width 1e-12 per
 characteristic polynomial of those graphs, where the square-free part and
-the Sturm chain, not bisection, are most of the cost, and
+the Sturm chain, not the refinement, are most of the cost, and
 ``compare_largest_real_roots`` per consecutive pair of those
 polynomials, and ``find_negative_ck`` at k = 5 and k = 6 per seeded
 signed graph of order 10 (edge probability 0.4), FIND_GRAPHS of them.  It
@@ -181,7 +184,11 @@ def rows(ss) -> dict:
     out["relabel.n40"] = (lambda: g.relabel(perm), 1)
     out["edges.n40"] = (lambda: g.edges(), 1)
     out["adjacency_matrix.n40"] = (lambda: g.adjacency_matrix(), 1)
+    out["extremal_graph.n40"] = (lambda: ss.extremal_graph(40), 1)
+    out["near_extremal_graph.n40"] = (lambda: ss.near_extremal_graph(40), 1)
     A, Q = ss.extremal_graph(20).adjacency_matrix(), ss.families.extremal_quotient_matrix(20)
+    part = ss.families.extremal_partition(20)
+    out["quotient_matrix.n20"] = (lambda: ss.spectra.quotient_matrix(A, part), 1)
     out["check_quotient_containment.n20"] = (lambda: ss.spectra.check_quotient_containment(A, Q), 1)
     rng = random.Random(10)
     graphs10 = [random_signed_graph(ss, rng, 10, 0.8) for _ in range(200)]
