@@ -27,7 +27,8 @@ the refine-and-individualize search tree of :mod:`signedspectra.switching`,
 walked with twin pruning: a node individualizes one vertex per twin class
 of its target cell, the first-level automorphism pruning of McKay and
 Piperno ("Practical graph isomorphism, II", 2014) restricted to twin
-transpositions.  K_n then has one leaf instead of n!.  Switching
+transpositions, and a cell inside one twin class becomes its singletons
+at once: K_n has one leaf and one refinement, not n! and n.  Switching
 isomorphism walks the same tree, pruned by signed twins.
 
 For a fixed underlying graph, switching classes are indexed by pinning the
@@ -65,7 +66,7 @@ from .core import SgFormatError, SignedGraph, _bfs_forest, _bitsets, _sg_header,
 from .families import extremal_graph
 from .polynomial import compare_largest_real_roots
 from .spectra import c4free_bound_check, char_poly_exact, index
-from .switching import _leaves, _twin_classes, switching_isomorphic
+from .switching import _leaves, _relabelled, _twin_classes, switching_isomorphic
 
 __all__ = [
     "enumerate_underlying",
@@ -102,7 +103,7 @@ _UNDERLYING_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
     """Minimum relabeled edge list over the twin-pruned leaves of the labeller's tree."""
     adj = _bitsets(n, edges)
-    return min(key for _, key in _leaves(adj, edges, _twin_classes(adj)))
+    return min(_relabelled(order, edges) for order in _leaves(adj, _twin_classes(adj)))
 
 
 def enumerate_underlying(n: int) -> list[tuple[tuple[int, int], ...]]:

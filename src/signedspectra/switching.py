@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_forest
+from .core import SignedGraph, _bfs_forest, _members
 from .cycles import CycleWitness, canonical_cycle
 
 __all__ = [
@@ -263,26 +263,29 @@ def _twin_classes(adj: list[int], neg: list[int] | None = None) -> list[list[int
     return classes
 
 
-def _leaves(adj: list[int], edges, classes: list[list[int]], start: list[int] | None = None):
+def _leaves(adj: list[int], classes: list[list[int]], start: list[int] | None = None):
     """Leaves of the labeller's search tree, pruned by ``classes``.
 
     The root refines ``start``, an ordered partition given as cell bitsets
     whose order and cells ignore labels (default: the unit partition, which
-    canonical forms use); a node's children individualize
-    the first vertex of each class in its first non-singleton cell and
-    refine again (McKay and Piperno, "Practical graph isomorphism, II",
-    2014), each only when the search reaches it, in cell order.  Yields
-    ``(order, key)`` per leaf: vertex ``order[k]`` goes to position k, and
-    ``key`` is the sorted relabelled ``edges``.  The tree ignores labels.
-    A node's partition is a list of cell bitsets (see :func:`_refine`); a
+    canonical forms use); a node's children individualize the first vertex
+    of each class in its first non-singleton cell and refine again (McKay
+    and Piperno, "Practical graph isomorphism, II", 2014), each only when
+    the search reaches it, in cell order.  Yields each leaf's ``order``:
+    vertex ``order[k]`` goes to position k.  The tree ignores labels.  A
+    node's partition is a list of cell bitsets (see :func:`_refine`); a
     child splits the target cell into {v} and the rest, in a new list, so
     the pushed parent is never changed.
 
-    With singleton classes this is the whole tree.  With twin classes, two
-    members u, v of a target cell are both unindividualized, so (u v) fixes
-    the node and maps one child's subtree onto the other's: the set of keys
-    is unchanged, and every leaf is a kept leaf composed with transpositions
-    of twins.
+    Every class must be a set of mutual twins, signed or not.  With
+    singleton classes this is the whole tree.  With twin classes, two
+    members u, v of a target cell are both unindividualized, so (u v)
+    fixes the node and maps one child's subtree onto the other's: every
+    leaf is a kept leaf composed with twin transpositions.  A target cell
+    C inside one class has one child, as do the nodes below it until C is
+    discrete: every vertex outside C sees all of C or none, C is a clique
+    or has no edge, and the partition is equitable, so individualizing C's
+    lowest member splits no other cell: C becomes its singletons, ascending.
     """
     n = len(adj)
     twins = [0] * n  # twins[v]: the bitset of v's class
@@ -293,12 +296,18 @@ def _leaves(adj: list[int], edges, classes: list[list[int]], start: list[int] | 
     start = start or [(1 << n) - 1]
     cells = _refine(adj, list(start), start) if n else []
     stack: list[tuple[list[int], int, int]] = []
+    i = 0  # the cells before i are singletons, in a child as in its parent
     while True:
-        if len(cells) == n:
-            order = [cell.bit_length() - 1 for cell in cells]
-            yield order, _relabelled(order, edges)
+        while i < len(cells):
+            cell = cells[i]
+            if cell & (cell - 1):
+                if cell & ~twins[(cell & -cell).bit_length() - 1]:
+                    break  # the target cell meets two classes
+                cells[i : i + 1] = [1 << v for v in _members(cell)]
+            i += 1
+        if i == len(cells):
+            yield [cell.bit_length() - 1 for cell in cells]
         else:
-            i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
             first = []
             rest = cells[i]
             while rest:
@@ -313,14 +322,14 @@ def _leaves(adj: list[int], edges, classes: list[list[int]], start: list[int] | 
         cells = _refine(adj, parent[:i] + [low, parent[i] ^ low] + parent[i + 1 :], [low])
 
 
-def _vertex_invariants(g: SignedGraph) -> dict[tuple[int, int], int]:
-    """The bitset of the vertices of g per pair (degree, (A^3)_vv), by ascending pair.
+def _vertex_invariants(A: np.ndarray) -> dict[tuple[int, int], int]:
+    """The bitset of the vertices per pair (degree, (A^3)_vv) of the signed
+    adjacency matrix A, by ascending pair.
 
     Relabelling permutes them, and switching keeps them: with D the
     diagonal switching matrix, (DAD)^3 = D A^3 D has the diagonal of A^3.
     So the values are an ordered partition that ignores labels.
     """
-    A = g.adjacency_matrix()
     closed_walks = ((A @ A) * A).sum(axis=1)
     cells: dict[tuple[int, int], int] = {}
     for v, pair in enumerate(zip(np.abs(A).sum(axis=1).tolist(), closed_walks.tolist())):
@@ -336,47 +345,47 @@ def switching_isomorphic(
     Relabelling and switching preserve balance and the multiset of
     per-vertex (degree, (A^3)_vv) pairs, so graphs that differ in either
     are answered at once.  Otherwise both trees start from the ordered
-    partition of the vertices by that pair.  Each leaf lam of a whose
-    relabelled edge list equals that of b's first leaf mu gives an
-    underlying isomorphism pi[lam[k]] = mu[k].  pi works iff the product signing
-    tau(uv) = sigma_a(uv) * sigma_b(pi(u) pi(v)) on a's edges is balanced
-    (Zaslavsky, "Signed graphs", 1982).  Read off each graph's one pair of
-    signed bitsets, a sign is a parity and tau the XOR of a's and b's: it is
-    propagated as a vertex parity along a's BFS forest and checked on every cotree edge.
+    partition of the vertices by that pair.  A leaf lam of a and b's first
+    leaf mu give pi[lam[k]] = mu[k]; a vertex sign t with t(p) t(v)
+    sigma_a(pv) = sigma_b(pi(p) pi(v)) on a's BFS forest is read off the
+    negative bitsets, and pi is accepted iff t(u) t(v) S_a[u, v] =
+    S_b[pi(u), pi(v)] for all u, v, one comparison of signed adjacency
+    matrices.  Its zeros say pi is an underlying isomorphism, and its
+    signs that t bisigns tau(uv) = sigma_a(uv) sigma_b(pi(u) pi(v)).  A
+    balanced tau has no other bisigning up to a sign per component
+    (Zaslavsky, "Signed graphs", 1982), so no other t need be tried.
 
     As the tree ignores labels, its unpruned leaves give every isomorphism
-    that keeps the pairs, which every switching isomorphism does.
-    a's tree is pruned by its signed twin classes.  Every unpruned leaf is
-    a kept leaf composed with signed-twin transpositions, each a switching
-    automorphism of a, so a kept leaf's pi works iff each of its images
-    does and the answer stays exact.  Cost grows with the automorphisms of
-    the underlying graph that signed-twin transpositions do not generate.
-    Returns (found, pi) where pi maps vertices of a to vertices of b.
+    that keeps the pairs, which every switching isomorphism does.  Both
+    trees are pruned by signed twin classes; b's first leaf does not
+    depend on them.  Every unpruned leaf of a is a kept leaf composed with
+    signed-twin transpositions, each a switching automorphism of a, so a
+    kept leaf's pi works iff each of its images does.  Cost grows with the
+    automorphisms of the underlying graph that signed-twin transpositions
+    do not generate.  Returns (found, pi), pi mapping a's vertices to b's.
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
     neg_a, neg_b = a._neg, b._neg
     if a.m != b.m or _balanced_bits(a._pos, neg_a) != _balanced_bits(b._pos, neg_b):
         return False, None
-    cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
+    S_a, S_b = a.adjacency_matrix(), b.adjacency_matrix()
+    cells_a, cells_b = _vertex_invariants(S_a), _vertex_invariants(S_b)
     sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
     if sizes[0] != sizes[1]:
         return False, None
-    # the first leaf does not depend on the classes; one class keeps only the first child
-    adj_b = [p | q for p, q in zip(b._pos, neg_b)]
-    mu, target = next(_leaves(adj_b, b.edge_set(), [list(range(b.n))], list(cells_b.values())))
-    adj = [p | q for p, q in zip(a._pos, neg_a)]
-    edges_a = [(u, v) for u, v, _ in a.edges()]
+    adj, adj_b = ([p | q for p, q in zip(g._pos, g._neg)] for g in (a, b))
+    mu = next(_leaves(adj_b, _twin_classes(adj_b, neg_b), list(cells_b.values())))
     parent, order, _ = _bfs_forest(adj)
     tree = [(v, parent[v], neg_a[parent[v]] >> v & 1) for v in order if parent[v] >= 0]
-    cotree = [(u, v, neg_a[u] >> v & 1) for u, v in edges_a if parent[v] != u and parent[u] != v]
-    for lam, key in _leaves(adj, edges_a, _twin_classes(adj, neg_a), list(cells_a.values())):
-        if key != target:
-            continue
-        pi = tuple(w for _, w in sorted(zip(lam, mu)))
-        tau = [0] * a.n
+    pi = [0] * a.n
+    for lam in _leaves(adj, _twin_classes(adj, neg_a), list(cells_a.values())):
+        for v, w in zip(lam, mu):
+            pi[v] = w
+        t = [1] * a.n
         for v, p, s in tree:
-            tau[v] = tau[p] ^ s ^ neg_b[pi[p]] >> pi[v] & 1
-        if all(tau[u] ^ tau[v] == s ^ neg_b[pi[u]] >> pi[v] & 1 for u, v, s in cotree):
-            return True, pi
+            t[v] = -t[p] if s ^ neg_b[pi[p]] >> pi[v] & 1 else t[p]
+        idx, t = np.array(pi, dtype=np.intp), np.array(t)  # an empty list gives a float array
+        if ((S_a * t).T * t == S_b[idx][:, idx]).all():
+            return True, tuple(pi)
     return False, None

@@ -76,7 +76,8 @@ from signedspectra.spectra import (
 from signedspectra.switching import (
     BalanceResult,
     _forest_signs,
-    _leaves,
+    _refine,
+    _relabelled,
     _tree_path,
     _twin_classes,
     _vertex_invariants,
@@ -787,24 +788,63 @@ def unfiltered_underlying(n: int) -> list[tuple]:
     return sorted(reps, key=lambda t: (len(t), t))
 
 
+def reference_leaves(adj: list[int], classes: list[list[int]], start: list[int] | None = None):
+    """The pruned tree of ``switching._leaves`` walked one level at a time: every order.
+
+    A node's children individualize the first vertex of each class in its
+    first non-singleton cell and refine, even where that is one child, so
+    a target cell inside one twin class costs one refinement per vertex.
+    """
+    n = len(adj)
+    twins = [0] * n
+    for cls in classes:
+        bits = sum(1 << v for v in cls)
+        for v in cls:
+            twins[v] = bits
+    start = start or [(1 << n) - 1]
+    cells = _refine(adj, list(start), start) if n else []
+    stack: list[tuple[list[int], int, int]] = []
+    while True:
+        if len(cells) == n:
+            yield [cell.bit_length() - 1 for cell in cells]
+        else:
+            i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+            first = []
+            rest = cells[i]
+            while rest:
+                low = rest & -rest
+                first.append(low)
+                rest &= ~twins[low.bit_length() - 1]
+            for low in reversed(first):
+                stack.append((cells, i, low))
+        if not stack:
+            return
+        parent, i, low = stack.pop()
+        cells = _refine(adj, parent[:i] + [low, parent[i] ^ low] + parent[i + 1 :], [low])
+
+
 def reference_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> tuple[bool, tuple[int, ...] | None]:
     """``switching_isomorphic`` as it read signs before the bitset rewrite.
 
-    The same search tree and leaf order, but balance is decided by
-    ``is_balanced``, b's signs come from a dict and a's from ``a.sign``, and
-    tau is propagated as a product of signs.
+    The same search tree and leaf order, walked by :func:`reference_leaves`,
+    but each leaf is compared by its sorted relabelled edge list, balance
+    is decided by ``is_balanced``, b's signs come from a dict and a's from
+    ``a.sign``, and tau is propagated as a product of signs and checked on
+    every cotree edge.
     """
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
     if a.m != b.m or is_balanced(a).balanced != is_balanced(b).balanced:
         return False, None
-    cells_a, cells_b = _vertex_invariants(a), _vertex_invariants(b)
+    cells_a, cells_b = _vertex_invariants(a.adjacency_matrix()), _vertex_invariants(b.adjacency_matrix())
     sizes = [{p: c.bit_count() for p, c in cells.items()} for cells in (cells_a, cells_b)]
     if sizes[0] != sizes[1]:
         return False, None
     b_edges = b.edge_set()
     start_b = list(cells_b.values())
-    mu, target = next(_leaves(_bitsets(b.n, b_edges), b_edges, [list(range(b.n))], start_b))
+    adj_b, neg_b = _bitsets(b.n, b_edges), _bitsets(b.n, [(u, v) for u, v, s in b.edges() if s < 0])
+    mu = next(reference_leaves(adj_b, _twin_classes(adj_b, neg_b), start_b))
+    target = _relabelled(mu, b_edges)
     sign_b = {}
     for u, v, s in b.edges():
         sign_b[u, v] = sign_b[v, u] = s
@@ -816,8 +856,8 @@ def reference_switching_isomorphic(a: SignedGraph, b: SignedGraph) -> tuple[bool
     signed = a.edges()
     cotree = [(u, v, s) for u, v, s in signed if (u, v) not in forest_set]
     neg = _bitsets(a.n, [(u, v) for u, v, s in signed if s < 0])
-    for lam, key in _leaves(adj, a_edges, _twin_classes(adj, neg), list(cells_a.values())):
-        if key != target:
+    for lam in reference_leaves(adj, _twin_classes(adj, neg), list(cells_a.values())):
+        if _relabelled(lam, a_edges) != target:
             continue
         pi = tuple(w for _, w in sorted(zip(lam, mu)))
         tau = [1] * a.n

@@ -146,10 +146,11 @@ def test_twin_pruned_walk_matches_the_unpruned_oracle():
 
     from signedspectra.enumeration import _canonical_edges
     from signedspectra.core import _bitsets
-    from signedspectra.switching import _leaves, _twin_classes
+    from signedspectra.switching import _leaves, _relabelled, _twin_classes
 
     def unpruned_keys(n, edges):
-        return (key for _, key in _leaves(_bitsets(n, edges), edges, [[v] for v in range(n)]))
+        orders = _leaves(_bitsets(n, edges), [[v] for v in range(n)])
+        return (_relabelled(order, edges) for order in orders)
 
     cases = [
         (G.number_of_nodes(), frozenset((min(e), max(e)) for e in G.edges()))
@@ -243,11 +244,11 @@ def test_twin_pruned_walk_has_one_leaf_on_complete_graphs(n):
     from itertools import islice
 
     from signedspectra.core import _bitsets
-    from signedspectra.switching import _leaves, _twin_classes
+    from signedspectra.switching import _leaves, _relabelled, _twin_classes
 
     edges = frozenset(combinations(range(n), 2))
     adj = _bitsets(n, edges)
-    leaves = [key for _, key in islice(_leaves(adj, edges, _twin_classes(adj)), 2)]
+    leaves = [_relabelled(order, edges) for order in islice(_leaves(adj, _twin_classes(adj)), 2)]
     assert leaves == [tuple(sorted(edges))]
 
 

@@ -22,6 +22,7 @@ from conftest import (
     brute_switching_orbit_of,
     random_signed_graph,
     reference_is_balanced,
+    reference_leaves,
     reference_switching_isomorphic,
     signing_bitmask,
     twin_rich_graphs,
@@ -371,10 +372,10 @@ def test_signed_twin_walk_leaf_count_on_complete_bipartite(m):
     edges = frozenset((i, m + j) for i in range(m) for j in range(m))
     adj = _bitsets(2 * m, edges)
     classes = _twin_classes(adj, _bitsets(2 * m, [(0, m)]))
-    assert sum(1 for _ in _leaves(adj, edges, classes)) <= 2 * m * m
+    assert sum(1 for _ in _leaves(adj, classes)) <= 2 * m * m
     if m <= 4:
         singletons = [[v] for v in range(2 * m)]
-        assert sum(1 for _ in _leaves(adj, edges, singletons)) == 2 * math.factorial(m) ** 2
+        assert sum(1 for _ in _leaves(adj, singletons)) == 2 * math.factorial(m) ** 2
     if m in (5, 6):
         # one negative edge against two negative edges at one vertex
         a = SignedGraph(2 * m, {e: -1 if e == (0, m) else 1 for e in edges})
@@ -400,8 +401,8 @@ def test_invariant_partition_bounds_the_walk_on_k11_minus_a_path(seed):
     b = switch(a.relabel(perm), [v for v in range(11) if rng.random() < 0.5])
     adj = _bitsets(11, edges)
     classes = _twin_classes(adj, _bitsets(11, [(u, v) for u, v, s in a.edges() if s < 0]))
-    start = list(_vertex_invariants(a).values())
-    assert sum(1 for _ in islice(_leaves(adj, edges, classes, start), 1001)) <= 36
+    start = list(_vertex_invariants(a.adjacency_matrix()).values())
+    assert sum(1 for _ in islice(_leaves(adj, classes, start), 1001)) <= 36
     found, pi = switching_isomorphic(a, b)
     assert found and switching_equivalent(a.relabel(pi), b)
 
@@ -446,6 +447,83 @@ def test_switching_isomorphic_matches_the_reference_search():
     assert min(found.values()) > 300, found
     assert any(a.m == 0 for a, _, _ in triples)
     assert any(len(a.components()) > 1 < a.m for a, _, _ in triples)
+
+
+def _planted_twin_graph(rng: random.Random, n: int) -> frozenset:
+    """Edges of a seeded order-n graph built from planted twin classes: each class a
+    clique or independent, each pair of classes wholly joined or not, relabelled."""
+    k = rng.randint(1, n)
+    cls = sorted(rng.randrange(k) for _ in range(n))  # ascending, so cls[u] <= cls[v] for u < v
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    joined = {pair for pair in combinations(range(k), 2) if rng.random() < 0.5}
+    edges = {
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if (clique[cls[u]] if cls[u] == cls[v] else (cls[u], cls[v]) in joined)
+    }
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return SignedGraph(n, {e: 1 for e in edges}).relabel(perm).edge_set()
+
+
+def test_twin_cells_split_in_one_step_give_the_per_level_walk():
+    # every leaf, in order, as when each vertex of a twin cell is individualized and refined
+    from itertools import islice
+
+    from signedspectra.core import _bitsets
+    from signedspectra.switching import _leaves, _twin_classes, _vertex_invariants
+
+    rng = random.Random(3501)
+    shapes = [(n, list(combinations(range(n), 2))) for n in range(1, 11)]  # K_n
+    shapes += [(2 * m, [(i, m + j) for i in range(m) for j in range(m)]) for m in range(1, 7)]
+    for sizes in ((1, 2), (2, 2, 2), (3, 1, 2), (1, 1, 4), (2, 3, 4), (3, 3, 3), (1, 2, 3, 4)):
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        shapes.append((len(part), [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]]))
+    shapes += [(n, _planted_twin_graph(rng, n)) for _ in range(12) for n in range(1, 13)]
+    graphs = [g for n, edges in shapes for g in (SignedGraph(n, {e: 1 for e in edges}), _twin_rich_signing(rng, n, edges))]
+    graphs += [family(n) for family in (extremal_graph, near_extremal_graph) for n in range(5, 21)]
+    collapsed = {"unsigned": 0, "signed": 0}
+    for g in graphs:
+        adj = _bitsets(g.n, g.edge_set())
+        signed = _twin_classes(adj, _bitsets(g.n, [(u, v) for u, v, s in g.edges() if s < 0]))
+        kinds = {"unsigned": _twin_classes(adj), "signed": signed, "singletons": [[v] for v in range(g.n)]}
+        for kind, classes in kinds.items():
+            for start in (None, list(_vertex_invariants(g.adjacency_matrix()).values())):
+                leaves = list(islice(_leaves(adj, classes, start), 500))
+                assert leaves == list(islice(reference_leaves(adj, classes, start), 500)), (g.to_sg(), kind)
+            if kind in collapsed:
+                collapsed[kind] += any(len(c) > 1 for c in classes)
+    assert min(collapsed.values()) > 200, collapsed
+
+
+@pytest.mark.parametrize("family", [extremal_graph, near_extremal_graph])
+def test_switching_isomorphic_refines_at_most_4_times_on_the_families(monkeypatch, family):
+    # a count, not a timing: one refinement per individualized twin took 76 per call at order 40
+    from signedspectra import switching
+
+    calls = []
+    refine = switching._refine
+    monkeypatch.setattr(switching, "_refine", lambda *args: calls.append(args) or refine(*args))
+    rng = random.Random(3502)
+    g = family(40)
+    for _ in range(5):
+        perm = list(range(40))
+        rng.shuffle(perm)
+        h = switch(g.relabel(perm), {v for v in range(40) if rng.random() < 0.5})
+        calls.clear()
+        found, pi = switching_isomorphic(h, g)
+        assert found and switching_equivalent(h.relabel(pi), g)
+        assert len(calls) <= 4, len(calls)
+
+
+def test_switching_isomorphic_on_orders_0_to_2_and_edgeless_graphs():
+    # order 0 indexes the matrices with an empty permutation, which must be an integer array
+    one = SignedGraph(2, {(0, 1): -1})
+    cases = [(SignedGraph(n), SignedGraph(n)) for n in range(6)]
+    cases += [(one, switch(one, {0})), (switch(one, {1}), one), (one, one)]
+    for a, b in cases:
+        assert switching_isomorphic(a, b) == (True, tuple(range(a.n))) == reference_switching_isomorphic(a, b)
+    assert switching_isomorphic(SignedGraph(2), one) == (False, None)
 
 
 def test_switching_equivalent_matches_the_balance_of_the_product_graph():

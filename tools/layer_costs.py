@@ -8,7 +8,9 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
 ``switching_isomorphic`` of a relabelled and switched copy of
 ``extremal_graph(n)`` against the original.  At order 40 it also times
-``switch`` of ``extremal_graph(40)`` at a seeded half of its vertices,
+``switching_isomorphic`` of a seeded relabelled and switched copy of
+``near_extremal_graph(40)`` against the original, ``switch`` of
+``extremal_graph(40)`` at a seeded half of its vertices,
 ``switching_equivalent`` of that switched copy against the original,
 ``nonneg_eigenvector_form`` and ``is_balanced`` of that copy (unbalanced,
 so with a negative-cycle witness), the
@@ -170,6 +172,11 @@ def rows(ss) -> dict:
             lambda g=g, h=h: ss.switching.switching_isomorphic(h, g),
             1,
         )
+    near, near_rng = ss.near_extremal_graph(40), random.Random(40)
+    near_perm = list(range(40))
+    near_rng.shuffle(near_perm)
+    near_copy = ss.switching.switch(near.relabel(near_perm), {v for v in range(40) if near_rng.random() < 0.5})
+    out["switching_isomorphic.near40"] = (lambda: ss.switching.switching_isomorphic(near_copy, near), 1)
     g = ss.extremal_graph(40)
     half = [v for v in range(40) if rng.random() < 0.5]
     moved = ss.switching.switch(g, half)
