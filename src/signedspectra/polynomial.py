@@ -7,14 +7,10 @@ question about the largest root stops once the top root is isolated; then
 quadratic interval refinement (QIR) on the grid that bisection would walk
 refines an isolating interval to a requested width.  Gcds, the square-free
 part and the chain come from one integer pseudo-division with content
-removal.  Every point visited is dyadic (the search starts at the integers
--B and B, B the root bound of p, and only halves), so each sign or value is
-one integer Horner evaluation.  The square-free part has its own root bound
-R, often far below B.  Outside (-R, R) the Sturm count is constant, V(+inf)
-or V(-inf), so it is read off the chain's leading coefficients.  The
-square-free part is positive from R up: the search evaluates no point there
-and the refinement only the first grid point there.  Nothing here touches
-floating point until the final conversion.
+removal.  The search starts at the integers -R and R, R the root bound of
+the square-free part, and only halves, so every point visited is dyadic
+and each sign or value is one integer Horner evaluation.  Nothing here
+touches floating point until the final conversion.
 """
 
 from __future__ import annotations
@@ -257,17 +253,8 @@ def _sign_at(f: list[int], m: int, e: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[list[int]], m: int, e: int, R: int) -> int:
-    """Sign changes of the chain at m / 2^e, zeros skipped.
-
-    Every real root of chain[0] lies in (-R, R).  By Sturm's theorem the
-    count is then constant from R up and from -R down, so there it is
-    V(+inf) or V(-inf), read off the leading coefficients without evaluating
-    a member (which may have roots beyond R itself).
-    """
-    if abs(m) >= R << e:  # f(-inf) has the sign of lc(f) times (-1)^deg f; none is zero
-        positive = [f[-1] > 0 if m > 0 else (f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
-        return sum(u != v for u, v in zip(positive, positive[1:]))
+def _sign_changes(chain: list[list[int]], m: int, e: int) -> int:
+    """Sign changes of the chain at m / 2^e, zeros skipped, from every member's sign there."""
     changes = last = 0
     for f in chain:
         s = _sign_at(f, m, e)
@@ -278,32 +265,32 @@ def _sign_changes(chain: list[list[int]], m: int, e: int, R: int) -> int:
 
 
 def _root_bound(p: IntPolynomial) -> int:
-    """Cauchy bound: all real roots lie in (-B, B)."""
+    """Cauchy bound of a nonzero p: all real roots lie in (-B, B)."""
     lead = abs(p.coeffs[-1])
-    if lead == 0:
-        raise ValueError("zero polynomial")
     m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
     return 1 + (m + lead - 1) // lead + 1
 
 
-def _isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[tuple[int, int, int]]]:
-    """Integer Sturm chain of p's square-free part, that part's root bound R, and
-    its isolating intervals, largest first.
+def _isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int, int]]]:
+    """Integer Sturm chain of p's square-free part and its isolating intervals, largest first.
 
     The chain's first member is the square-free part itself.  The intervals
     come lazily from one search that halves the right half first, so a
     caller that takes only the top interval never splits the intervals
-    below it.  The search starts at p's own bound B, often far above R
-    (about 2^37 against 78 for the extremal char poly at order 40); the spine's
-    points beyond R cost no evaluation (see ``_sign_changes``).
+    below it.  The search starts at (-R, R], R the square-free part's root
+    bound.  No root lies outside (-R, R), so by Sturm's theorem the counts
+    at -R and R are V(-inf) and V(+inf), read off the leading coefficients.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     chain = _sturm_chain(_squarefree_part(p))
-    B, R = _root_bound(p), _root_bound(IntPolynomial(chain[0]))
+    R = _root_bound(IntPolynomial(chain[0]))
+    up = [f[-1] > 0 for f in chain]  # signs at +inf; at -inf a member of odd degree flips
+    down = [u == (len(f) % 2 == 1) for u, f in zip(up, chain)]
+    vlo, vhi = (sum(u != v for u, v in zip(s, s[1:])) for s in (down, up))
+    stack = [(-R, R, 0, vlo, vhi)]
 
     def descend():
-        stack = [(-B, B, 0, _sign_changes(chain, -B, 0, R), _sign_changes(chain, B, 0, R))]
         while stack:
             lo, hi, e, vlo, vhi = stack.pop()
             k = vlo - vhi
@@ -311,11 +298,11 @@ def _isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[tuple[int
                 yield lo, hi, e
             elif k > 1:
                 mid = lo + hi
-                vm = _sign_changes(chain, mid, e + 1, R)
+                vm = _sign_changes(chain, mid, e + 1)
                 stack.append((2 * lo, mid, e + 1, vlo, vm))
                 stack.append((mid, 2 * hi, e + 1, vm, vhi))
 
-    return chain, R, descend()
+    return chain, descend()
 
 
 def _fraction_pair(lo: int, hi: int, e: int) -> tuple[Fraction, Fraction]:
@@ -328,7 +315,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     Intervals are returned in ascending order and cover every distinct real
     root (multiplicity collapsed via the square-free part).
     """
-    return [_fraction_pair(*iv) for iv in _isolate(p)[2]][::-1]
+    return [_fraction_pair(*iv) for iv in _isolate(p)[1]][::-1]
 
 
 def _checked_width(width) -> Fraction:
@@ -355,7 +342,7 @@ def _half_tol(tol: float) -> Fraction:
     return _checked_width(_checked_width(tol).limit_denominator(10**18) / 2)
 
 
-def _refine(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
+def _refine(sf: list[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
     """Refine the interval iv, which holds exactly one simple root of sf, to given width.
 
     Bisection of iv = (lo, hi, e) stops at level E, the fewest halvings within
@@ -371,14 +358,13 @@ def _refine(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) ->
     that does not halve the block costs one evaluation and halves t, which
     only successes double, so no prefix of the search needs more than twice
     bisection's evaluations plus one; every point is a multiple of a power of
-    two, so a root on the grid is met no later than that.  sf is positive
-    from R up, so the bracket starts at the first grid point there.
+    two, so a root on the grid is met no later than that.
     """
     lo, hi, e = iv
     d, num = hi - lo, width.numerator << e
     k = ((d * width.denominator + num - 1) // num - 1).bit_length()
     base, E = lo << k, e + k
-    p, q = 0, min(1 << k, ((R << E) - base + d - 1) // d)
+    p, q = 0, 1 << k
     vq = _value_at(sf, base + q * d, E)
     if not vq:
         return base + q * d, base + q * d, E
@@ -413,11 +399,11 @@ def real_roots(p: IntPolynomial, tol: float = 1e-12) -> list[float]:
 def _real_roots(p: IntPolynomial, tol: float) -> tuple[list[float], int]:
     """``real_roots(p, tol)`` and the degree of p's square-free part, from one chain."""
     width = _half_tol(tol)
-    chain, R, intervals = _isolate(p)
+    chain, intervals = _isolate(p)
     sf = chain[0]
     out = []
     for iv in intervals:
-        lo, hi, e = _refine(sf, R, iv, width)
+        lo, hi, e = _refine(sf, iv, width)
         out.append((lo + hi) / (2 << e))
     return out[::-1], len(sf) - 1
 
@@ -440,17 +426,17 @@ def largest_real_root_interval(
     Raises ValueError when width is not finite and positive.
     """
     width = _checked_width(width)
-    chain, R, iv = _top_root(p)
-    return _fraction_pair(*_refine(chain[0], R, iv, width))
+    chain, iv = _top_root(p)
+    return _fraction_pair(*_refine(chain[0], iv, width))
 
 
-def _top_root(p: IntPolynomial) -> tuple[list[list[int]], int, tuple[int, int, int]]:
-    """Integer Sturm chain of p's square-free part, that part's root bound, and its top interval."""
-    chain, R, intervals = _isolate(p)
+def _top_root(p: IntPolynomial) -> tuple[list[list[int]], tuple[int, int, int]]:
+    """Integer Sturm chain of p's square-free part and its top interval."""
+    chain, intervals = _isolate(p)
     top = next(intervals, None)
     if top is None:
         raise ValueError("polynomial has no real roots")
-    return chain, R, top
+    return chain, top
 
 
 def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
@@ -460,18 +446,17 @@ def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     in both top isolating intervals; otherwise both intervals are halved by
     Sturm counts until they are disjoint.
     """
-    (cp, Rp, (lo1, hi1, e1)), (cq, Rq, (lo2, hi2, e2)) = _top_root(p), _top_root(q)
+    (cp, (lo1, hi1, e1)), (cq, (lo2, hi2, e2)) = _top_root(p), _top_root(q)
     # both intervals at one exponent, which they keep since they halve in step
     e = max(e1, e2)
     lo1, hi1, lo2, hi2 = lo1 << e - e1, hi1 << e - e1, lo2 << e - e2, hi2 << e - e2
     g = _sturm_chain(_poly_gcd(cp[0], cq[0]))
-    Rg = _root_bound(IntPolynomial(g[0]))
-    if _sign_changes(g, max(lo1, lo2), e, Rg) > _sign_changes(g, min(hi1, hi2), e, Rg):
+    if _sign_changes(g, max(lo1, lo2), e) > _sign_changes(g, min(hi1, hi2), e):
         return 0
-    v1, v2 = _sign_changes(cp, lo1, e, Rp), _sign_changes(cq, lo2, e, Rq)
+    v1, v2 = _sign_changes(cp, lo1, e), _sign_changes(cq, lo2, e)
     while lo2 < hi1 and lo1 < hi2:  # the intervals still overlap
         m1, m2, e = lo1 + hi1, lo2 + hi2, e + 1
-        w1, w2 = _sign_changes(cp, m1, e, Rp), _sign_changes(cq, m2, e, Rq)
+        w1, w2 = _sign_changes(cp, m1, e), _sign_changes(cq, m2, e)
         lo1, hi1, v1 = (2 * lo1, m1, v1) if v1 > w1 else (m1, 2 * hi1, w1)
         lo2, hi2, v2 = (2 * lo2, m2, v2) if v2 > w2 else (m2, 2 * hi2, w2)
     return -1 if hi1 <= lo2 else 1

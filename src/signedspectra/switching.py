@@ -65,16 +65,16 @@ class BalanceResult:
         return self.balanced
 
 
-def _forest_signs(pos: list[int], neg: list[int]) -> tuple[list[int], list[tuple[int, int]], list[int]]:
-    """(parent, forest_edges, s) with s(root) = +1, s(child) = s(parent) * sigma(parent, child),
+def _forest_signs(pos: list[int], neg: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(parent, order, s) of the BFS forest, with s(root) = +1, s(child) = s(parent) * sigma(parent, child),
     from the positive and negative neighbour bitsets of a SignedGraph."""
-    parent, order, forest = _bfs_forest([p | q for p, q in zip(pos, neg)])
+    parent, order, _ = _bfs_forest([p | q for p, q in zip(pos, neg)])
     s = [1] * len(pos)
     for v in order:
         p = parent[v]
         if p >= 0:
             s[v] = s[p] if pos[p] >> v & 1 else -s[p]
-    return parent, forest, s
+    return parent, order, s
 
 
 def _violated_edge(pos: list[int], neg: list[int], s: list[int]) -> tuple[int, int] | None:
@@ -143,7 +143,8 @@ class NormalForm:
 
 def forest_normal_form(g: SignedGraph) -> NormalForm:
     """Normalize the canonical BFS forest to all-positive by one switching."""
-    _, forest, s = _forest_signs(g._pos, g._neg)
+    parent, order, s = _forest_signs(g._pos, g._neg)
+    forest = [(min(v, parent[v]), max(v, parent[v])) for v in order if parent[v] >= 0]
     U = frozenset(v for v in range(g.n) if s[v] < 0)
     normalized = switch(g, U)
     forest_set = set(forest)
@@ -330,7 +331,8 @@ def _vertex_invariants(A: np.ndarray) -> dict[tuple[int, int], int]:
     diagonal switching matrix, (DAD)^3 = D A^3 D has the diagonal of A^3.
     So the values are an ordered partition that ignores labels.
     """
-    closed_walks = ((A @ A) * A).sum(axis=1)
+    F = A.astype(np.float64)  # NumPy hands float matmul to BLAS; the counts stay below n^2 < 2^53
+    closed_walks = ((F @ F) * F).sum(axis=1).astype(np.int64)
     cells: dict[tuple[int, int], int] = {}
     for v, pair in enumerate(zip(np.abs(A).sum(axis=1).tolist(), closed_walks.tolist())):
         cells[pair] = cells.get(pair, 0) | 1 << v
@@ -367,7 +369,8 @@ def switching_isomorphic(
     if a.n != b.n:
         raise ValueError(f"orders differ: {a.n} != {b.n}")
     neg_a, neg_b = a._neg, b._neg
-    if a.m != b.m or _balanced_bits(a._pos, neg_a) != _balanced_bits(b._pos, neg_b):
+    parent, order, s = _forest_signs(a._pos, neg_a)
+    if a.m != b.m or (_violated_edge(a._pos, neg_a, s) is None) != _balanced_bits(b._pos, neg_b):
         return False, None
     S_a, S_b = a.adjacency_matrix(), b.adjacency_matrix()
     cells_a, cells_b = _vertex_invariants(S_a), _vertex_invariants(S_b)
@@ -376,7 +379,6 @@ def switching_isomorphic(
         return False, None
     adj, adj_b = ([p | q for p, q in zip(g._pos, g._neg)] for g in (a, b))
     mu = next(_leaves(adj_b, _twin_classes(adj_b, neg_b), list(cells_b.values())))
-    parent, order, _ = _bfs_forest(adj)
     tree = [(v, parent[v], neg_a[parent[v]] >> v & 1) for v in order if parent[v] >= 0]
     pi = [0] * a.n
     for lam in _leaves(adj, _twin_classes(adj, neg_a), list(cells_a.values())):

@@ -29,13 +29,15 @@ search against a DFS over dict-of-dicts neighbour signs, the balance
 witness against a walk of ``edges()`` for the first violated edge, and
 switching to nonnegative-eigenvector form against conjugating the sign
 matrix by the diagonal sign matrix of x and rebuilding the graph from it.
-Two exact kernels are checked against their earlier forms, which must give
-the same results: the multimodular char poly with deferred reduction
-against the kernel that reduces after every Faddeev-LeVerrier product
-(``reference_char_poly``), and Sturm isolation that reads the count off the
-leading coefficients outside the square-free part's root bound against the
-search that evaluates the whole chain at every point (``reference_isolate``).
-Root refinement by quadratic interval refinement on the bisection grid is
+Two exact kernels are checked against their earlier forms: the
+multimodular char poly with deferred reduction against the kernel that
+reduces after every Faddeev-LeVerrier product (``reference_char_poly``),
+which must give the same coefficients, and Sturm isolation from the
+square-free part's root bound, with the counts there read off the leading
+coefficients, against the search from p's own root bound that evaluates
+the whole chain at every point (``reference_isolate``): the two must find
+intervals and brackets that meet on the same roots, and the same
+comparisons.  Root refinement by quadratic interval refinement on the bisection grid is
 checked against the bisection it replaced (``reference_bisect``), which must
 return the same interval.  The two family graphs, built from their neighbour
 rows, are checked against their edge tables passed through the validating
@@ -585,13 +587,12 @@ def reference_char_poly(A: np.ndarray) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[tuple[int, int, int]]]:
+def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int, int]]]:
     """``polynomial._isolate`` by the search that evaluates the whole chain at every point.
 
-    It starts at -B and B, B the root bound of p, like the library, and
-    returns B + 1 as the square-free part's root bound: a true bound that no
-    point of the search or of the bisection after it reaches, so a library
-    routine run on this isolation evaluates every point too.
+    It starts at -B and B, B the root bound of p itself rather than of its
+    square-free part, so with repeated roots its intervals lie on another
+    grid than the library's: each must meet the library's on the same root.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -615,22 +616,18 @@ def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], int, Iterator[
                 stack.append((2 * lo, mid, e + 1, vlo, vm))
                 stack.append((mid, 2 * hi, e + 1, vm, vhi))
 
-    return chain, B + 1, descend()
+    return chain, descend()
 
 
-def reference_bisect(sf: list[int], R: int, iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
+def reference_bisect(sf: list[int], iv: tuple[int, int, int], width: Fraction) -> tuple[int, int, int]:
     """``polynomial._refine`` by bisection: one sign per halving of iv down to the width.
 
     The root lies in the half-open (lo, hi], so once the sign at hi is
-    nonzero a midpoint with that sign has the root below it.  sf has a
-    positive leading coefficient and no root from R up, so a midpoint there
-    has the root below it without an evaluation.  Signs come from
+    nonzero a midpoint with that sign has the root below it.  Signs come from
     ``polynomial._sign_at``, looked up per call, so a test that wraps the
     module's evaluator counts this search's evaluations too.
     """
     lo, hi, e = iv
-    while lo + hi >= R << e + 1 and (hi - lo) * width.denominator > width.numerator << e:
-        lo, hi, e = 2 * lo, lo + hi, e + 1
     fb = polynomial._sign_at(sf, hi, e)
     if fb == 0:
         return hi, hi, e

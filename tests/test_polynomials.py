@@ -426,24 +426,41 @@ def test_isolation_matches_a_rational_sturm_oracle(factors, unit):
             assert brute_sturm_count(chain, lo, hi) == 1
 
 
-# -- Sturm counts read off the leading coefficients beyond the root bound ------
+# -- isolation from the square-free part's root bound -------------------------
 
 SHORTCUT_WIDTHS = (Fraction(1, 10**15), Fraction(1, 3), Fraction(2))
+SHORTCUT_TOL = 1e-12
 
 
 def _root_answers(p: IntPolynomial, others: list[IntPolynomial]) -> list:
-    out = [isolate_real_roots(p), real_roots(p)]
+    out = [isolate_real_roots(p), real_roots(p, SHORTCUT_TOL)]
     if out[0]:
-        out += [largest_real_root_interval(p, w) for w in SHORTCUT_WIDTHS]
-        out += [compare_largest_real_roots(p, q) for q in others if real_roots(q)]
+        out += [[largest_real_root_interval(p, w) for w in SHORTCUT_WIDTHS]]
+        out += [[compare_largest_real_roots(p, q) for q in others if real_roots(q)]]
     return out
 
 
-def _assert_matches_the_evaluate_everywhere_search(p: IntPolynomial, others: list[IntPolynomial]) -> None:
+def _meet_on_a_root(chain: list[list[int]], a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
+    """True iff the shared part of two brackets, each (lo, hi] or the point (r, r),
+    holds a root of the square-free part chain[0]."""
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    if lo == hi:
+        return fraction_value(chain[0], lo) == 0
+    return lo < hi and brute_sturm_count(chain, lo, hi) == 1
+
+
+def _assert_meets_the_search_from_p_s_own_bound(p: IntPolynomial, others: list[IntPolynomial]) -> None:
+    chain = _isolate(p)[0]
     ours = _root_answers(p, others)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomial, "_isolate", reference_isolate)
-        assert _root_answers(p, others) == ours
+        theirs = _root_answers(p, others)
+    assert len(ours) == len(theirs) and len(ours[0]) == len(theirs[0]) and len(ours[1]) == len(theirs[1])
+    assert all(_meet_on_a_root(chain, a, b) for a, b in zip(ours[0], theirs[0]))
+    assert all(abs(x - y) <= 2 * SHORTCUT_TOL for x, y in zip(ours[1], theirs[1]))
+    if ours[0]:
+        assert all(_meet_on_a_root(chain, a, b) for a, b in zip(ours[2], theirs[2]))
+        assert ours[3] == theirs[3]
 
 
 def extremal_like(k: int) -> IntPolynomial:
@@ -451,14 +468,14 @@ def extremal_like(k: int) -> IntPolynomial:
     return poly(1, 1) ** k * poly(1, -1) * extremal_cubic(k + 4)
 
 
-def test_the_root_bound_shortcut_returns_what_evaluating_every_point_does():
+def test_isolation_from_the_square_free_bound_meets_the_search_from_p_s_own_bound():
     # p's bound grows like 2^k while its square-free part's stays near k
     for k in range(1, 37):
         p = extremal_like(k)
         others = [extremal_cubic(k + 4), near_extremal_cubic(k + 4), extremal_like(max(k - 1, 1))]
-        _assert_matches_the_evaluate_everywhere_search(p, others)
+        _assert_meets_the_search_from_p_s_own_bound(p, others)
     p = extremal_like(36)
-    assert _isolate(p)[1] < 100 and _root_bound(p) > 2**37  # the spine's top levels are all beyond R
+    assert _root_bound(IntPolynomial(_isolate(p)[0][0])) < 100 and _root_bound(p) > 2**37
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,14 +484,36 @@ def test_the_root_bound_shortcut_returns_what_evaluating_every_point_does():
     oracle_factors,
     st.sampled_from([1, -1, 2, -3]),
 )
-def test_the_root_bound_shortcut_matches_on_products_with_multiplicity(factors, other, unit):
+def test_isolation_from_the_square_free_bound_meets_it_on_products_with_multiplicity(factors, other, unit):
     # multiplicities up to 4 push p's bound far above its square-free part's
     p, q = IntPolynomial([unit]), IntPolynomial([1])
     for f, k in factors:
         p = p * IntPolynomial(f) ** k
     for f, k in other:
         q = q * IntPolynomial(f) ** k
-    _assert_matches_the_evaluate_everywhere_search(p, [q, q * p])
+    _assert_meets_the_search_from_p_s_own_bound(p, [q, q * p])
+
+
+def _assert_isolates_within_the_square_free_bound(p: IntPolynomial) -> None:
+    chain, intervals = _isolate(p)
+    R = _root_bound(IntPolynomial(chain[0]))
+    for lo, hi, e in intervals:
+        assert -R << e <= lo < hi <= R << e, (p, R, (lo, hi, e))
+
+
+def test_every_isolating_interval_lies_within_the_square_free_bound():
+    _assert_isolates_within_the_square_free_bound(extremal_like(36))  # p's own bound is above 2^37
+    _assert_isolates_within_the_square_free_bound(poly(1, -1) ** 40 * poly(1, 0, 1))  # one real root
+    for n in range(5, 41):
+        _assert_isolates_within_the_square_free_bound(char_poly_exact(extremal_graph(n)))
+        _assert_isolates_within_the_square_free_bound(char_poly_exact(near_extremal_graph(n)))
+
+
+def test_compare_reads_the_gcd_chain_far_beyond_its_own_bound():
+    # the gcd chain is evaluated at the top intervals' ends: for x - 1 (bound 3) near 60
+    assert compare_largest_real_roots(poly(1, -1) * poly(1, -60), poly(1, -1) * poly(1, -61)) == -1
+    assert compare_largest_real_roots(poly(1, -1) * poly(1, -61), poly(1, -1) * poly(1, -60)) == 1
+    assert compare_largest_real_roots(poly(1, -1) * poly(1, -60) ** 2, poly(1, -2) * poly(1, -60)) == 0
 
 
 # -- root refinement: QIR on the bisection grid against bisection --------------
@@ -484,16 +523,16 @@ REFINE_WIDTHS = (Fraction(1, 10**15), Fraction(5, 10**13), Fraction(1, 3), Fract
 
 def _assert_refines_like_bisection(p: IntPolynomial) -> None:
     """Every isolating interval refines to bisection's Fraction pair, and the public answers agree."""
-    chain, R, intervals = _isolate(p)
+    chain, intervals = _isolate(p)
     intervals = list(intervals)
     with fails_after(20):  # a bracket that loses the root can stall the search
         for width in REFINE_WIDTHS:
-            want = [_fraction_pair(*reference_bisect(chain[0], R, iv, width)) for iv in intervals]
-            assert [_fraction_pair(*_refine(chain[0], R, iv, width)) for iv in intervals] == want
+            want = [_fraction_pair(*reference_bisect(chain[0], iv, width)) for iv in intervals]
+            assert [_fraction_pair(*_refine(chain[0], iv, width)) for iv in intervals] == want
             if want:
                 assert largest_real_root_interval(p, width) == want[0]
         for tol in (1e-12, 1e-6, 0.5):
-            bisected = (reference_bisect(chain[0], R, iv, _half_tol(tol)) for iv in intervals)
+            bisected = (reference_bisect(chain[0], iv, _half_tol(tol)) for iv in intervals)
             assert real_roots(p, tol) == [(lo + hi) / (2 << e) for lo, hi, e in bisected][::-1]
 
 
@@ -526,28 +565,26 @@ def test_refinement_matches_bisection_on_products_with_multiplicity(factors, uni
     ],
 )
 def test_refinement_returns_a_root_on_the_grid_as_a_point(p, bisected):
-    chain, R, intervals = _isolate(p)
+    chain, intervals = _isolate(p)
     width = Fraction(1, 10**15)
     for iv, want in zip(intervals, bisected):
-        assert reference_bisect(chain[0], R, iv, width) == want
-        lo, hi, e = _refine(chain[0], R, iv, width)
+        assert reference_bisect(chain[0], iv, width) == want
+        lo, hi, e = _refine(chain[0], iv, width)
         assert lo == hi and _fraction_pair(lo, hi, e) == _fraction_pair(*want)
     _assert_refines_like_bisection(p)
 
 
 def test_refinement_of_a_root_just_under_the_bound_it_is_given():
-    # R is any bound with every root below it; a root just under R puts the
-    # first grid point at or above R right next to it
+    # the interval's top is the bound: a root just under it puts the first
+    # grid point, the top itself, right next to it
     for k in (1, 2, 3, 5, 78):
         for q in (3, 2**20 + 1, 10**9 + 7):
             p = IntPolynomial([-(k * q - 1), q]) * poly(1, 0, 1)  # root k - 1/q
-            chain, _, intervals = _isolate(p)
-            (iv,) = intervals
-            for width in REFINE_WIDTHS + (Fraction(1, q * q),):
-                want = _fraction_pair(*reference_bisect(chain[0], k, iv, width))
-                assert want == _fraction_pair(*reference_bisect(chain[0], 10**6, iv, width))
-                assert _fraction_pair(*_refine(chain[0], k, iv, width)) == want
-                assert _fraction_pair(*_refine(chain[0], 10**6, iv, width)) == want
+            chain, intervals = _isolate(p)
+            for iv in (*intervals, (k - 1, k, 0), (2 * k - 1, 2 * k, 1)):
+                for width in REFINE_WIDTHS + (Fraction(1, q * q),):
+                    want = _fraction_pair(*reference_bisect(chain[0], iv, width))
+                    assert _fraction_pair(*_refine(chain[0], iv, width)) == want
 
 
 def stress_polys(seed: int, count: int) -> list[IntPolynomial]:
@@ -572,27 +609,27 @@ def test_refinement_needs_at_most_twice_the_evaluations_of_bisection(monkeypatch
         calls[0] += 1
         return value_at(*args)
 
-    def evaluations(refine, sf, R, iv, width):
+    def evaluations(refine, sf, iv, width):
         calls[0] = 0
-        return refine(sf, R, iv, width), calls[0]
+        return refine(sf, iv, width), calls[0]
 
     monkeypatch.setattr(polynomial, "_value_at", counted)
     for p in stress_polys(34, 300):
-        chain, R, intervals = _isolate(p)
+        chain, intervals = _isolate(p)
         for iv in list(intervals):
             for width in REFINE_WIDTHS:
-                want, bisections = evaluations(reference_bisect, chain[0], R, iv, width)
-                got, steps = evaluations(_refine, chain[0], R, iv, width)
+                want, bisections = evaluations(reference_bisect, chain[0], iv, width)
+                got, steps = evaluations(_refine, chain[0], iv, width)
                 assert _fraction_pair(*got) == _fraction_pair(*want)
                 assert steps <= 2 * bisections + 2, (p, iv, width)
 
 
 def test_no_prefix_of_the_refinement_falls_behind_bisection(monkeypatch):
     # replays the bracket (p, q] on grid indices from the values the refinement
-    # sees: every point is on the level-E grid, q starts at the first grid
-    # point from R up, and after the values at q and at p = 0, the j-th
-    # evaluation leaves the smallest aligned block of cells around (p, q]
-    # halved at least (j - 1) / 2 times
+    # sees: every point is on the level-E grid, q starts at the interval's top,
+    # and after the values at q and at p = 0, the j-th evaluation leaves the
+    # smallest aligned block of cells around (p, q] halved at least (j - 1) / 2
+    # times
     seen = []
     value_at = polynomial._value_at
 
@@ -602,15 +639,15 @@ def test_no_prefix_of_the_refinement_falls_behind_bisection(monkeypatch):
 
     monkeypatch.setattr(polynomial, "_value_at", recorded)
     for f in stress_polys(35, 150):
-        chain, R, intervals = _isolate(f)
+        chain, intervals = _isolate(f)
         for lo, hi, e in list(intervals):
             for width in REFINE_WIDTHS:
                 seen.clear()
-                E = _refine(chain[0], R, (lo, hi, e), width)[2]
+                E = _refine(chain[0], (lo, hi, e), width)[2]
                 base, d = lo << E - e, hi - lo
                 assert all(level == E and (m - base) % d == 0 for m, level, _ in seen)
                 (q, vq), *rest = [((m - base) // d, v) for m, _, v in seen]
-                assert base + (q - 1) * d < R << E
+                assert base + q * d == hi << E - e
                 p, s = 0, (q - 1).bit_length()
                 for j, (i, v) in enumerate(rest[1:], 1):
                     if not v:

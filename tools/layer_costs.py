@@ -8,8 +8,9 @@ For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
 ``largest_real_root_interval`` of that polynomial at width 1e-15 and
 ``switching_isomorphic`` of a relabelled and switched copy of
 ``extremal_graph(n)`` against the original.  At order 40 it also times
-``switching_isomorphic`` of a seeded relabelled and switched copy of
-``near_extremal_graph(40)`` against the original, ``switch`` of
+``isolate_real_roots`` of that polynomial (every isolating interval, so the
+search walks both spines), ``switching_isomorphic`` of a seeded relabelled
+and switched copy of ``near_extremal_graph(40)`` against the original, ``switch`` of
 ``extremal_graph(40)`` at a seeded half of its vertices,
 ``switching_equivalent`` of that switched copy against the original,
 ``nonneg_eigenvector_form`` and ``is_balanced`` of that copy (unbalanced,
@@ -172,6 +173,8 @@ def rows(ss) -> dict:
             lambda g=g, h=h: ss.switching.switching_isomorphic(h, g),
             1,
         )
+    p40 = ss.char_poly_exact(ss.extremal_graph(40))
+    out["isolate_real_roots.n40"] = (lambda: ss.polynomial.isolate_real_roots(p40), 1)
     near, near_rng = ss.near_extremal_graph(40), random.Random(40)
     near_perm = list(range(40))
     near_rng.shuffle(near_perm)
