@@ -139,8 +139,6 @@ class IntPolynomial:
         return out
 
     def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial([0])
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def divides(self, other: "IntPolynomial") -> bool:

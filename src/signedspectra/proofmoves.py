@@ -12,9 +12,9 @@ move below has delta >= 0, which is what makes a greedy ascent on these
 moves monotone.
 
 Each ascent step scores all its candidates at once: one array expression per
-move kind over the operand columns built from the host's sign matrix, then
-one ``lexsort`` best first.  A candidate becomes a ``(kind, operands)`` pair
-only when the step reaches it, and most steps accept one of the first few.
+move kind over its operand columns, in operand order, then one stable sort on
+the delta, best first.  A candidate becomes a ``(kind, operands)`` pair only
+when the step reaches it, and most steps accept one of the first few.
 
 The greedy ascent's state is its host SignedGraph and the host's spectrum;
 each step unpacks the host's sign matrix once and copies it to floats once.
@@ -47,7 +47,7 @@ import numpy as np
 from .core import SignedGraph
 from .cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from .spectra import SpectrumReport, _nonneg_switch, _report, eigenvalues_sym
-from .switching import _balanced_bits, is_balanced
+from .switching import _balanced_bits
 
 __all__ = [
     "MoveKind",
@@ -207,7 +207,7 @@ def apply_move(
         host_report = eigenvalues_sym(g.adjacency_matrix())
     delta = _closed_form_delta(g, move.kind, move.operands, host_report.x)
     result = _edited_graph(g, move)
-    unbalanced = not is_balanced(result).balanced
+    unbalanced = not _balanced_bits(result._pos, result._neg)
     c4free = is_ck_negative_free(result, 4)
     if strict and not (unbalanced and c4free):
         raise ConstraintViolation(
@@ -225,12 +225,12 @@ def apply_move(
 
 
 def candidate_moves(g: SignedGraph) -> list[Move]:
-    """All single moves considered by the greedy ascent, in operand order.
+    """All single moves considered by the greedy ascent, by kind, then in operand order.
 
     Additions over all non-adjacent pairs; deletions of negative edges not
     on the least shortest negative cycle (the witness of
     :func:`shortest_negative_cycle`); sign flips of pairs of negative
-    edges; rotations of positive edges to non-adjacent targets.
+    edges; rotations (pivot, old, new) of positive edges to non-adjacent targets.
     """
     snc = shortest_negative_cycle(g)
     protected = set(snc.edges()) if snc is not None else set()
@@ -250,16 +250,14 @@ def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     flattened operands (as in :func:`_deltas`) of the kind's i-th move in
     :func:`candidate_moves`'s order; every negative edge comes out as a
     deletion, and the caller drops those on the least shortest negative
-    cycle.  Rotations run over each positive edge uv as (u, v) then (v, u),
-    targets ascending.
+    cycle.  Every kind comes out in operand order: rotations run over the
+    positive edges both ways, by (pivot, old), targets ascending.
     """
     n = len(A)
     upper = ~np.tri(n, dtype=bool)  # the pairs u < v, row by row
     nu, nv = np.nonzero(upper & (A < 0))
     first, second = np.nonzero(~np.tri(len(nu), dtype=bool))
-    pu, pv = np.nonzero(upper & (A > 0))
-    pivot = np.column_stack((pu, pv)).ravel()
-    old = np.column_stack((pv, pu)).ravel()
+    pivot, old = np.nonzero(A > 0)
     arc, new = np.nonzero((A[pivot] == 0) & (np.arange(n) != pivot[:, None]))
     return [
         np.nonzero(upper & (A == 0)),
@@ -281,27 +279,23 @@ def _operands(kind: MoveKind, c) -> tuple:
 def _ranked_candidates(A: np.ndarray, x: np.ndarray) -> Iterator[tuple[MoveKind, tuple, float]]:
     """``(kind, operands, delta)`` of every candidate, best first, decoded as reached.
 
-    The order is that of the keys ``(-delta, kind.value, operands)``: one
-    ``lexsort`` on ``-delta``, the kind's index in ``MoveKind`` (whose
-    ``.value`` strings sort in enum order) and the operand columns, padded
-    with 0 to four (a kind's operand tuples have one length, so their order
-    is the columns' order).  ``lexsort`` is stable, so equal deltas, ``-0.0``
-    and ``0.0`` among them, fall through to the kind and the operands.
+    The order is that of the keys ``(-delta, kind.value, operands)``: the
+    blocks come in ``MoveKind`` order, whose ``.value`` strings sort in enum
+    order, each block in operand order, so one stable sort on ``-delta``
+    alone keeps equal deltas, ``-0.0`` and ``0.0`` among them, in kind and
+    operand order.
     """
     blocks = _operand_columns(A)
     delta = np.concatenate(
         [_deltas(kind, A[c[0], c[1]], x, c) for kind, c in zip(MoveKind, blocks)]
     )
-    rank = np.repeat(np.arange(len(blocks)), [len(c[0]) for c in blocks])
-    cols = np.zeros((len(rank), 4), dtype=np.intp)
-    row = 0
-    for c in blocks:
-        cols[row : row + len(c[0]), : len(c)] = np.transpose(c)
-        row += len(c[0])
+    sizes = [len(c[0]) for c in blocks]
+    rank = np.repeat(np.arange(len(blocks)), sizes)
+    start = np.cumsum([0, *sizes]).tolist()
     kinds = tuple(MoveKind)
-    for i in np.lexsort((*cols.T[::-1], rank, -delta)).tolist():
-        kind = kinds[rank[i]]
-        yield kind, _operands(kind, cols[i].tolist()), float(delta[i])
+    for i in np.argsort(-delta, kind="stable").tolist():
+        r = rank[i]
+        yield kinds[r], _operands(kinds[r], [int(c[i - start[r]]) for c in blocks[r]]), float(delta[i])
 
 
 def random_unbalanced_c4free(n: int, rng: random.Random) -> SignedGraph:
@@ -387,14 +381,15 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     increasing.
 
     Each step scores every candidate in one array pass over the host's
-    sign matrix and ranks them with one ``lexsort`` on exactly that key;
-    candidates are decoded one at a time as the step reaches them and
-    decided on the host, its edited copies and an edited copy of its float
-    matrix (see the module docstring).  An accepted move's edits of the
-    host are the next host and its solve is that host's spectrum, solved
-    again only if its eigenvector has a negative entry whose switching
-    changes the graph.  A step finds the host's least shortest negative
-    cycle, whose edges deletions may not take, when it first reaches one.
+    sign matrix, in kind then operand order, so one stable sort on the
+    delta ranks them by exactly that key; candidates are decoded one at a
+    time as the step reaches them and decided on the host, its edited
+    copies and an edited copy of its float matrix (see the module
+    docstring).  An accepted move's edits of the host are the next host
+    and its solve is that host's spectrum, solved again only if its
+    eigenvector has a negative entry whose switching changes the graph.
+    A step finds the host's least shortest negative cycle, whose edges
+    deletions may not take, when it first reaches one.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")

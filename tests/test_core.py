@@ -48,6 +48,23 @@ def test_set_edge_rejects_loops_and_range():
         g.set_edge(0, 1, 2)
 
 
+def test_constructors_refuse_a_negative_order_and_a_bad_complete_graph():
+    with pytest.raises(ValueError, match="vertex count must be >= 0, got -1"):
+        SignedGraph(-1)
+    with pytest.raises(ValueError, match="complete graph needs n >= 1, got 0"):
+        SignedGraph.complete(0)
+    with pytest.raises(ValueError, match="sign must be -1 or \\+1, got 0"):
+        SignedGraph.complete(3, 0)
+
+
+def test_equality_with_a_non_graph_and_repr():
+    g = SignedGraph.complete(3, -1)
+    assert g.__eq__(g.to_sg()) is NotImplemented
+    assert g != g.to_sg() and not g == 3
+    assert repr(g) == "SignedGraph(n=3, m=3)"
+    assert repr(SignedGraph(0)) == "SignedGraph(n=0, m=0)"
+
+
 def test_remove_edge():
     p2 = new_graph(2).set_edge(0, 1, 1)
     assert p2.remove_edge(0, 1).m == 0
@@ -333,6 +350,13 @@ def test_sg_errors_carry_line_numbers(text, line):
     with pytest.raises(SgFormatError) as err:
         SignedGraph.from_sg(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("line", ["1 2", "1 2 + +"])
+def test_an_sg_edge_line_needs_three_tokens(line):
+    with pytest.raises(SgFormatError) as err:
+        SignedGraph.from_sg(f"3 1\n{line}\n")
+    assert str(err.value) == f"line 2: expected 'u v s', got {line!r}"
 
 
 # the characters other than "\n" and "\r" at which str.splitlines breaks a line;

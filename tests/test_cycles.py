@@ -283,3 +283,9 @@ def test_cycle_sign_invariant_under_switching():
             continue
         U = {v for v in range(g.n) if rng.random() < 0.5}
         assert cycle_sign(g, cyc) == cycle_sign(switch(g, U), cyc)
+
+
+def test_a_cycle_length_below_three_is_refused():
+    for k in (2, 0, -1):
+        with pytest.raises(ValueError, match=f"cycle length must be at least 3, got {k}"):
+            find_negative_ck(complete_signed(4, -1), k)

@@ -372,6 +372,22 @@ def test_verify_census_partial_checkpoint_resume(tmp_path):
     assert full == resumed
 
 
+def test_verify_census_checkpoint_with_blank_lines_resumes(tmp_path):
+    ck = tmp_path / "census5.jsonl"
+    full = verify_max_index(5, checkpoint=str(ck)).to_dict()
+    header, *records = ck.read_text().splitlines()
+    ck.write_text("\n".join([header, "", *records[:2], "  ", *records[2:]]) + "\n")
+    resumed = verify_max_index(5, checkpoint=str(ck)).to_dict()
+    full.pop("seconds")
+    resumed.pop("seconds")
+    assert full == resumed
+
+
+def test_verify_refuses_a_catalog_graph_of_another_order():
+    with pytest.raises(ValueError, match="graph of order 6 in a census of order 5"):
+        verify_max_index(5, graphs=[SignedGraph(5), SignedGraph(6)])
+
+
 def test_kernel_census_matches_brute_filter_oracle():
     from signedspectra.enumeration import _census_one_graph
 
@@ -589,6 +605,7 @@ BAD_RECORDS = {
     "pattern-out-of-range": [dict(GOOD_RECORD, best=99.0, keep=[[99.0, 5]])],
     "pattern-zero": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0, 0]])],
     "keep-above-best": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[3.0, 1]])],
+    "keep-not-a-list": [dict(GOOD_RECORD, keep={})],
     "keep-entry-not-a-pair": [dict(GOOD_RECORD, i=33, classes=64, eligible=1, best=2.0, keep=[[2.0]])],
     # task 19 has one eligible class, pattern 2; pattern 1 makes a 4-cycle negative
     "pattern-not-eligible": [dict(GOOD_RECORD, i=19, classes=4, eligible=1, best=9.0, keep=[[9.0, 1]])],
@@ -738,6 +755,12 @@ def test_graph6_multibyte_order():
     mine = decode_graph6(record)
     assert mine.n == 63 and mine.m == 62
     assert encode_graph6(mine) == record
+
+
+def test_graph6_encoding_refuses_orders_past_its_largest_form():
+    # 258047 is the largest order of the '~' + three-byte form: a next byte '~' starts the 36-bit form
+    with pytest.raises(ValueError, match="graph too large for the supported graph6 encodings"):
+        encode_graph6(SignedGraph(258048))
 
 
 def test_graph6_errors_carry_line_numbers():

@@ -64,6 +64,42 @@ def test_monic_and_degree():
     assert (poly(1, 1) ** 3) == poly(1, 3, 3, 1)
 
 
+def test_the_empty_coefficient_list_is_the_zero_polynomial():
+    assert IntPolynomial([]).coeffs == (0,)
+    assert IntPolynomial([]) == IntPolynomial([0, 0]) and IntPolynomial([]).is_zero
+
+
+def test_repr_str_and_equality_with_a_non_polynomial():
+    p = poly(1, 0, -2, 1)
+    assert repr(p) == "IntPolynomial([1, -2, 0, 1])"
+    assert str(p) == "x^3-2x+1"
+    assert str(poly(-1, 0)) == "-x"
+    assert str(poly(0)) == "0"
+    assert str(poly(-3)) == "-3"
+    assert str(poly(3, -1, 0)) == "3x^2-x"
+    assert str(poly(-2, 0, 0, 5)) == "-2x^3+5"
+    assert p.__eq__(p.coeffs) is NotImplemented
+    assert p != p.coeffs and not p == [1, -2, 0, 1]
+
+
+def test_add_sub_pow_and_derivative_edge_cases():
+    assert poly(1) + poly(1, 0, 0) == poly(1, 0, 1)  # the longer operand second
+    assert poly(2, 1) - poly(1, 0, 3) == poly(-1, 2, -2)
+    assert poly(1, 0, 3) - poly(1, 0, 3) == poly(0)
+    with fails_after(10), pytest.raises(ValueError, match="negative power"):
+        poly(1, 1) ** -1  # k >>= 1 never ends at k = -1
+    assert poly(7).derivative() == poly(0)
+    assert poly(0).derivative() == poly(0)
+
+
+def test_the_zero_polynomial_has_no_multiplicity_and_no_roots():
+    with fails_after(10):
+        with pytest.raises(ValueError, match="zero polynomial has no well-defined multiplicity"):
+            root_multiplicity_exact(IntPolynomial([0]), 1)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            real_roots(IntPolynomial([0]))
+
+
 def test_root_multiplicity_examples():
     p = poly(1, 0, -3, -2)
     assert root_multiplicity_exact(p, -1) == 2

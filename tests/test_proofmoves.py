@@ -16,6 +16,7 @@ from signedspectra.proofmoves import (
     _edited_graph,
     _edits,
     _keeps_constraints,
+    _operand_columns,
     _ranked_candidates,
     apply_move,
     candidate_moves,
@@ -90,6 +91,23 @@ def test_move_operand_validation():
         apply_move(g, Move.negate_edge_pair((0, 1), (0, 2)))  # (0,2) positive
     with pytest.raises(ValueError):
         apply_move(g, Move.rotate_edge(0, 2, 1))  # (0,1) already an edge
+    with pytest.raises(ValueError, match=r"rotation needs edge \(0,3\) present"):
+        apply_move(g, Move.rotate_edge(0, 3, 4))
+    for new in (0, 1):
+        with pytest.raises(ValueError, match="rotation target must be a third vertex"):
+            apply_move(g, Move.rotate_edge(0, 1, new))
+
+
+def test_a_negated_pair_lists_its_edges_in_ascending_order():
+    assert Move.negate_edge_pair((3, 2), (1, 0)).operands == ((0, 1), (2, 3))
+    assert Move.negate_edge_pair((2, 3), (0, 1)) == Move.negate_edge_pair((0, 1), (2, 3))
+
+
+def test_the_sampler_and_the_ascent_refuse_small_orders():
+    with pytest.raises(ValueError, match="need n >= 3 for an unbalanced graph"):
+        random_unbalanced_c4free(2, random.Random(0))
+    with pytest.raises(ValueError, match="ascent is defined for n >= 5"):
+        greedy_ascent(4, 0)
 
 
 def test_strict_mode_raises_on_constraint_break():
@@ -348,12 +366,39 @@ def reference_candidates(rows):
     for i, e in enumerate(negatives):
         for f in negatives[i + 1 :]:
             yield MoveKind.NEGATE_EDGE_PAIR, (e, f)
-    for u, v in pairs:
-        if rows[u][v] > 0:
-            for pivot, old in ((u, v), (v, u)):
+    for pivot in range(n):
+        for old in range(n):
+            if rows[pivot][old] > 0:
                 for new in range(n):
                     if new != pivot and new != old and not rows[pivot][new]:
                         yield MoveKind.ROTATE_EDGE, (pivot, old, new)
+
+
+def seeded_hosts():
+    """``(host, report)`` in nonnegative-eigenvector form for orders 5..16 and
+    seeds 0..5: a random start and a graph part way up an ascent, whose
+    symmetry gives exactly equal deltas, 144 hosts in all."""
+    for n in range(5, 17):
+        for seed in range(6):
+            for g in (
+                random_unbalanced_c4free(n, random.Random(seed)),
+                greedy_ascent(n, seed, max_steps=n).graph,
+            ):
+                yield nonneg_eigenvector_form(g)
+
+
+def test_every_kind_comes_out_of_the_operand_columns_in_operand_order():
+    # the ranking's one stable sort on -delta keeps equal deltas in generation
+    # order, which is the key's (kind.value, operands) order only if this holds
+    hosts = rotations = 0
+    for g, _ in seeded_hosts():
+        for kind, cols in zip(MoveKind, _operand_columns(g.adjacency_matrix())):
+            block = list(zip(*(col.tolist() for col in cols)))
+            assert block == sorted(block), kind
+            if kind is MoveKind.ROTATE_EDGE:
+                rotations += len(block)
+        hosts += 1
+    assert hosts == 144 and rotations
 
 
 def test_ranked_candidates_are_the_sorted_scored_reference():
@@ -361,37 +406,31 @@ def test_ranked_candidates_are_the_sorted_scored_reference():
     # kind's index in MoveKind must sort as its .value does
     assert [k.value for k in MoveKind] == sorted(k.value for k in MoveKind)
     hosts = ties_within = ties_across = 0
-    for n in range(5, 17):
-        for seed in range(6):
-            # random starts and graphs part way up an ascent, whose symmetry
-            # gives exactly equal deltas
-            for g in (
-                random_unbalanced_c4free(n, random.Random(seed)),
-                greedy_ascent(n, seed, max_steps=n).graph,
-            ):
-                g, rep = nonneg_eigenvector_form(g)
-                A = g.adjacency_matrix()
-                reference = list(reference_candidates(A.tolist()))
-                expected = sorted(
-                    (-_closed_form_delta(g, kind, ops, rep.x), kind.value, ops)
-                    for kind, ops in reference
-                )
-                ranked = list(_ranked_candidates(A, rep.x))
-                assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
-                # bit-equal deltas, the sign of a zero included
-                assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
-                snc = shortest_negative_cycle(g)
-                assert [(mv.kind, mv.operands) for mv in candidate_moves(g)] == [
-                    (kind, ops)
-                    for kind, ops in reference
-                    if kind is not MoveKind.DELETE_EDGE or ops[0] not in snc.edges()
-                ]
-                kinds_at = {}
-                for k, _, d in ranked:
-                    kinds_at.setdefault(d, []).append(k)
-                ties_within += any(len(ks) > len(set(ks)) for ks in kinds_at.values())
-                ties_across += any(len(set(ks)) > 1 for ks in kinds_at.values())
-                hosts += 1
+    for g, rep in seeded_hosts():
+        A = g.adjacency_matrix()
+        reference = list(reference_candidates(A.tolist()))
+        expected = sorted(
+            (-_closed_form_delta(g, kind, ops, rep.x), kind.value, ops)
+            for kind, ops in reference
+        )
+        ranked = list(_ranked_candidates(A, rep.x))
+        assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
+        # bit-equal deltas, the sign of a zero included
+        assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
+        snc = shortest_negative_cycle(g)
+        moves = [(mv.kind, mv.operands) for mv in candidate_moves(g)]
+        assert moves == [
+            (kind, ops)
+            for kind, ops in reference
+            if kind is not MoveKind.DELETE_EDGE or ops[0] not in snc.edges()
+        ]
+        assert [(k.value, ops) for k, ops in moves] == sorted((k.value, ops) for k, ops in moves)
+        kinds_at = {}
+        for k, _, d in ranked:
+            kinds_at.setdefault(d, []).append(k)
+        ties_within += any(len(ks) > len(set(ks)) for ks in kinds_at.values())
+        ties_across += any(len(set(ks)) > 1 for ks in kinds_at.values())
+        hosts += 1
     assert hosts == 144
     assert ties_within and ties_across
 

@@ -77,6 +77,27 @@ def test_eigenvalues_sym_rejects_bad_input():
         eigenvalues_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         eigenvalues_sym(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="empty matrix has no spectrum"):
+        eigenvalues_sym(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty graph has no spectrum"):
+        nonneg_eigenvector_form(SignedGraph(0))
+
+
+def test_exact_char_poly_refuses_a_non_square_or_non_integer_matrix():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        char_poly_of_int_matrix(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        char_poly_of_int_matrix([[0, 0.5], [0.5, 0]])
+
+
+def test_quotient_refusals():
+    with pytest.raises(ValueError, match="partition must have at least one block"):
+        VertexPartition(())
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        quotient_matrix(np.zeros((2, 3), dtype=int), VertexPartition.of([0, 1]))
+    # x^2 + 1: a rotation has no real eigenvalues, so it is no equitable quotient
+    with pytest.raises(ValueError, match="quotient matrix has non-real eigenvalues"):
+        check_quotient_containment(np.eye(2), np.array([[0, 1], [-1, 0]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

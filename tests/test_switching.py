@@ -72,6 +72,9 @@ def test_balance_verdicts():
     assert res.negative_cycle is not None
     assert set(res.negative_cycle.vertices) == {0, 1, 2}
     assert not is_balanced(complete_signed(4, -1)).balanced
+    # the result is truthy exactly when balanced
+    assert bool(is_balanced(complete_signed(5, 1))) is True
+    assert bool(res) is False
 
 
 def test_balance_bisigning_certificate():

@@ -41,12 +41,18 @@ seeded signs against a relabelled and switched copy (seed 29; its
 underlying graph has many automorphisms, its signing few),
 ``greedy_ascent`` at order 12 per
 seed in ASCENT_SEEDS (start sampling included),
-``shortest_negative_cycle`` per start of those ascents and the start
-sampler ``random_unbalanced_c4free`` at order 16 per seed in
-SAMPLER_SEEDS.  It prints one JSON object: per-call median and quartiles
-in microseconds over SAMPLES samples, each sample the mean of a batch of
-calls sized to take about 20 ms, and that batch size.  Uses the standard
-library and the package only.
+``shortest_negative_cycle`` per start of those ascents, the first
+candidate ``next(_ranked_candidates(A, x))`` of the ascent's ranking per
+start of those ascents in nonnegative-eigenvector form (scoring, sorting
+and decoding one candidate: where an ascent step spends its array work),
+and the start sampler ``random_unbalanced_c4free`` at order 16 per seed
+in SAMPLER_SEEDS.  It prints one JSON object: per-call median, quartiles
+and minimum in microseconds over SAMPLES samples, each sample the mean of
+a batch of calls sized to take about 20 ms, and that batch size.  The
+minimum is the fastest sample, the one least slowed by other processes on
+a shared machine: compare sides by it when the medians of rows whose code
+did not change move by more than the difference sought.  Uses the
+standard library and the package only.
 
 Given the root of a second source checkout, it loads that checkout's
 package too, under another module name, and times both in one process:
@@ -95,7 +101,7 @@ def load_checkout(root: str, name: str):
 
 
 def per_call_us(calls: dict, samples: int) -> dict:
-    """Median and quartiles of the per-call time in microseconds, per side.
+    """Median, quartiles and minimum of the per-call time in microseconds, per side.
 
     ``calls`` maps a side to ``(call, count)``, where ``call`` makes
     ``count`` calls of the function being measured.  Each side runs
@@ -123,7 +129,11 @@ def per_call_us(calls: dict, samples: int) -> dict:
     for side, times in runs.items():
         q1, med, q3 = statistics.quantiles(times, n=4)
         out[side] = {
-            "median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "batch": batch[side]
+            "median": round(med, 1),
+            "q1": round(q1, 1),
+            "q3": round(q3, 1),
+            "min": round(min(times), 1),
+            "batch": batch[side],
         }
     return out
 
@@ -247,6 +257,11 @@ def rows(ss) -> dict:
     out["shortest_negative_cycle.n12"] = (
         lambda: [ss.shortest_negative_cycle(g) for g in starts],
         len(starts),
+    )
+    forms = [(h.adjacency_matrix(), rep.x) for h, rep in map(ss.spectra.nonneg_eigenvector_form, starts)]
+    out["ranked_candidates.n12"] = (
+        lambda: [next(ss.proofmoves._ranked_candidates(A, x)) for A, x in forms],
+        len(forms),
     )
     out["random_unbalanced_c4free.n16"] = (
         lambda: [ss.random_unbalanced_c4free(16, random.Random(seed)) for seed in SAMPLER_SEEDS],
