@@ -16,28 +16,41 @@ move kind over its operand columns, in operand order, then one stable sort on
 the delta, best first.  A candidate becomes a ``(kind, operands)`` pair only
 when the step reaches it, and most steps accept one of the first few.
 
-The greedy ascent's state is its host SignedGraph and the host's spectrum;
-each step unpacks the host's sign matrix once and copies it to floats once.
-It keeps the host unbalanced and free of negative 4-cycles, skipping the
-checks whose answer is known:
+The greedy ascent's state is its host SignedGraph, the host's spectrum and
+the host's sign matrix S as floats, which an accepted move's edited copy
+carries to the next step.  It keeps the host unbalanced and free of
+negative 4-cycles, skipping the checks whose answer is known:
 
-- adding a positive edge removes no cycle, so the host's negative cycle
-  survives: no balance test, only the negative-C4 test;
+- adding a positive edge (u, v) removes no cycle, so the host's negative
+  cycle survives.  A new negative 4-cycle runs through the new edge, as
+  the host has none, so one closes iff some 3-path from u to v is
+  negative.  u and v are not adjacent, so every 3-walk between them is a
+  path, and |S|^3[u, v] - S^3[u, v] is twice the number of negative ones;
+- rotating an edge p-o of sign s to p-t closes a negative 4-cycle iff
+  some 3-path from t to p of sign -s does not end with the edge o-p.  t
+  and p are not adjacent, so every 3-walk between them is a path:
+  |S|^3[t, p] - s S^3[t, p] is twice the number of sign -s, and
+  |S|^2[t, o] - S^2[t, o] twice the number that end with o-p, which are
+  the negative 2-paths from t to o;
 - deleting a negative edge off the host's least shortest negative cycle
   keeps that cycle, and a deletion creates no 4-cycle: neither test;
-- negating a pair of negative edges or rotating a positive edge can do
-  both: both tests run on the bitsets of ``host._edited(edits)``, the
-  negative-C4 test only at the edited vertices and the balance test by
-  sign propagation.
+- negating a pair of negative edges or rotating an edge can leave the
+  host balanced, and a negation can close a negative 4-cycle: the step
+  tests balance by sign propagation on the bitsets of
+  ``host._edited(edits)``, and a negation's negative 4-cycles there at the
+  edited vertices.
 
-The eigensolve that accepts a move is the next host's spectrum, and the
-accepted edits of the host, switched to nonnegative-eigenvector form by
-``switching.switch``, are the next host.
+The walk counts are exact integers in floats, and every step drops the
+additions and rotations they reject before ranking.  The eigensolve that
+accepts a move is the next host's spectrum, and the accepted edits of the
+host, switched to nonnegative-eigenvector form by ``switching.switch``,
+are the next host.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -254,9 +267,9 @@ def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     positive edges both ways, by (pivot, old), targets ascending.
     """
     n = len(A)
-    upper = ~np.tri(n, dtype=bool)  # the pairs u < v, row by row
+    upper = _above_diagonal(n)  # the pairs u < v, row by row
     nu, nv = np.nonzero(upper & (A < 0))
-    first, second = np.nonzero(~np.tri(len(nu), dtype=bool))
+    first, second = np.nonzero(_above_diagonal(len(nu)))
     pivot, old = np.nonzero(A > 0)
     arc, new = np.nonzero((A[pivot] == 0) & (np.arange(n) != pivot[:, None]))
     return [
@@ -265,6 +278,14 @@ def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
         (nu[first], nv[first], nu[second], nv[second]),
         (pivot[arc], old[arc], new),
     ]
+
+
+@functools.lru_cache(maxsize=64)
+def _above_diagonal(m: int) -> np.ndarray:
+    """The read-only m x m mask of the pairs i < j, built once per size."""
+    mask = ~np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _operands(kind: MoveKind, c) -> tuple:
@@ -276,18 +297,41 @@ def _operands(kind: MoveKind, c) -> tuple:
     return ((c[0], c[1]),)
 
 
-def _ranked_candidates(A: np.ndarray, x: np.ndarray) -> Iterator[tuple[MoveKind, tuple, float]]:
-    """``(kind, operands, delta)`` of every candidate, best first, decoded as reached.
+def _closes_negative_c4(S: np.ndarray, add, rot) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each addition and each rotation closes a negative 4-cycle, by walk counts.
 
-    The order is that of the keys ``(-delta, kind.value, operands)``: the
-    blocks come in ``MoveKind`` order, whose ``.value`` strings sort in enum
-    order, each block in operand order, so one stable sort on ``-delta``
-    alone keeps equal deltas, ``-0.0`` and ``0.0`` among them, in kind and
-    operand order.
+    ``S`` is the float sign matrix of a host with no negative 4-cycle, and
+    ``add`` and ``rot`` are the addition and rotation operand columns of
+    :func:`_operand_columns`.  The products of S and of |S| are exact
+    integers.  An addition (u, v) closes one iff |S|^3[u, v] != S^3[u, v],
+    a rotation (p, o, t) of the edge p-o of sign s iff
+    |S|^3[t, p] - s S^3[t, p] > |S|^2[t, o] - S^2[t, o] (the module
+    docstring has the proof).
     """
-    blocks = _operand_columns(A)
+    B = np.abs(S)
+    S2, B2 = S @ S, B @ B
+    S3, B3 = S2 @ S, B2 @ B
+    u, v = add
+    p, o, t = rot
+    return B3[u, v] != S3[u, v], B3[t, p] - S[p, o] * S3[t, p] > B2[t, o] - S2[t, o]
+
+
+def _ranked_candidates(S: np.ndarray, x: np.ndarray) -> Iterator[tuple[MoveKind, tuple, float]]:
+    """``(kind, operands, delta)`` of every candidate that closes no negative
+    4-cycle by :func:`_closes_negative_c4`, best first, decoded as reached.
+
+    ``S`` is the host's float sign matrix.  The order is that of the keys
+    ``(-delta, kind.value, operands)``: the blocks come in ``MoveKind``
+    order, whose ``.value`` strings sort in enum order, each block in
+    operand order, so one stable sort on ``-delta`` alone keeps equal
+    deltas, ``-0.0`` and ``0.0`` among them, in kind and operand order.
+    """
+    blocks = _operand_columns(S)
+    add, rot = _closes_negative_c4(S, blocks[0], blocks[3])
+    blocks[0] = tuple(c[~add] for c in blocks[0])
+    blocks[3] = tuple(c[~rot] for c in blocks[3])
     delta = np.concatenate(
-        [_deltas(kind, A[c[0], c[1]], x, c) for kind, c in zip(MoveKind, blocks)]
+        [_deltas(kind, S[c[0], c[1]], x, c) for kind, c in zip(MoveKind, blocks)]
     )
     sizes = [len(c[0]) for c in blocks]
     rank = np.repeat(np.arange(len(blocks)), sizes)
@@ -353,20 +397,24 @@ class AscentResult:
         return len(self.applied)
 
 
-# the move kinds that can remove every negative cycle of an unbalanced host
-_MAY_BALANCE = (MoveKind.NEGATE_EDGE_PAIR, MoveKind.ROTATE_EDGE)
-
-
 def _keeps_constraints(host: SignedGraph, kind: MoveKind, edits) -> bool:
-    """Whether a ``kind`` move leaves the host unbalanced with no negative C4;
-    a deletion must also spare the least shortest negative cycle (not checked here)."""
-    if kind is MoveKind.DELETE_EDGE:
+    """Whether a ``kind`` move that :func:`_ranked_candidates` yields leaves the
+    host unbalanced with no negative C4; a deletion must also spare the least
+    shortest negative cycle (not checked here).
+
+    The walk counts already dropped every addition and rotation that closes a
+    negative 4-cycle, and an addition or a deletion keeps the host's negative
+    cycle, so only a negation and a rotation are tested.
+    """
+    if kind is MoveKind.ADD_POSITIVE_EDGE or kind is MoveKind.DELETE_EDGE:
         return True
     result = host._edited(edits)
-    # one endpoint per joined or re-signed pair: exact, as the host has no negative 4-cycle
-    if not _c4_negative_free_bits(result._pos, result._neg, {u for u, _, s in edits if s}):
+    # one endpoint per re-signed pair: exact, as the host has no negative 4-cycle
+    if kind is MoveKind.NEGATE_EDGE_PAIR and not _c4_negative_free_bits(
+        result._pos, result._neg, {u for u, _, s in edits if s}
+    ):
         return False
-    return kind not in _MAY_BALANCE or not _balanced_bits(result._pos, result._neg)
+    return not _balanced_bits(result._pos, result._neg)
 
 
 def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
@@ -377,34 +425,42 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     order of decreasing closed-form delta (ties by kind, then operand
     order) and applies the first one that keeps the constraints and
     strictly increases the index by more than 1e-12.  Stops at a local
-    maximum or after max_steps moves; the returned trajectory is strictly
-    increasing.
+    maximum or after max_steps moves (0 or more; a negative count raises
+    ValueError); the returned trajectory is strictly increasing.
 
     Each step scores every candidate in one array pass over the host's
-    sign matrix, in kind then operand order, so one stable sort on the
-    delta ranks them by exactly that key; candidates are decoded one at a
-    time as the step reaches them and decided on the host, its edited
-    copies and an edited copy of its float matrix (see the module
-    docstring).  An accepted move's edits of the host are the next host
-    and its solve is that host's spectrum, solved again only if its
-    eigenvector has a negative entry whose switching changes the graph.
-    A step finds the host's least shortest negative cycle, whose edges
-    deletions may not take, when it first reaches one.
+    float sign matrix S, in kind then operand order, so one stable sort on
+    the delta ranks them by exactly that key.  Before the sort, the exact
+    walk counts S^2, |S|^2, S^3 and |S|^3 drop every addition and rotation
+    that would close a negative 4-cycle: an addition (u, v) when some
+    3-path from u to v is negative, a rotation of the edge p-o to p-t when
+    some 3-path from t to p of the opposite sign does not end with o-p
+    (see the module docstring).  Candidates are decoded one at a time as
+    the step reaches them and decided on the host, its edited copies (the
+    balance of a negation or a rotation, the negative 4-cycles of a
+    negation) and an edited copy of S.  An accepted move's edits of the
+    host are the next host, its solve that host's spectrum and its copy
+    of S that host's S; the host's spectrum is solved again, and S
+    unpacked again, only if the eigenvector has a negative entry whose
+    switching changes the graph.  A step finds the host's least shortest
+    negative cycle, whose edges deletions may not take, when it first
+    reaches one.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     rng = random.Random(seed)
     host = random_unbalanced_c4free(n, rng)
     host, report = _nonneg_switch(host, eigenvalues_sym(host.adjacency_matrix()))
+    matrix = host.adjacency_matrix().astype(float)
     trajectory = [report.lambda1]
     applied: list[Move] = []
     deltas: list[float] = []
     for _ in range(max_steps):
-        signs = host.adjacency_matrix()
-        matrix = signs.astype(float)
         accepted = None
         protected = None  # most steps accept a move before reaching any deletion
-        for kind, ops, delta in _ranked_candidates(signs, report.x):
+        for kind, ops, delta in _ranked_candidates(matrix, report.x):
             if kind is MoveKind.DELETE_EDGE:
                 if protected is None:
                     # never None: every host is unbalanced
@@ -428,5 +484,7 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
         applied.append(mv)
         deltas.append(delta)
         trajectory.append(float(w[-1]))
-        host, report = _nonneg_switch(host._edited(edits), _report(A, w, V))
+        edited = host._edited(edits)
+        host, report = _nonneg_switch(edited, _report(A, w, V))
+        matrix = A if host is edited else host.adjacency_matrix().astype(float)
     return AscentResult(graph=host, trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas))

@@ -371,6 +371,16 @@ def test_search_sampler_give_up_is_an_error_line(monkeypatch, capsys):
     )
 
 
+def test_search_refuses_a_negative_step_count(capsys):
+    code, out, err = run(capsys, "search", "--n", "8", "--seed", "1", "--max-steps", "-3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_steps must be >= 0, got -3\n"
+    code, out, err = run(capsys, "search", "--n", "8", "--seed", "1", "--max-steps", "0")
+    assert code == 0 and err == ""
+    assert [line.split()[:3] for line in out.splitlines() if line.startswith("#")] == [["#", "step", "0"]]
+
+
 def test_search_at_order_17_prints_an_unbalanced_c4_negative_free_graph(capsys):
     code, out, err = run(capsys, "search", "--n", "17", "--seed", "1")
     assert code == 0 and err == ""

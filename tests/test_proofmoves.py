@@ -13,10 +13,12 @@ from signedspectra.proofmoves import (
     Move,
     MoveKind,
     _closed_form_delta,
+    _closes_negative_c4,
     _edited_graph,
     _edits,
     _keeps_constraints,
     _operand_columns,
+    _operands,
     _ranked_candidates,
     apply_move,
     candidate_moves,
@@ -108,6 +110,14 @@ def test_the_sampler_and_the_ascent_refuse_small_orders():
         random_unbalanced_c4free(2, random.Random(0))
     with pytest.raises(ValueError, match="ascent is defined for n >= 5"):
         greedy_ascent(4, 0)
+
+
+def test_the_ascent_refuses_a_negative_step_count_and_takes_zero():
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -3"):
+        greedy_ascent(8, 1, max_steps=-3)
+    result = greedy_ascent(8, 1, max_steps=0)
+    assert result.steps == 0 and len(result.trajectory) == 1
+    assert result.graph == nonneg_eigenvector_form(random_unbalanced_c4free(8, random.Random(1)))[0]
 
 
 def test_strict_mode_raises_on_constraint_break():
@@ -401,19 +411,57 @@ def test_every_kind_comes_out_of_the_operand_columns_in_operand_order():
     assert hosts == 144 and rotations
 
 
+def closes_negative_c4(g, kind, ops):
+    """Whether ``(kind, ops)`` is an addition or a rotation whose edited graph
+    has a negative 4-cycle, by the whole-graph check."""
+    return kind in (MoveKind.ADD_POSITIVE_EDGE, MoveKind.ROTATE_EDGE) and not is_ck_negative_free(
+        _edited_graph(g, Move(kind, ops)), 4
+    )
+
+
+def walk_count_drops(g):
+    """``(kind, operands)`` of the additions and rotations of g that
+    ``_closes_negative_c4`` drops, each with its verdict, in operand order."""
+    S = g.adjacency_matrix().astype(float)
+    blocks = _operand_columns(S)
+    add, rot = blocks[0], blocks[3]
+    for kind, cols, closes in zip(
+        (MoveKind.ADD_POSITIVE_EDGE, MoveKind.ROTATE_EDGE), (add, rot), _closes_negative_c4(S, add, rot)
+    ):
+        for c, dropped in zip(zip(*(col.tolist() for col in cols)), closes.tolist()):
+            yield kind, _operands(kind, c), dropped
+
+
+def test_walk_counts_decide_negative_4_cycles_of_additions_and_rotations():
+    # the ascent runs no negative-C4 test on an addition or a rotation: the
+    # walk counts must drop exactly those that the whole-graph check rejects
+    seen = {}
+    hosts = 0
+    for g, _ in seeded_hosts():
+        for kind, ops, dropped in walk_count_drops(g):
+            assert dropped == closes_negative_c4(g, kind, ops), (kind, ops)
+            seen[kind, dropped] = seen.get((kind, dropped), 0) + 1
+        hosts += 1
+    assert hosts == 144
+    assert len(seen) == 4, seen
+
+
 def test_ranked_candidates_are_the_sorted_scored_reference():
     # the ranking stands in for sorting (-delta, kind.value, operands): the
     # kind's index in MoveKind must sort as its .value does
     assert [k.value for k in MoveKind] == sorted(k.value for k in MoveKind)
-    hosts = ties_within = ties_across = 0
+    hosts = ties_within = ties_across = dropped = 0
     for g, rep in seeded_hosts():
         A = g.adjacency_matrix()
         reference = list(reference_candidates(A.tolist()))
+        # the ranking drops the additions and rotations that close a negative 4-cycle
+        kept = [(kind, ops) for kind, ops in reference if not closes_negative_c4(g, kind, ops)]
+        dropped += len(reference) - len(kept)
         expected = sorted(
             (-_closed_form_delta(g, kind, ops, rep.x), kind.value, ops)
-            for kind, ops in reference
+            for kind, ops in kept
         )
-        ranked = list(_ranked_candidates(A, rep.x))
+        ranked = list(_ranked_candidates(A.astype(float), rep.x))
         assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
         # bit-equal deltas, the sign of a zero included
         assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
@@ -431,7 +479,7 @@ def test_ranked_candidates_are_the_sorted_scored_reference():
         ties_within += any(len(ks) > len(set(ks)) for ks in kinds_at.values())
         ties_across += any(len(set(ks)) > 1 for ks in kinds_at.values())
         hosts += 1
-    assert hosts == 144
+    assert hosts == 144 and dropped
     assert ties_within and ties_across
 
 
@@ -459,11 +507,14 @@ def test_edited_bitset_checks_match_the_whole_graph_checks(n):
     # the unchecked edit of the host against the validating constructor on its
     # edge table with the edits applied, then the negative-C4 test at one
     # endpoint of each joined or re-signed pair and the bitset balance test
-    # against the whole-graph checks of the edited graph
+    # against the whole-graph checks of the edited graph; the ascent's
+    # decision is the walk-count drop of additions and rotations, then
+    # _keeps_constraints
     creates_c4 = balances = 0
     for seed in range(4):
         for steps in (0, 2, 5):
             g = host = greedy_ascent(n, seed, max_steps=steps).graph
+            drops = {(kind, ops) for kind, ops, dropped in walk_count_drops(host) if dropped}
             for mv in candidate_moves(g):
                 edits = _edits(host, mv)
                 table = {(u, v): s for u, v, s in g.edges()}
@@ -480,7 +531,8 @@ def test_edited_bitset_checks_match_the_whole_graph_checks(n):
                 assert _c4_negative_free_bits(pos, neg, {u for u, _, s in edits if s}) == c4free, mv
                 balanced = is_balanced(result).balanced
                 assert _balanced_bits(pos, neg) == balanced, mv
-                assert _keeps_constraints(host, mv.kind, edits) == (c4free and not balanced), mv
+                kept = (mv.kind, mv.operands) not in drops
+                assert (kept and _keeps_constraints(host, mv.kind, edits)) == (c4free and not balanced), mv
                 creates_c4 += not c4free
                 balances += balanced
     assert creates_c4 and balances

@@ -42,9 +42,11 @@ underlying graph has many automorphisms, its signing few),
 ``greedy_ascent`` at order 12 per
 seed in ASCENT_SEEDS (start sampling included),
 ``shortest_negative_cycle`` per start of those ascents, the first
-candidate ``next(_ranked_candidates(A, x))`` of the ascent's ranking per
-start of those ascents in nonnegative-eigenvector form (scoring, sorting
-and decoding one candidate: where an ascent step spends its array work),
+candidate ``next(_ranked_candidates(S, x))`` of the ascent's ranking per
+start of those ascents in nonnegative-eigenvector form, S its float sign
+matrix (the walk-count mask that drops additions and rotations closing a
+negative 4-cycle, then scoring, sorting and decoding one candidate: where
+an ascent step spends its array work),
 and the start sampler ``random_unbalanced_c4free`` at order 16 per seed
 in SAMPLER_SEEDS.  It prints one JSON object: per-call median, quartiles
 and minimum in microseconds over SAMPLES samples, each sample the mean of
@@ -258,9 +260,11 @@ def rows(ss) -> dict:
         lambda: [ss.shortest_negative_cycle(g) for g in starts],
         len(starts),
     )
-    forms = [(h.adjacency_matrix(), rep.x) for h, rep in map(ss.spectra.nonneg_eigenvector_form, starts)]
+    forms = [
+        (h.adjacency_matrix().astype(float), rep.x) for h, rep in map(ss.spectra.nonneg_eigenvector_form, starts)
+    ]
     out["ranked_candidates.n12"] = (
-        lambda: [next(ss.proofmoves._ranked_candidates(A, x)) for A, x in forms],
+        lambda: [next(ss.proofmoves._ranked_candidates(S, x)) for S, x in forms],
         len(forms),
     )
     out["random_unbalanced_c4free.n16"] = (
