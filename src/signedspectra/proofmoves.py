@@ -11,10 +11,13 @@ adding a positive edge, and so on).  When x is entrywise nonnegative every
 move below has delta >= 0, which is what makes a greedy ascent on these
 moves monotone.
 
-Each ascent step scores all its candidates at once: one array expression per
-move kind over its operand columns, in operand order, then one stable sort on
-the delta, best first.  A candidate becomes a ``(kind, operands)`` pair only
-when the step reaches it, and most steps accept one of the first few.
+One generator, ``_operand_columns``, lists the candidates of both
+:func:`candidate_moves` and each ascent step, per move kind in operand
+order; for a step, two masks of exact walk counts (below) leave out every
+addition and rotation that would close a negative 4-cycle in the same
+pass.  One array expression per move kind scores the rest, one stable sort
+on the delta ranks them, and a candidate becomes a ``(kind, operands)``
+pair only when the step reaches it: most steps accept one of the first few.
 
 The greedy ascent's state is its host SignedGraph, the host's spectrum and
 the host's sign matrix S as floats, which an accepted move's edited copy
@@ -40,11 +43,12 @@ negative 4-cycles, skipping the checks whose answer is known:
   ``host._edited(edits)``, and a negation's negative 4-cycles there at the
   edited vertices.
 
-The walk counts are exact integers in floats, and every step drops the
-additions and rotations they reject before ranking.  The eigensolve that
-accepts a move is the next host's spectrum, and the accepted edits of the
-host, switched to nonnegative-eigenvector form by ``switching.switch``,
-are the next host.
+The generator's masks, with D2 = |S|^2 - S^2 and D3 = |S|^3 - S^3 exact
+integers in floats, keep an addition (u, v) iff D3[u, v] == 0 and a
+rotation (p, o, t) of a positive edge iff D3[t, p] <= D2[t, o].  The
+solve that accepts a move is the next host's spectrum, and the accepted
+edits switched to nonnegative-eigenvector form by ``switching.switch`` are
+the next host, unpacked once more only if the switch changes the graph.
 """
 
 from __future__ import annotations
@@ -256,7 +260,7 @@ def candidate_moves(g: SignedGraph) -> list[Move]:
     return moves
 
 
-def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+def _operand_columns(A: np.ndarray, walk_counts: bool = False) -> list[tuple[np.ndarray, ...]]:
     """Per move kind, in ``MoveKind`` order, the operand columns of its candidates.
 
     ``A`` is the host's sign matrix.  Entry i of a kind's columns is the
@@ -265,15 +269,27 @@ def _operand_columns(A: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     deletion, and the caller drops those on the least shortest negative
     cycle.  Every kind comes out in operand order: rotations run over the
     positive edges both ways, by (pivot, old), targets ascending.
+
+    With ``walk_counts``, ``A`` being the float sign matrix of a host with
+    no negative 4-cycle, the masks of the module docstring leave out every
+    addition and rotation that would close one.
     """
-    n = len(A)
-    upper = _above_diagonal(n)  # the pairs u < v, row by row
-    nu, nv = np.nonzero(upper & (A < 0))
-    first, second = np.nonzero(_above_diagonal(len(nu)))
-    pivot, old = np.nonzero(A > 0)
-    arc, new = np.nonzero((A[pivot] == 0) & (np.arange(n) != pivot[:, None]))
+    upper = _above_diagonal(len(A))  # the pairs u < v, row by row
+    free = A == 0  # the non-adjacent pairs u != v
+    free.flat[:: len(A) + 1] = False
+    pivot, old = (A > 0).nonzero()
+    add, rot = upper & free, free[pivot]  # rot[arc, new], one row per positive arc
+    if walk_counts:
+        B = np.abs(A)
+        A2, B2 = A @ A, B @ B
+        D2, D3 = B2 - A2, B2 @ B - A2 @ A  # symmetric, so D3[p] is D3[:, p]
+        add &= D3 == 0
+        rot &= D3[pivot] <= D2[old]
+    nu, nv = (upper & (A < 0)).nonzero()
+    first, second = _above_diagonal(len(nu)).nonzero()
+    arc, new = rot.nonzero()
     return [
-        np.nonzero(upper & (A == 0)),
+        add.nonzero(),
         (nu, nv),
         (nu[first], nv[first], nu[second], nv[second]),
         (pivot[arc], old[arc], new),
@@ -297,48 +313,26 @@ def _operands(kind: MoveKind, c) -> tuple:
     return ((c[0], c[1]),)
 
 
-def _closes_negative_c4(S: np.ndarray, add, rot) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each addition and each rotation closes a negative 4-cycle, by walk counts.
-
-    ``S`` is the float sign matrix of a host with no negative 4-cycle, and
-    ``add`` and ``rot`` are the addition and rotation operand columns of
-    :func:`_operand_columns`.  The products of S and of |S| are exact
-    integers.  An addition (u, v) closes one iff |S|^3[u, v] != S^3[u, v],
-    a rotation (p, o, t) of the edge p-o of sign s iff
-    |S|^3[t, p] - s S^3[t, p] > |S|^2[t, o] - S^2[t, o] (the module
-    docstring has the proof).
-    """
-    B = np.abs(S)
-    S2, B2 = S @ S, B @ B
-    S3, B3 = S2 @ S, B2 @ B
-    u, v = add
-    p, o, t = rot
-    return B3[u, v] != S3[u, v], B3[t, p] - S[p, o] * S3[t, p] > B2[t, o] - S2[t, o]
-
-
 def _ranked_candidates(S: np.ndarray, x: np.ndarray) -> Iterator[tuple[MoveKind, tuple, float]]:
-    """``(kind, operands, delta)`` of every candidate that closes no negative
-    4-cycle by :func:`_closes_negative_c4`, best first, decoded as reached.
+    """``(kind, operands, delta)`` of every candidate that the walk counts of
+    :func:`_operand_columns` keep, best first, decoded as reached.
 
     ``S`` is the host's float sign matrix.  The order is that of the keys
     ``(-delta, kind.value, operands)``: the blocks come in ``MoveKind``
     order, whose ``.value`` strings sort in enum order, each block in
     operand order, so one stable sort on ``-delta`` alone keeps equal
     deltas, ``-0.0`` and ``0.0`` among them, in kind and operand order.
+    Every kind's pair ``(c[0], c[1])`` has one sign in S: none for an
+    addition, negative for a deletion or a negation, positive for a rotation.
     """
-    blocks = _operand_columns(S)
-    add, rot = _closes_negative_c4(S, blocks[0], blocks[3])
-    blocks[0] = tuple(c[~add] for c in blocks[0])
-    blocks[3] = tuple(c[~rot] for c in blocks[3])
-    delta = np.concatenate(
-        [_deltas(kind, S[c[0], c[1]], x, c) for kind, c in zip(MoveKind, blocks)]
-    )
-    sizes = [len(c[0]) for c in blocks]
-    rank = np.repeat(np.arange(len(blocks)), sizes)
-    start = np.cumsum([0, *sizes]).tolist()
     kinds = tuple(MoveKind)
-    for i in np.argsort(-delta, kind="stable").tolist():
-        r = rank[i]
+    blocks = _operand_columns(S, walk_counts=True)
+    delta = np.concatenate(
+        [_deltas(kind, s, x, c) for kind, s, c in zip(kinds, (0.0, -1.0, -1.0, 1.0), blocks)]
+    )
+    start = [sum(len(c[0]) for c in blocks[:r]) for r in range(len(blocks))]
+    for i in (-delta).argsort(kind="stable").tolist():
+        r = sum(i >= j for j in start) - 1  # the last block that starts at or before i
         yield kinds[r], _operands(kinds[r], [int(c[i - start[r]]) for c in blocks[r]]), float(delta[i])
 
 
@@ -428,23 +422,23 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
     maximum or after max_steps moves (0 or more; a negative count raises
     ValueError); the returned trajectory is strictly increasing.
 
-    Each step scores every candidate in one array pass over the host's
-    float sign matrix S, in kind then operand order, so one stable sort on
-    the delta ranks them by exactly that key.  Before the sort, the exact
-    walk counts S^2, |S|^2, S^3 and |S|^3 drop every addition and rotation
-    that would close a negative 4-cycle: an addition (u, v) when some
-    3-path from u to v is negative, a rotation of the edge p-o to p-t when
-    some 3-path from t to p of the opposite sign does not end with o-p
-    (see the module docstring).  Candidates are decoded one at a time as
-    the step reaches them and decided on the host, its edited copies (the
-    balance of a negation or a rotation, the negative 4-cycles of a
-    negation) and an edited copy of S.  An accepted move's edits of the
-    host are the next host, its solve that host's spectrum and its copy
-    of S that host's S; the host's spectrum is solved again, and S
-    unpacked again, only if the eigenvector has a negative entry whose
-    switching changes the graph.  A step finds the host's least shortest
-    negative cycle, whose edges deletions may not take, when it first
-    reaches one.
+    Each step generates its candidates in one array pass over the host's
+    float sign matrix S: the operand generator of :func:`candidate_moves`
+    plus two masks of exact walk counts, which leave out every addition
+    and rotation that would close a negative 4-cycle: an addition (u, v)
+    when some 3-path from u to v is negative, a rotation of the edge p-o to
+    p-t when some 3-path from t to p of the opposite sign does not end
+    with o-p (see the module docstring).  The kept candidates come in kind
+    then operand order, so one stable sort on the delta ranks them by
+    exactly that key.  Candidates are decoded one at a time as the step
+    reaches them and decided on the host, its edited copies (the balance
+    of a negation or a rotation, the negative 4-cycles of a negation) and
+    an edited copy of S.  An accepted move's edits of the host are the
+    next host, its solve that host's spectrum and its copy of S that
+    host's S; only if the eigenvector has a negative entry whose switching
+    changes the graph is the switched host unpacked, once, for its S and
+    its solve.  A step finds the host's least shortest negative cycle,
+    whose edges deletions may not take, when it first reaches one.
     """
     if n < 5:
         raise ValueError("ascent is defined for n >= 5")
@@ -452,8 +446,8 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     rng = random.Random(seed)
     host = random_unbalanced_c4free(n, rng)
-    host, report = _nonneg_switch(host, eigenvalues_sym(host.adjacency_matrix()))
     matrix = host.adjacency_matrix().astype(float)
+    host, report, matrix = _nonneg_switch(host, matrix, eigenvalues_sym(matrix))
     trajectory = [report.lambda1]
     applied: list[Move] = []
     deltas: list[float] = []
@@ -484,7 +478,5 @@ def greedy_ascent(n: int, seed: int, max_steps: int = 500) -> AscentResult:
         applied.append(mv)
         deltas.append(delta)
         trajectory.append(float(w[-1]))
-        edited = host._edited(edits)
-        host, report = _nonneg_switch(edited, _report(A, w, V))
-        matrix = A if host is edited else host.adjacency_matrix().astype(float)
+        host, report, matrix = _nonneg_switch(host._edited(edits), A, _report(A, w, V))
     return AscentResult(graph=host, trajectory=tuple(trajectory), applied=tuple(applied), deltas=tuple(deltas))

@@ -278,19 +278,25 @@ def nonneg_eigenvector_form(g: SignedGraph) -> tuple[SignedGraph, SpectrumReport
     """
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
-    return _nonneg_switch(g, eigenvalues_sym(g.adjacency_matrix()))
+    A = g.adjacency_matrix().astype(float)
+    return _nonneg_switch(g, A, eigenvalues_sym(A))[:2]
 
 
-def _nonneg_switch(g: SignedGraph, report: SpectrumReport) -> tuple[SignedGraph, SpectrumReport]:
-    """(h, its report) for g switched at U = {v : x_v < 0}, ``report`` being g's spectrum.
+def _nonneg_switch(
+    g: SignedGraph, A: np.ndarray, report: SpectrumReport
+) -> tuple[SignedGraph, SpectrumReport, np.ndarray]:
+    """(h, its report, its float sign matrix) for g switched at U = {v : x_v < 0},
+    ``A`` being g's float sign matrix and ``report`` its spectrum.
 
-    If the switching leaves g unchanged (U empty, or whole components), g and
-    ``report`` come back: a re-solve of the same integer matrix would give the same bits.
+    If the switching leaves g unchanged (U empty, or whole components), the
+    arguments come back: a re-solve of the same matrix would give the same
+    bits.  Otherwise h's rows are unpacked once, for its matrix and its solve.
     """
     h = switch(g, np.flatnonzero(report.x < 0.0).tolist())
     if h == g:
-        return g, report
-    return h, eigenvalues_sym(h.adjacency_matrix())
+        return g, report, A
+    A = h.adjacency_matrix().astype(float)
+    return h, eigenvalues_sym(A), A
 
 
 # -- equitable partitions and quotient matrices --------------------------------

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from signedspectra import SignedGraph
+from signedspectra import SignedGraph, spectra
 from signedspectra.cycles import _c4_negative_free_bits, is_ck_negative_free, shortest_negative_cycle
 from signedspectra.families import extremal_graph
 from signedspectra.proofmoves import (
@@ -13,7 +13,6 @@ from signedspectra.proofmoves import (
     Move,
     MoveKind,
     _closed_form_delta,
-    _closes_negative_c4,
     _edited_graph,
     _edits,
     _keeps_constraints,
@@ -420,16 +419,20 @@ def closes_negative_c4(g, kind, ops):
 
 
 def walk_count_drops(g):
-    """``(kind, operands)`` of the additions and rotations of g that
-    ``_closes_negative_c4`` drops, each with its verdict, in operand order."""
+    """``(kind, operands)`` of the additions and rotations of g, each with
+    whether the walk-count masks of ``_operand_columns`` leave it out, in
+    operand order; the masks keep every other block and the order of each."""
     S = g.adjacency_matrix().astype(float)
-    blocks = _operand_columns(S)
-    add, rot = blocks[0], blocks[3]
-    for kind, cols, closes in zip(
-        (MoveKind.ADD_POSITIVE_EDGE, MoveKind.ROTATE_EDGE), (add, rot), _closes_negative_c4(S, add, rot)
-    ):
-        for c, dropped in zip(zip(*(col.tolist() for col in cols)), closes.tolist()):
-            yield kind, _operands(kind, c), dropped
+    every, kept = _operand_columns(S), _operand_columns(S, walk_counts=True)
+    for i in (1, 2):
+        assert all(np.array_equal(a, b) for a, b in zip(every[i], kept[i]))
+    for i, kind in ((0, MoveKind.ADD_POSITIVE_EDGE), (3, MoveKind.ROTATE_EDGE)):
+        block = list(zip(*(col.tolist() for col in every[i])))
+        masked = list(zip(*(col.tolist() for col in kept[i])))
+        keep = set(masked)
+        assert masked == [c for c in block if c in keep], kind
+        for c in block:
+            yield kind, _operands(kind, c), c not in keep
 
 
 def test_walk_counts_decide_negative_4_cycles_of_additions_and_rotations():
@@ -481,6 +484,95 @@ def test_ranked_candidates_are_the_sorted_scored_reference():
         hosts += 1
     assert hosts == 144 and dropped
     assert ties_within and ties_across
+
+
+def sorted_reference(g, x):
+    """The sorted ``(-delta, kind.value, operands)`` of every reference
+    candidate of g that closes no negative 4-cycle, x the scoring vector."""
+    return sorted(
+        (-_closed_form_delta(g, kind, ops, x), kind.value, ops)
+        for kind, ops in reference_candidates(g.adjacency_matrix().tolist())
+        if not closes_negative_c4(g, kind, ops)
+    )
+
+
+def test_the_ranking_drains_to_the_sorted_reference_at_local_maxima():
+    # the step that ends an ascent decodes every kept candidate: there, only a
+    # deletion on the least shortest negative cycle, which the ascent skips,
+    # has a positive delta, and symmetric rotations tie exactly
+    hosts = ties = 0
+    for n in range(10, 18):
+        for seed in range(2):
+            g, rep = nonneg_eigenvector_form(greedy_ascent(n, seed).graph)
+            ranked = list(_ranked_candidates(g.adjacency_matrix().astype(float), rep.x))
+            expected = sorted_reference(g, rep.x)
+            assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
+            assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
+            protected = shortest_negative_cycle(g).edges()
+            assert all(
+                d <= 0 or (k is MoveKind.DELETE_EDGE and ops[0] in protected) for k, ops, d in ranked
+            ), (n, seed)
+            ties += len({d for *_, d in ranked}) < len(ranked)
+            hosts += 1
+    assert hosts == 16 and ties
+
+
+def test_the_operand_columns_of_hosts_of_order_0_to_4():
+    # empty blocks of every kind, a lone deletion, a protected one, and the
+    # all-negative K_4, whose negations are all its pairs of edges
+    k4 = {(u, v): -1 for u in range(4) for v in range(u + 1, 4)}
+    path = {(0, 1): 1, (1, 2): 1}
+    triangle = {(0, 1): 1, (0, 2): 1, (1, 2): -1}
+    for g in (
+        SignedGraph(0, {}),
+        SignedGraph(1, {}),
+        SignedGraph(2, {(0, 1): -1}),
+        SignedGraph(3, path),
+        SignedGraph(3, triangle),
+        SignedGraph(4, k4),
+    ):
+        snc = shortest_negative_cycle(g)
+        protected = snc.edges() if snc is not None else ()
+        moves = [(mv.kind, mv.operands) for mv in candidate_moves(g)]
+        assert moves == [
+            (kind, ops)
+            for kind, ops in reference_candidates(g.adjacency_matrix().tolist())
+            if kind is not MoveKind.DELETE_EDGE or ops[0] not in protected
+        ], g.n
+        x = np.linspace(1.0, 2.0, g.n)
+        ranked = list(_ranked_candidates(g.adjacency_matrix().astype(float), x))
+        expected = sorted_reference(g, x)
+        assert [(k.value, ops) for k, ops, _ in ranked] == [e[1:] for e in expected]
+        assert [d.hex() for *_, d in ranked] == [(-e[0]).hex() for e in expected]
+    assert len(moves) == 3 + 15  # K_4's deletions off its least negative triangle, and its negations
+
+
+def test_a_switched_host_is_unpacked_once(monkeypatch):
+    # one unpack of the start, and one of each host that the switch to
+    # nonnegative-eigenvector form changes, for both its matrix and its solve
+    unpack, switch = SignedGraph.adjacency_matrix, spectra.switch
+    unpacked = switched = 0
+
+    def counted_unpack(self):
+        nonlocal unpacked
+        unpacked += 1
+        return unpack(self)
+
+    def counted_switch(g, u_set):
+        nonlocal switched
+        h = switch(g, u_set)
+        switched += h != g
+        return h
+
+    monkeypatch.setattr(SignedGraph, "adjacency_matrix", counted_unpack)
+    monkeypatch.setattr(spectra, "switch", counted_switch)
+    total = 0
+    for n, seed in sorted(PINNED_ASCENTS):
+        unpacked = switched = 0
+        assert greedy_ascent(n, seed).steps == PINNED_ASCENTS[(n, seed)][1]
+        assert unpacked == 1 + switched, (n, seed)
+        total += switched
+    assert total
 
 
 @pytest.mark.parametrize("n, seed", [(8, 0), (10, 2), (12, 4)])

@@ -44,9 +44,14 @@ seed in ASCENT_SEEDS (start sampling included),
 ``shortest_negative_cycle`` per start of those ascents, the first
 candidate ``next(_ranked_candidates(S, x))`` of the ascent's ranking per
 start of those ascents in nonnegative-eigenvector form, S its float sign
-matrix (the walk-count mask that drops additions and rotations closing a
-negative 4-cycle, then scoring, sorting and decoding one candidate: where
-an ascent step spends its array work),
+matrix (the operand generator with the walk-count masks that drop
+additions and rotations closing a negative 4-cycle, then scoring, sorting
+and decoding one candidate: where an ascent step spends its array work),
+the same first candidate per start of ``greedy_ascent`` at order 17 under
+the same seeds, the largest order of the benchmark's ascent cases and so
+its largest masks, the whole ranking ``list(_ranked_candidates(S, x))`` per final graph of
+those order-12 ascents (a local maximum, whose step decodes every kept
+candidate),
 and the start sampler ``random_unbalanced_c4free`` at order 16 per seed
 in SAMPLER_SEEDS.  It prints one JSON object: per-call median, quartiles
 and minimum in microseconds over SAMPLES samples, each sample the mean of
@@ -260,12 +265,27 @@ def rows(ss) -> dict:
         lambda: [ss.shortest_negative_cycle(g) for g in starts],
         len(starts),
     )
-    forms = [
-        (h.adjacency_matrix().astype(float), rep.x) for h, rep in map(ss.spectra.nonneg_eigenvector_form, starts)
-    ]
+
+    def forms(graphs):
+        """(float sign matrix, leading eigenvector) per graph in nonnegative-eigenvector form."""
+        return [
+            (h.adjacency_matrix().astype(float), rep.x) for h, rep in map(ss.spectra.nonneg_eigenvector_form, graphs)
+        ]
+
+    forms12 = forms(starts)
     out["ranked_candidates.n12"] = (
-        lambda: [next(ss.proofmoves._ranked_candidates(S, x)) for S, x in forms],
-        len(forms),
+        lambda: [next(ss.proofmoves._ranked_candidates(S, x)) for S, x in forms12],
+        len(forms12),
+    )
+    forms17 = forms(ss.random_unbalanced_c4free(17, random.Random(seed)) for seed in ASCENT_SEEDS)
+    out["ranked_candidates.n17"] = (
+        lambda: [next(ss.proofmoves._ranked_candidates(S, x)) for S, x in forms17],
+        len(forms17),
+    )
+    maxima = forms(ss.greedy_ascent(12, seed).graph for seed in ASCENT_SEEDS)
+    out["ranked_candidates.local_max.n12"] = (
+        lambda: [list(ss.proofmoves._ranked_candidates(S, x)) for S, x in maxima],
+        len(maxima),
     )
     out["random_unbalanced_c4free.n16"] = (
         lambda: [ss.random_unbalanced_c4free(16, random.Random(seed)) for seed in SAMPLER_SEEDS],
