@@ -54,6 +54,8 @@ def parse_partition(text: str, n: int) -> VertexPartition:
                 raise ValueError(f"empty item in partition {text!r}")
             if "-" in item:
                 lo_s, hi_s = item.split("-", 1)
+                if not lo_s or not hi_s:
+                    raise ValueError(f"range {item!r} in partition {text!r} has an empty end")
                 lo, hi = int(lo_s), int(hi_s)
                 if lo > hi:
                     raise ValueError(f"empty range {item!r}")

@@ -5,12 +5,13 @@ Coefficients are arbitrary-precision Python ints stored in ascending order
 square-free part isolates the real roots from the top down, lazily, so a
 question about the largest root stops once the top root is isolated; then
 quadratic interval refinement (QIR) on the grid that bisection would walk
-refines an isolating interval to a requested width.  Gcds, the square-free
-part and the chain come from one integer pseudo-division with content
-removal.  The search starts at the integers -R and R, R the root bound of
-the square-free part, and only halves, so every point visited is dyadic
-and each sign or value is one integer Horner evaluation.  Nothing here
-touches floating point until the final conversion.
+refines an isolating interval to a requested width.  Gcds and chains come
+from one remainder sequence (integer pseudo-division, content removed): a
+square-free p's chain is its own sequence with p'; with repeated roots the
+sequence ends at gcd(p, p') and the chain is rebuilt for p / gcd.  The
+search starts at the integers -R and R, R the root bound of the square-free
+part, and only halves, so every point visited is dyadic and each sign or
+value is one integer Horner evaluation.  No floats until the end.
 """
 
 from __future__ import annotations
@@ -173,24 +174,19 @@ def root_multiplicity_exact(p: IntPolynomial, r: int) -> int:
 # integer coefficient lists.
 
 
-def _squarefree_part(p: IntPolynomial) -> list[int]:
-    """Coefficients of p / gcd(p, p'), primitive with positive leading coefficient."""
-    a = list(p.coeffs)
-    q = _primitive(_pdivmod(a, _poly_gcd(a, list(p.derivative().coeffs)))[0])
-    return q if q[-1] > 0 else [-c for c in q]
-
-
 def _primitive(a: list[int]) -> list[int]:
     """a divided by the positive gcd of its coefficients (the zero list unchanged)."""
     g = math.gcd(*a)
     return [c // g for c in a] if g > 1 else a
 
 
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of trimmed coefficient lists, up to sign."""
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b and their primitive pseudo-remainders, down to gcd(a, b) up to a constant."""
+    seq = [a]
     while b != [0]:
+        seq.append(b)
         a, b = b, _primitive(_pdivmod(a, b)[1])
-    return _primitive(a)
+    return seq
 
 
 def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
@@ -221,18 +217,18 @@ def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
     return quot, rem or [0], scale ** (dq + 1)
 
 
-def _sturm_chain(sf: list[int]) -> list[list[int]]:
-    """Sturm chain of a square-free integer polynomial, each member primitive.
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free part of a nonzero p, each member primitive.
 
-    Members are negated primitive pseudo-remainders.  The multiplier and the
-    content are positive, so each member is a positive multiple of its
-    counterpart over Q and has the same sign at every point.
+    If p's remainder sequence with p' ends at a constant, member i is member
+    i of the sequence times +, +, -, - repeating (a positive multiple of its
+    counterpart over Q); else the chain is p / gcd(p, p')'s.
     """
-    chain = [sf, _primitive([k * c for k, c in enumerate(sf)][1:] or [0])]
-    while chain[-1] != [0]:
-        chain.append([-c for c in _primitive(_pdivmod(chain[-2], chain[-1])[1])])
-    chain.pop()
-    return chain
+    p = _primitive(p if p[-1] > 0 else [-c for c in p])
+    seq = _remainders(p, _primitive([k * c for k, c in enumerate(p)][1:] or [0]))
+    if len(seq[-1]) > 1:
+        return _sturm_chain(_pdivmod(p, seq[-1])[0])
+    return [f if i % 4 < 2 else [-c for c in f] for i, f in enumerate(seq)]
 
 
 def _value_at(f: list[int], m: int, e: int) -> int:
@@ -281,7 +277,7 @@ def _isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple[int, int
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain = _sturm_chain(_squarefree_part(p))
+    chain = _sturm_chain(list(p.coeffs))
     R = _root_bound(IntPolynomial(chain[0]))
     up = [f[-1] > 0 for f in chain]  # signs at +inf; at -inf a member of odd degree flips
     down = [u == (len(f) % 2 == 1) for u, f in zip(up, chain)]
@@ -448,7 +444,7 @@ def compare_largest_real_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     # both intervals at one exponent, which they keep since they halve in step
     e = max(e1, e2)
     lo1, hi1, lo2, hi2 = lo1 << e - e1, hi1 << e - e1, lo2 << e - e2, hi2 << e - e2
-    g = _sturm_chain(_poly_gcd(cp[0], cq[0]))
+    g = _sturm_chain(_remainders(cp[0], cq[0])[-1])
     if _sign_changes(g, max(lo1, lo2), e) > _sign_changes(g, min(hi1, hi2), e):
         return 0
     v1, v2 = _sign_changes(cp, lo1, e), _sign_changes(cq, lo2, e)

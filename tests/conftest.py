@@ -65,7 +65,7 @@ from signedspectra.enumeration import (
     enumerate_underlying,
     switching_classes,
 )
-from signedspectra.polynomial import IntPolynomial, _root_bound, _sign_at, _squarefree_part, _sturm_chain
+from signedspectra.polynomial import IntPolynomial, _root_bound, _sign_at, _sturm_chain
 from signedspectra.spectra import (
     _PRIME_CEILING,
     QuotientResult,
@@ -596,7 +596,7 @@ def reference_isolate(p: IntPolynomial) -> tuple[list[list[int]], Iterator[tuple
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    chain = _sturm_chain(_squarefree_part(p))
+    chain = _sturm_chain(list(p.coeffs))
     B = _root_bound(p)
 
     def changes(m: int, e: int) -> int:

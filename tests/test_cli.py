@@ -112,10 +112,14 @@ def test_parse_partition_syntax():
         parse_partition("1|2", 3)
     with pytest.raises(ValueError):
         parse_partition("1|1-2", 2)
-    with pytest.raises(ValueError, match="empty item in partition '1,|2'"):
+    with pytest.raises(ValueError, match=re.escape("empty item in partition '1,|2'")):
         parse_partition("1,|2", 2)
     with pytest.raises(ValueError, match="empty range '3-2'"):
         parse_partition("1|3-2", 3)
+    with pytest.raises(ValueError, match=re.escape("range '4-' in partition '1-3|4-' has an empty end")):
+        parse_partition("1-3|4-", 4)
+    with pytest.raises(ValueError, match=re.escape("range '-1' in partition '-1|2' has an empty end")):
+        parse_partition("-1|2", 2)
 
 
 def test_normalize_outputs_equivalent_graph(tmp_path, capsys):

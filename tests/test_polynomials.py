@@ -25,7 +25,6 @@ from signedspectra.polynomial import (
     _refine,
     _root_bound,
     _sign_at,
-    _squarefree_part,
     _sturm_chain,
     compare_largest_real_roots,
     isolate_real_roots,
@@ -440,7 +439,7 @@ def test_isolation_matches_a_rational_sturm_oracle(factors, unit):
         p = p * IntPolynomial(f) ** k
     sf, chain = brute_squarefree_and_sturm(p.coeffs)
     # each integer member has the sign of its rational counterpart everywhere
-    ours = _sturm_chain(_squarefree_part(p))
+    ours = _sturm_chain(list(p.coeffs))
     assert len(ours) == len(chain)
     for m in range(-21, 22):
         want = [fraction_value(f, Fraction(m, 2)) for f in chain]
@@ -460,6 +459,31 @@ def test_isolation_matches_a_rational_sturm_oracle(factors, unit):
             assert fraction_value(sf, lo) == 0
         else:
             assert brute_sturm_count(chain, lo, hi) == 1
+
+
+def test_a_square_free_polynomial_builds_one_remainder_sequence(monkeypatch):
+    # p's sequence with p' is its chain: at most one pseudo-division per degree
+    calls = [0]
+    pdivmod = polynomial._pdivmod
+
+    def counted(*args):
+        calls[0] += 1
+        return pdivmod(*args)
+
+    def divisions(p: IntPolynomial) -> int:
+        calls[0] = 0
+        _isolate(p)
+        return calls[0]
+
+    monkeypatch.setattr(polynomial, "_pdivmod", counted)
+    eight = IntPolynomial([1])
+    for r in range(1, 9):
+        eight = eight * poly(1, -r)
+    for p in (extremal_cubic(40), char_poly_of_int_matrix(extremal_quotient_matrix(20)), eight):
+        assert len(_isolate(p)[0][0]) - 1 == p.degree  # square-free
+        assert divisions(p) <= p.degree, p
+    # with repeated roots, the sequence ends at gcd(p, p') and the quotient gets its own
+    assert divisions(char_poly_exact(extremal_graph(40))) <= 11
 
 
 # -- isolation from the square-free part's root bound -------------------------

@@ -1,61 +1,13 @@
-"""Per-call cost of the exact layer and of the labeller.
+"""Per-call cost of the exact layer, the labeller, the census kernel and the ascent.
 
 Run from the root of a source checkout (the package is imported from ./src):
 
     python3 tools/layer_costs.py [OTHER_CHECKOUT]
 
-For each order n in ORDERS it times ``char_poly_exact(extremal_graph(n))``,
-``largest_real_root_interval`` of that polynomial at width 1e-15 and
-``switching_isomorphic`` of a relabelled and switched copy of
-``extremal_graph(n)`` against the original.  At order 40 it also times
-``isolate_real_roots`` of that polynomial (every isolating interval, so the
-search walks both spines), ``switching_isomorphic`` of a seeded relabelled
-and switched copy of ``near_extremal_graph(40)`` against the original, ``switch`` of
-``extremal_graph(40)`` at a seeded half of its vertices,
-``switching_equivalent`` of that switched copy against the original,
-``nonneg_eigenvector_form`` and ``is_balanced`` of that copy (unbalanced,
-so with a negative-cycle witness), the
-``SignedGraph`` constructor on the edge table of ``extremal_graph(40)``, and
-its ``relabel`` by a seeded permutation, ``edges()`` and
-``adjacency_matrix()``, and the family constructors ``extremal_graph(40)``
-and ``near_extremal_graph(40)``.  It times ``quotient_matrix`` of
-``extremal_graph(20)`` under its canonical partition and
-``check_quotient_containment`` of that graph against its closed-form
-quotient matrix, and
-``char_poly_exact`` per graph of 200 seeded signed graphs of order 10 (edge
-probability 0.8), ``largest_real_root_interval`` at width 1e-12 per
-characteristic polynomial of those graphs, where the square-free part and
-the Sturm chain, not the refinement, are most of the cost, and
-``compare_largest_real_roots`` per consecutive pair of those
-polynomials, and ``find_negative_ck`` at k = 5 and k = 6 per seeded
-signed graph of order 10 (edge probability 0.4), FIND_GRAPHS of them.  It
-also times the whole catalog build ``enumerate_underlying(7)`` (its
-per-process cache cleared before each call), the canonical form
-``_canonical_edges`` and the census kernel
-``_census_one_graph`` (GF(2) class filter and eigensolve) per sorted edge
-list of that catalog, and
-``switching_isomorphic`` of K_{5,5} with one negative edge against K_{5,5}
-with two negative edges at one vertex (not switching isomorphic, and
-K_{5,5} has 2 (5!)^2 automorphisms), of K_11 minus the path 3-6-4 with
-seeded signs against a relabelled and switched copy (seed 29; its
-underlying graph has many automorphisms, its signing few),
-``greedy_ascent`` at order 12 per
-seed in ASCENT_SEEDS (start sampling included),
-``shortest_negative_cycle`` per start of those ascents, the first
-candidate ``next(_ranked_candidates(S, x))`` of the ascent's ranking per
-start of those ascents in nonnegative-eigenvector form, S its float sign
-matrix (the operand generator with the walk-count masks that drop
-additions and rotations closing a negative 4-cycle, then scoring, sorting
-and decoding one candidate: where an ascent step spends its array work),
-the same first candidate per start of ``greedy_ascent`` at order 17 under
-the same seeds, the largest order of the benchmark's ascent cases and so
-its largest masks, the whole ranking ``list(_ranked_candidates(S, x))`` per final graph of
-those order-12 ascents (a local maximum, whose step decodes every kept
-candidate),
-and the start sampler ``random_unbalanced_c4free`` at order 16 per seed
-in SAMPLER_SEEDS.  It prints one JSON object: per-call median, quartiles
-and minimum in microseconds over SAMPLES samples, each sample the mean of
-a batch of calls sized to take about 20 ms, and that batch size.  The
+``rows()`` names each row and the seeded inputs it times.  The script
+prints one JSON object: per row, the per-call median, quartiles and
+minimum in microseconds over SAMPLES samples, each sample the mean of a
+batch of calls sized to take about 20 ms, and that batch size.  The
 minimum is the fastest sample, the one least slowed by other processes on
 a shared machine: compare sides by it when the medians of rows whose code
 did not change move by more than the difference sought.  Uses the
