@@ -45,6 +45,13 @@ def _emit_graph(g: SignedGraph, out: str | None) -> None:
 
 def parse_partition(text: str, n: int) -> VertexPartition:
     """Parse ``a|b|c-d`` block syntax with 1-based inclusive ranges."""
+
+    def integer(s: str, refusal: str) -> int:
+        try:
+            return int(s)
+        except ValueError:
+            raise ValueError(refusal) from None
+
     blocks = []
     for chunk in text.split("|"):
         block: list[int] = []
@@ -56,12 +63,13 @@ def parse_partition(text: str, n: int) -> VertexPartition:
                 lo_s, hi_s = item.split("-", 1)
                 if not lo_s or not hi_s:
                     raise ValueError(f"range {item!r} in partition {text!r} has an empty end")
-                lo, hi = int(lo_s), int(hi_s)
+                refusal = f"range {item!r} in partition {text!r} has a non-integer end"
+                lo, hi = integer(lo_s, refusal), integer(hi_s, refusal)
                 if lo > hi:
                     raise ValueError(f"empty range {item!r}")
                 block.extend(range(lo - 1, hi))
             else:
-                block.append(int(item) - 1)
+                block.append(integer(item, f"item {item!r} in partition {text!r} is not an integer") - 1)
         blocks.append(tuple(block))
     part = VertexPartition(tuple(blocks))
     if part.n != n:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import SignedGraph
 from .polynomial import IntPolynomial, _real_roots, compare_largest_real_roots, root_multiplicity_exact
-from .switching import switch
+from .switching import _twin_classes, switch
 
 __all__ = [
     "SpectrumReport",
@@ -130,8 +130,11 @@ def rayleigh(M, y) -> float:
 # into [0, p] (b = p) first whenever a (n b + p) could reach 2^52, so no float64
 # product, trace or _mod argument reaches 2^52 and float64 arithmetic (BLAS
 # included) is exact; right after a reduction a (n p + p) <= (n + 1) p^2 < 2^52
-# below order 4096.  A graph of order 7 is never reduced, and one of order 40 six
-# times in 40 steps.
+# below order 4096.  A matrix of order 7 is never reduced, and one of order 40 six
+# times in 40 steps: a signed graph of order 40 with no signed twins, or any
+# order-40 signed adjacency matrix given to char_poly_of_int_matrix.
+# char_poly_exact runs the kernel on the quotient by the twin classes instead,
+# of order 3 for the extremal graph at every order from 5 up.
 
 _PRIME_CEILING = 1 << 20
 _EXACT = 1 << 52  # float64 integers below this add and multiply exactly here
@@ -243,10 +246,37 @@ def _char_poly_multimodular(A: np.ndarray) -> IntPolynomial:
 def char_poly_exact(g: SignedGraph) -> IntPolynomial:
     """Exact monic characteristic polynomial det(xI - A(g)).
 
-    Faddeev-LeVerrier modulo a few primes below 2^20 in float64, rebuilt by
-    CRT (see ``char_poly_of_int_matrix``, which shares the kernel).
+    The signed twin classes are deflated first (``switching._twin_classes``).
+    Each member whose signs to the common neighbours are opposite to those of
+    its class's first member is switched, so every class T becomes a module
+    with one internal sign s_T (0 if T is independent).  Vectors on T summing
+    to 0 are then eigenvectors for -s_T, and the rest of the spectrum is that
+    of the equitable quotient Q by the classes:
+    det(xI - A) = det(xI - Q) * prod_T (x + s_T)^(|T| - 1).  The kernel runs
+    on Q, and on A itself when every class is a singleton: Faddeev-LeVerrier
+    modulo a few primes below 2^20 in float64, rebuilt by CRT (see
+    ``char_poly_of_int_matrix``, which shares it).  Raises ArithmeticError if
+    the quotient is not equitable.
     """
-    return _char_poly_multimodular(g.adjacency_matrix())
+    adj = [p | q for p, q in zip(g._pos, g._neg)]
+    classes = _twin_classes(adj, g._neg)
+    if len(classes) == g.n:
+        return _char_poly_multimodular(g.adjacency_matrix())
+    flipped = []
+    for u, *rest in classes:
+        for v in rest:
+            common = adj[u] & ~(1 << v)
+            if (g._neg[u] ^ g._neg[v]) & common == common:
+                flipped.append(v)
+    A = switch(g, flipped).adjacency_matrix()
+    Q = quotient_matrix(A, VertexPartition.of(*classes)).matrix
+    if Q is None:
+        raise ArithmeticError("signed twin classes do not give an equitable quotient")
+    p = _char_poly_multimodular(Q)
+    for u, v, *rest in (c for c in classes if len(c) > 1):
+        m, s = len(rest) + 1, int(A[u, v])  # (x + s)^m from its binomial coefficients
+        p = IntPolynomial([math.comb(m, k) * s ** (m - k) for k in range(m + 1)]) * p
+    return p
 
 
 def char_poly_of_int_matrix(M) -> IntPolynomial:

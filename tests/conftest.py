@@ -84,6 +84,7 @@ from signedspectra.switching import (
     _twin_classes,
     _vertex_invariants,
     is_balanced,
+    switch,
     switching_equivalent,
 )
 
@@ -695,6 +696,39 @@ def twin_rich_graphs(rng: random.Random, n: int) -> list[frozenset]:
             g = SignedGraph(n, {pair: 1 for pair in e}).relabel(perm)
             out.append(g.edge_set())
     return out
+
+
+def planted_twin_graph(rng: random.Random, n: int) -> tuple[SignedGraph, list[int], list[int]]:
+    """(g, sizes, signs): a random signed graph of order n >= 1 blown up from planted classes.
+
+    The classes have ``sizes`` members; now and then one class has n - 1.
+    Class i is a clique of sign ``signs[i]``, or independent when that is 0,
+    and its members have the same signed neighbours outside it.  g is that
+    graph relabelled and switched at random, so its twins no longer have
+    equal rows.
+    """
+    if n > 2 and rng.random() < 0.2:
+        sizes = [n - 1, 1]
+    else:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    signs = [rng.choice((-1, 0, 1)) for _ in sizes]
+    between = {
+        (i, j): rng.choice((-1, 1))
+        for i, j in combinations(range(len(sizes)), 2)
+        if rng.random() < 0.5
+    }
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    table = {}
+    for u, v in combinations(range(n), 2):
+        i, j = owner[u], owner[v]
+        s = signs[i] if i == j else between.get((i, j), 0)
+        if s:
+            table[(u, v)] = s
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = SignedGraph(n, table).relabel(perm)
+    return switch(g, [v for v in range(n) if rng.random() < 0.5]), sizes, signs
 
 
 def _fraction_divmod(a: list, b: list) -> tuple[list, list]:

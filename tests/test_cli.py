@@ -120,6 +120,12 @@ def test_parse_partition_syntax():
         parse_partition("1-3|4-", 4)
     with pytest.raises(ValueError, match=re.escape("range '-1' in partition '-1|2' has an empty end")):
         parse_partition("-1|2", 2)
+    with pytest.raises(ValueError, match=re.escape("range '4-5-6' in partition '1|2|3|4-5-6' has a non-integer end")):
+        parse_partition("1|2|3|4-5-6", 6)
+    with pytest.raises(ValueError, match=re.escape("item 'x' in partition '1|x' is not an integer")):
+        parse_partition("1|x", 2)
+    with pytest.raises(ValueError, match=re.escape("item '1.5' in partition '1.5|2' is not an integer")):
+        parse_partition("1.5|2", 2)
 
 
 def test_normalize_outputs_equivalent_graph(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from signedspectra.families import (
     near_extremal_partition,
     near_extremal_quotient_matrix,
 )
-from signedspectra.polynomial import IntPolynomial
+from signedspectra.polynomial import IntPolynomial, real_roots
 from signedspectra.spectra import (
     char_poly_exact,
     char_poly_of_int_matrix,
@@ -87,6 +88,28 @@ def test_extremal_index_root_values():
         root = extremal_index_root(n)
         assert n - 3 < root < n - 2
         assert abs(extremal_cubic(n)(root)) < 1e-8
+
+
+def test_chain_premise_holds_at_every_order():
+    # f = extremal_cubic(n - 1) and x0 = P / Q = (n-3)(n-2) / (n-1) give
+    # f(x0 + y) = value(n) / Q^3 + slope(n) / Q^2 y + curve(n) / Q y^2 + y^3, and the
+    # three are positive for n >= 5; so f > 0 on [x0, oo), and for every n >= 6
+    # lambda_ref(n-1) < x0 < lambda_ref(n)(n-2)/(n-1), as lambda_ref(n) > n - 3
+    value = IntPolynomial([48, -78, 54, -18, 2])
+    slope = IntPolynomial([43, -52, 28, -8, 1])
+    curve = IntPolynomial([12, -8, 2])
+    assert [round(r, 3) for r in real_roots(value)] == [1.676, 4.924]
+    assert real_roots(slope) == real_roots(curve) == []
+    assert value(5) > 0 and slope(5) > 0 and curve(5) > 0
+    for n in (6, 7, 12, 40, 1001):
+        f, P, Q = extremal_cubic(n - 1), (n - 3) * (n - 2), n - 1
+        x0 = Fraction(P, Q)
+        assert Q**3 * f(x0) == value(n)
+        assert Q**2 * f.derivative()(x0) == slope(n)
+        assert Q * f.derivative().derivative()(x0) / 2 == curve(n)
+    for n in range(6, 501):  # float oracle
+        x0 = (n - 3) * (n - 2) / (n - 1)
+        assert extremal_index_root(n - 1) < x0 < extremal_index_root(n) * (n - 2) / (n - 1), n
 
 
 def test_index_matches_cubic_root():

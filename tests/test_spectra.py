@@ -31,6 +31,7 @@ from signedspectra.switching import switching_equivalent
 
 from conftest import (
     brute_char_poly_values,
+    planted_twin_graph,
     random_signed_graph,
     reference_char_poly,
     reference_nonneg_eigenvector_form,
@@ -163,6 +164,36 @@ def test_char_poly_exact_matches_determinant_oracle():
             _assert_matches_det_oracle(char_poly_exact(g), g.adjacency_matrix().tolist())
 
 
+def test_char_poly_exact_deflates_planted_signed_twins():
+    # true and false twins of both signs, several classes at once, relabelled and
+    # switched: the deflated polynomial equals the kernel's on the full matrix
+    rng = random.Random(4101)
+    planted = set()
+    for n in range(1, 41):
+        for _ in range(8 if n <= 14 else 3):
+            g, sizes, signs = planted_twin_graph(rng, n)
+            planted |= {(s, size == n - 1) for s, size in zip(signs, sizes) if size > 1}
+            planted.add(("classes", sum(size > 1 for size in sizes) > 1))
+            A = g.adjacency_matrix()
+            p = char_poly_exact(g)
+            assert p == char_poly_of_int_matrix(A), (n, sizes, signs)
+            if n <= 9:
+                _assert_matches_det_oracle(p, A.tolist())
+    assert planted == {(s, big) for s in (-1, 0, 1) for big in (False, True)} | {
+        ("classes", False),
+        ("classes", True),
+    }
+
+
+def test_char_poly_exact_refuses_a_twin_quotient_that_is_not_equitable(monkeypatch):
+    import signedspectra.spectra as spectra
+
+    # {0, 1} of the path 0-1-2 is no twin class: 1 sees 2 and 0 does not
+    monkeypatch.setattr(spectra, "_twin_classes", lambda adj, neg: [[0, 1], [2]])
+    with pytest.raises(ArithmeticError, match="not give an equitable quotient"):
+        char_poly_exact(SignedGraph(3, {(0, 1): 1, (1, 2): 1}))
+
+
 def test_char_poly_of_int_matrix_matches_determinant_oracle_on_large_entries():
     # entries up to 10^6 (and one of 10^30) need more primes than a graph does
     rng = random.Random(48)
@@ -206,7 +237,10 @@ def test_deferred_reduction_keeps_dense_graphs_exact():
     # a bound without the factor n (trace or product) lets a sum pass 2^52 here
     for n in range(30, 41):
         for g in (complete_signed(n, 1), complete_signed(n, -1), extremal_graph(n), near_extremal_graph(n)):
-            assert char_poly_exact(g) == reference_char_poly(g.adjacency_matrix()), n
+            A = g.adjacency_matrix()
+            assert char_poly_exact(g) == reference_char_poly(A), n
+            # each of these deflates to a quotient of order 3 at most: drive the kernel itself
+            assert char_poly_of_int_matrix(A) == reference_char_poly(A), n
 
 
 def test_char_poly_of_int_matrix_with_huge_entries_matches_the_reduce_every_step_kernel():
@@ -223,8 +257,8 @@ def test_char_poly_of_int_matrix_with_huge_entries_matches_the_reduce_every_step
 def test_inverse_table_is_one_bounded_table_of_true_inverses():
     from signedspectra.spectra import _inverses, _primes
 
-    for n in (5, 20, 40, 70):
-        char_poly_exact(extremal_graph(n))
+    for n in (5, 20, 40, 70):  # the full matrices: char_poly_exact would deflate them to order 3
+        char_poly_of_int_matrix(extremal_graph(n).adjacency_matrix())
     char_poly_of_int_matrix([[10**30, 1], [2, 3]])
     info = _inverses.cache_info()
     assert info.maxsize == 1 and info.currsize == 1

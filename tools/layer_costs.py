@@ -142,6 +142,10 @@ def rows(ss) -> dict:
             lambda g=g, h=h: ss.switching.switching_isomorphic(h, g),
             1,
         )
+    rand40 = random_signed_graph(ss, random.Random(40), 40, 0.5)
+    classes = ss.switching._twin_classes([p | q for p, q in zip(rand40._pos, rand40._neg)], rand40._neg)
+    assert len(classes) == 40, "char_poly_exact.rand40 must time the kernel on the full matrix"
+    out["char_poly_exact.rand40"] = (lambda: ss.char_poly_exact(rand40), 1)
     p40 = ss.char_poly_exact(ss.extremal_graph(40))
     out["isolate_real_roots.n40"] = (lambda: ss.polynomial.isolate_real_roots(p40), 1)
     near, near_rng = ss.near_extremal_graph(40), random.Random(40)
